@@ -92,6 +92,15 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _read_hashed(path: str) -> tuple[str, str]:
+    """The file's UTF-8 text and the SHA-256 of the very bytes decoded.
+
+    The readers split lines with ``str.splitlines``, so CR and CRLF line
+    ends need no newline translation."""
+    data = Path(path).read_bytes()
+    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+
+
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -138,12 +147,12 @@ def cmd_learn(args: argparse.Namespace) -> int:
         raise ExtractionError("exactly one of --triples and --counts is required")
 
     _, lexicon = load_taxonomy_files(eff["taxonomy"], eff["lexicon"])
+    text, input_sha256 = _read_hashed(counts_path if counts_path is not None else triples_path)
     if counts_path is not None:
-        table = read_counts(_read(counts_path))
-        input_path = counts_path
+        table = read_counts(text)
     else:
-        table = accumulate(read_triples(_read(triples_path)))
-        input_path = triples_path
+        table = accumulate(read_triples(text))
+    del text  # not needed while learning
 
     cfg = LearnerConfig(
         threshold=_as_int(eff, "threshold", 3),
@@ -165,7 +174,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "threshold": str(cfg.threshold),
         "min_verb_support": str(cfg.min_verb_support),
         "keep_nonpositive": "true" if cfg.keep_nonpositive else "false",
-        "input_sha256": _sha256(input_path),
+        "input_sha256": input_sha256,
         "taxonomy_sha256": _sha256(eff["taxonomy"]),
         "lexicon_sha256": _sha256(eff["lexicon"]),
     }

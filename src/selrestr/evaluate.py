@@ -99,6 +99,31 @@ def _kept(triples: Iterable[TripleRecord]) -> list[TripleRecord]:
     return [t for t in triples if t.discard_reason is None]
 
 
+def _ratios(
+    triples: Iterable[TripleRecord],
+    srs: Iterable[SelectionalRestriction],
+    lexicon: SenseLexicon,
+) -> tuple[Fraction | None, Fraction | None]:
+    """(precision, recall) over the non-discarded triples.
+
+    The restrictions are grouped by (verb, rel) once, and each triple is
+    checked against its own position's restrictions only.  A triple at a
+    position without restrictions is never fulfilled, so one count of
+    fulfilled triples serves both numerators."""
+    by_position: dict[tuple[str, SynRel], list[SelectionalRestriction]] = {}
+    for sr in srs:
+        by_position.setdefault((sr.verb, sr.rel), []).append(sr)
+    pool = _kept(triples)
+    hits = sum(
+        1 for t in pool if fulfills(t, by_position.get((t.verb, t.rel), ()), lexicon)
+    )
+    restricted = sum(1 for t in pool if (t.verb, t.rel) in by_position)
+    return (
+        Fraction(hits, restricted) if restricted else None,
+        Fraction(hits, len(pool)) if pool else None,
+    )
+
+
 def precision(
     triples: Iterable[TripleRecord],
     srs: Sequence[SelectionalRestriction],
@@ -106,12 +131,7 @@ def precision(
 ) -> Fraction | None:
     """Fulfilled / triples whose position has restrictions; None if no
     triple sits at a restricted position."""
-    positions = {(sr.verb, sr.rel) for sr in srs}
-    pool = [t for t in _kept(triples) if (t.verb, t.rel) in positions]
-    if not pool:
-        return None
-    hits = sum(1 for t in pool if fulfills(t, srs, lexicon))
-    return Fraction(hits, len(pool))
+    return _ratios(triples, srs, lexicon)[0]
 
 
 def recall(
@@ -120,11 +140,7 @@ def recall(
     lexicon: SenseLexicon,
 ) -> Fraction | None:
     """Fulfilled / all non-discarded triples; None if there are none."""
-    pool = _kept(triples)
-    if not pool:
-        return None
-    hits = sum(1 for t in pool if fulfills(t, srs, lexicon))
-    return Fraction(hits, len(pool))
+    return _ratios(triples, srs, lexicon)[1]
 
 
 _CANONICAL_ORDER = (
@@ -399,6 +415,7 @@ def evaluate_gold(
             entries.append(((verb, rel, class_id), label, count))
         diagnostics = diagnostic_summary(entries)
     sense_annotated = [g for g in gold if g.extraction_ok and g.correct_sense is not None]
+    precision_value, recall_value = _ratios(records, srs, lexicon)
     return EvalReport(
         gold_total=len(gold),
         excluded_parser=sum(1 for g in gold if g.error == PARSER_ERR),
@@ -412,7 +429,7 @@ def evaluate_gold(
             if g.record.noun in lexicon
             and g.correct_sense in lexicon.senses(g.record.noun)
         ),
-        precision=precision(records, srs, lexicon),
-        recall=recall(records, srs, lexicon),
+        precision=precision_value,
+        recall=recall_value,
         diagnostics=diagnostics,
     )

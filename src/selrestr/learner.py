@@ -8,9 +8,12 @@ space repeatedly extracts the best-scoring class and drops everything
 related to it by hyperonymy, so the surviving classes are mutually
 disjoint.
 
-Scanning the full candidate set each round (rather than best-first
-expansion from the sense classes upward) costs little at this scale and
-is immune to the non-monotone shape of the association score.
+The greedy pass is a single walk over the candidates sorted once by
+rank, testing each against the kept classes with set lookups on
+hypernym closures, so it is linear in the candidates times the closure
+size.  Considering the full candidate set (rather than best-first
+expansion from the sense classes upward) is immune to the non-monotone
+shape of the association score.
 """
 
 from __future__ import annotations
@@ -141,17 +144,29 @@ def select_disjoint(
 ) -> list[ScoredCandidate]:
     """Greedy extraction over the full candidate set: take the best-ranked
     class, discard every candidate related to it by hyperonymy in either
-    direction, repeat until nothing is left."""
+    direction, repeat until nothing is left.
+
+    One pass in rank order gives the same result: a candidate is kept iff
+    it is related to no class kept before it, that is, it is not in the
+    union of the kept classes' hypernym closures (not an ancestor of a kept
+    class) and its own closure holds no kept class (not a descendant)."""
     pool = list(candidates)
     for cand in pool:
         if cand.score is None:
             raise ValueError(f"candidate {cand.class_id!r} is unscored")
     pool.sort(key=_rank_key)
     chosen: list[ScoredCandidate] = []
-    while pool:
-        best = pool[0]
-        chosen.append(best)
-        pool = [c for c in pool[1:] if not taxonomy.related(best.class_id, c.class_id)]
+    chosen_ids: set[str] = set()
+    covered: set[str] = set()
+    for cand in pool:
+        if cand.class_id in covered:
+            continue
+        closure = taxonomy.hypernym_closure(cand.class_id)
+        if not chosen_ids.isdisjoint(closure):
+            continue
+        chosen.append(cand)
+        chosen_ids.add(cand.class_id)
+        covered |= closure
     return chosen
 
 

@@ -16,7 +16,12 @@ Three scoring functions rank candidate classes for a (verb, position):
                  position, natural log, positive when the verb and the
                  class co-occur more than expected
 
-Probabilities are exact rationals up to the final logarithm, so equal
+Class sums are kept as integers: raw sums count whole occurrences, and
+sense-corrected sums are scaled by the least common multiple of the
+sense counts of the observed nouns, which makes every sense fraction
+whole.  The scale cancels out of every ratio, and each float is taken
+as a single correctly rounded int/int division, so a score equals the
+one computed with exact rationals up to the final logarithm: equal
 quantities compare equal and independence gives a score of exactly 0.
 """
 
@@ -160,12 +165,15 @@ class CondProbs(NamedTuple):
     vc_given_s: Fraction
 
 
-def log_likelihood_ratio(k11, k12, k21, k22) -> float:
+def log_likelihood_ratio(k11, k12, k21, k22, scale: int = 1) -> float:
     """Signed G2 statistic of a 2x2 contingency table.
 
     G2 = 2 * sum k_ij ln(k_ij / E_ij) with 0 ln 0 = 0, negated when the
     top-left cell falls below its expectation; a zero marginal row or
-    column gives 0 by convention.
+    column gives 0 by convention.  The cells may be given multiplied by a
+    common integer ``scale``: each count enters the float arithmetic as
+    the correctly rounded quotient ``count / scale``, so the result is the
+    one for the unscaled table.
     """
     cells = (k11, k12, k21, k22)
     if any(k < 0 for k in cells):
@@ -175,11 +183,15 @@ def log_likelihood_ratio(k11, k12, k21, k22) -> float:
     n = r1 + r2
     if not (r1 and r2 and c1 and c2):
         return 0.0
+    fn = float(n / scale)
     g = 0.0
     for k, row, col in ((k11, r1, c1), (k12, r1, c2), (k21, r2, c1), (k22, r2, c2)):
         if k > 0:
-            g += float(k) * math.log(float(k) * float(n) / (float(row) * float(col)))
+            fk = float(k / scale)
+            g += fk * math.log(fk * fn / (float(row / scale) * float(col / scale)))
     g *= 2.0
+    # The sign test compares k11 with its expectation r1 * c1 / n; a common
+    # scale multiplies both sides by scale**2 and leaves it unchanged.
     if k11 * n > r1 * c1:
         return g
     if k11 * n < r1 * c1:
@@ -190,23 +202,41 @@ def log_likelihood_ratio(k11, k12, k21, k22) -> float:
 class Scorer:
     """Binds a counts table to a taxonomy and lexicon and scores classes.
 
-    All class-level sums are cached per (position, estimator), so the
-    object is cheap to query repeatedly; it is read-only after
-    construction and safe to share across worker threads.
+    Class sums are integers.  Raw sums count occurrences.  Sense-corrected
+    sums count an occurrence of a noun with k senses, j of them under the
+    class, as ``sense_scale * j / k``; ``sense_scale`` is the least common
+    multiple of the sense counts of the table's nouns, so every such weight
+    is whole.  Scores divide the scale back out in correctly rounded int/int
+    divisions, so they equal bit for bit the scores computed from exact
+    rational counts; ``cond_probs`` keeps those rationals for assoc as the
+    reference.  The public count accessors return unscaled values
+    (``Fraction`` for the sense-corrected estimator).
+
+    ``sense_scale`` is fixed at construction and class sums are cached
+    per (position, estimator), so the object is cheap to query repeatedly;
+    it is read-only after construction and safe to share across worker
+    threads.
     """
 
     def __init__(self, table: CountsTable, lexicon: SenseLexicon):
         self.table = table
         self.lexicon = lexicon
         self.taxonomy = lexicon.taxonomy
-        self._vs_class_counts: dict = {}
-        self._position_class_counts: dict = {}
-        self._global_class_counts: dict = {}
+        self.sense_scale: int = math.lcm(
+            *{len(lexicon.senses(n)) for n in table.noun_total if n in lexicon}
+        )
+        self._vs_class_sums: dict = {}
+        self._position_class_sums: dict = {}
+        self._global_class_sums: dict = {}
 
     # -- class-level counts ---------------------------------------------
 
-    def _weighted_class_sums(self, noun_counts: Mapping[str, int], est: EstimatorKind):
-        sums: dict[str, Fraction | int] = {}
+    def _scale(self, est: EstimatorKind) -> int:
+        return 1 if est is EstimatorKind.RAW else self.sense_scale
+
+    def _class_sums(self, noun_counts: Mapping[str, int], est: EstimatorKind) -> dict[str, int]:
+        """Class -> scaled (integer) sum over the given noun counts."""
+        sums: dict[str, int] = {}
         if est is EstimatorKind.RAW:
             for n, c in noun_counts.items():
                 if n not in self.lexicon:
@@ -217,51 +247,64 @@ class Scorer:
             for n, c in noun_counts.items():
                 if n not in self.lexicon:
                     continue
-                for cls, w in self.lexicon.class_weights(n).items():
-                    sums[cls] = sums.get(cls, 0) + c * w
+                unit = c * (self.sense_scale // len(self.lexicon.senses(n)))
+                for cls, hits in self.lexicon.sense_hits(n).items():
+                    sums[cls] = sums.get(cls, 0) + unit * hits
         return sums
+
+    def _vs_sums(self, v: str, s: SynRel, est: EstimatorKind) -> dict[str, int]:
+        key = (v, s, est)
+        cached = self._vs_class_sums.get(key)
+        if cached is None:
+            cached = self._class_sums(self.table.nouns_for(v, s), est)
+            self._vs_class_sums[key] = cached
+        return cached
+
+    def _position_sums(self, s: SynRel, est: EstimatorKind) -> dict[str, int]:
+        key = (s, est)
+        cached = self._position_class_sums.get(key)
+        if cached is None:
+            cached = self._class_sums(self.table.nouns_at(s), est)
+            self._position_class_sums[key] = cached
+        return cached
+
+    def _global_sums(self, est: EstimatorKind) -> dict[str, int]:
+        cached = self._global_class_sums.get(est)
+        if cached is None:
+            cached = self._class_sums(self.table.noun_total, est)
+            self._global_class_sums[est] = cached
+        return cached
+
+    def _unscaled(self, value: int, est: EstimatorKind):
+        return value if est is EstimatorKind.RAW else Fraction(value, self.sense_scale)
 
     def class_counts(self, v: str, s: SynRel, est: EstimatorKind) -> Mapping:
         """All classes supported by (v, s) with their (possibly weighted) counts."""
-        key = (v, s, est)
-        cached = self._vs_class_counts.get(key)
-        if cached is None:
-            cached = self._weighted_class_sums(self.table.nouns_for(v, s), est)
-            self._vs_class_counts[key] = cached
-        return cached
+        sums = self._vs_sums(v, s, est)
+        if est is EstimatorKind.RAW:
+            return sums
+        return {cls: Fraction(k, self.sense_scale) for cls, k in sums.items()}
 
     def class_count(self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW):
         """Occurrences of nouns of class ``c`` with (v, s); 0 if unsupported."""
-        return self.class_counts(v, s, est).get(c, 0)
+        return self._unscaled(self._vs_sums(v, s, est).get(c, 0), est)
 
     def position_class_count(self, s: SynRel, c: str, est: EstimatorKind):
         """Class occurrences at position ``s`` across all verbs."""
-        key = (s, est)
-        cached = self._position_class_counts.get(key)
-        if cached is None:
-            cached = self._weighted_class_sums(self.table.nouns_at(s), est)
-            self._position_class_counts[key] = cached
-        return cached.get(c, 0)
+        return self._unscaled(self._position_sums(s, est).get(c, 0), est)
 
     def global_class_count(self, c: str, est: EstimatorKind):
-        cached = self._global_class_counts.get(est)
-        if cached is None:
-            cached = self._weighted_class_sums(self.table.noun_total, est)
-            self._global_class_counts[est] = cached
-        return cached.get(c, 0)
+        return self._unscaled(self._global_sums(est).get(c, 0), est)
 
     # -- probabilities and scores ---------------------------------------
 
     def cond_probs(
         self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW
     ) -> CondProbs:
-        """P(c|v,s), P(v|s), P(c|s) and P(v,c|s) for the given events."""
-        total = self.table.total(s)
-        if total == 0:
-            raise ZeroDenominatorError(f"no observations at position {s.code!r}")
-        vs = self.table.vs_total(v, s)
-        if vs == 0:
-            raise ZeroDenominatorError(f"no observations of verb {v!r} at position {s.code!r}")
+        """P(c|v,s), P(v|s), P(c|s) and P(v,c|s) for the given events.
+
+        The exact-rational reference for the association score."""
+        total, vs = self._position_totals(v, s)
         joint = self.class_count(v, s, c, est)
         at_position = self.position_class_count(s, c, est)
         return CondProbs(
@@ -271,17 +314,30 @@ class Scorer:
             vc_given_s=Fraction(joint) / total,
         )
 
+    def _position_totals(self, v: str, s: SynRel) -> tuple[int, int]:
+        """Occurrences at position ``s`` and of verb ``v`` there, both nonzero."""
+        total = self.table.total(s)
+        if total == 0:
+            raise ZeroDenominatorError(f"no observations at position {s.code!r}")
+        vs = self.table.vs_total(v, s)
+        if vs == 0:
+            raise ZeroDenominatorError(f"no observations of verb {v!r} at position {s.code!r}")
+        return total, vs
+
     def assoc_components(
         self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW
     ) -> tuple[float, float]:
         """(P(c|v,s), conditional mutual information) whose product is assoc."""
-        p = self.cond_probs(v, s, c, est)
-        if p.vc_given_s == 0:
+        total, vs = self._position_totals(v, s)
+        joint = self._vs_sums(v, s, est).get(c, 0)
+        if joint == 0:
             raise UnsupportedClassError(
                 f"class {c!r} has no support with verb {v!r} at position {s.code!r}"
             )
-        mi = math.log2(p.vc_given_s / (p.v_given_s * p.c_given_s))
-        return float(p.c_given_vs), mi
+        at_position = self._position_sums(s, est).get(c, 0)
+        # P(v,c|s) / (P(v|s) P(c|s)); the scale of joint and at_position cancels.
+        mi = math.log2(joint * total / (vs * at_position))
+        return joint / (vs * self._scale(est)), mi
 
     def assoc(self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW) -> float:
         weight, mi = self.assoc_components(v, s, c, est)
@@ -295,28 +351,28 @@ class Scorer:
         grand = self.table.grand_total
         if grand == 0:
             raise ZeroDenominatorError("empty counts table")
-        joint = self.class_count(v, s, c, est)
+        joint = self._vs_sums(v, s, est).get(c, 0)
         if joint == 0:
             raise UnsupportedClassError(
                 f"class {c!r} has no support with verb {v!r} at position {s.code!r}"
             )
         vs = self.table.vs_total(v, s)
-        p_vsc = Fraction(joint) / grand
-        p_vs = Fraction(vs, grand)
-        p_c = Fraction(self.global_class_count(c, est)) / grand
-        mi = math.log2(p_vsc / (p_vs * p_c))
-        return float(Fraction(joint) / vs) * mi
+        at_all = self._global_sums(est).get(c, 0)
+        # P(v,s,c) / (P(v,s) P(c)); the scale of joint and at_all cancels.
+        mi = math.log2(joint * grand / (vs * at_all))
+        return joint / (vs * self._scale(est)) * mi
 
     def g2(self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW) -> float:
         """Signed log-likelihood ratio of class-vs-verb at the position."""
         total = self.table.total(s)
         if total == 0:
             raise ZeroDenominatorError(f"no observations at position {s.code!r}")
-        k11 = self.class_count(v, s, c, est)
-        k12 = self.table.vs_total(v, s) - k11
-        k21 = self.position_class_count(s, c, est) - k11
-        k22 = total - k11 - k12 - k21
-        return log_likelihood_ratio(k11, k12, k21, k22)
+        scale = self._scale(est)
+        k11 = self._vs_sums(v, s, est).get(c, 0)
+        k12 = self.table.vs_total(v, s) * scale - k11
+        k21 = self._position_sums(s, est).get(c, 0) - k11
+        k22 = total * scale - k11 - k12 - k21
+        return log_likelihood_ratio(k11, k12, k21, k22, scale)
 
     def score(
         self, kind: ScoreKind, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW

@@ -147,7 +147,7 @@ class SenseLexicon:
         self.taxonomy = taxonomy
         self._senses = senses
         self._class_sets: dict[str, frozenset[str]] = {}
-        self._weights: dict[str, dict[str, Fraction]] = {}
+        self._hits: dict[str, dict[str, int]] = {}
 
     @property
     def nouns(self) -> frozenset[str]:
@@ -186,18 +186,21 @@ class SenseLexicon:
         return self.class_weights(noun).get(class_id, Fraction(0))
 
     def class_weights(self, noun: str) -> dict[str, Fraction]:
-        """Map each covering class to #senses-under-it / #senses, memoized."""
-        cached = self._weights.get(noun)
+        """Map each covering class to #senses-under-it / #senses."""
+        k = len(self.senses(noun))
+        return {c: Fraction(hits, k) for c, hits in self.sense_hits(noun).items()}
+
+    def sense_hits(self, noun: str) -> dict[str, int]:
+        """Map each covering class to #senses-under-it, memoized."""
+        cached = self._hits.get(noun)
         if cached is not None:
             return cached
-        sense_set = self.senses(noun)
-        k = len(sense_set)
-        weights: dict[str, Fraction] = {}
-        for s in sense_set:
+        hits: dict[str, int] = {}
+        for s in self.senses(noun):
             for c in self.taxonomy.hypernym_closure(s):
-                weights[c] = weights.get(c, Fraction(0)) + Fraction(1, k)
-        self._weights[noun] = weights
-        return weights
+                hits[c] = hits.get(c, 0) + 1
+        self._hits[noun] = hits
+        return hits
 
 
 def parse_taxonomy(text: str) -> Taxonomy:

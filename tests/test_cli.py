@@ -8,6 +8,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +170,52 @@ class TestLearnCommand:
             if not l.startswith("#")
         ]
         assert "".join(body) == TOY_BODY
+
+    def test_header_digest_is_of_the_bytes_parsed(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        # CRLF line ends: the digest is of the raw bytes, which are read
+        # exactly once, and the parse is the same as with LF.
+        counts = tmp_path / "counts.tsv"
+        raw = (data_dir / "toy_counts.tsv").read_bytes().replace(b"\n", b"\r\n")
+        counts.write_bytes(raw)
+        reads = []
+        real_read_bytes, real_read_text = Path.read_bytes, Path.read_text
+
+        def read_bytes(self):
+            reads.append(self)
+            return real_read_bytes(self)
+
+        def read_text(self, *args, **kwargs):
+            reads.append(self)
+            return real_read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        monkeypatch.setattr(Path, "read_text", read_text)
+        argv = toy_learn_argv(data_dir, tmp_path / "srs.tsv")
+        argv[argv.index("--counts") + 1] = str(counts)
+        assert run(argv) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert reads.count(counts) == 1
+        text = (tmp_path / "srs.tsv").read_text(encoding="utf-8")
+        assert f"# input_sha256={hashlib.sha256(raw).hexdigest()}\n" in text
+        body = [l for l in text.splitlines(keepends=True) if not l.startswith("#")]
+        assert "".join(body) == TOY_BODY
+
+    @pytest.mark.parametrize("flag", ["--counts", "--triples"])
+    def test_non_utf8_input_exits_1(self, data_dir, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"drink\t0\tdog\xff\t1\n")
+        argv = [
+            "learn", flag, str(bad),
+            "--taxonomy", str(data_dir / "toy_taxonomy.tsv"),
+            "--lexicon", str(data_dir / "toy_lexicon.tsv"),
+            "--out", str(tmp_path / "srs.tsv"),
+        ]
+        assert run(argv) == 1
+        assert "utf-8" in capsys.readouterr().err
+        assert not (tmp_path / "srs.tsv").exists()
 
     def test_runs_are_byte_identical(self, data_dir, tmp_path, capsys):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"

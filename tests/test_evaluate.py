@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from conftest import TOY_PARENTS, TOY_SENSES, build_world
 from selrestr.evaluate import (
     LEMMA_ERR,
@@ -281,6 +282,20 @@ class TestEvaluateGold:
         assert report.precision == Fraction(1, 2)
         assert report.recall == Fraction(1, 3)
         assert report.diagnostics is None
+
+    def test_toy_ratios_match_pairwise_reference(self, toy_eval):
+        gold, srs, lex, labels = toy_eval
+        tax = lex.taxonomy
+        parents = {c: set(tax.parents(c)) for c in tax.nodes}
+        senses = {n: lex.senses(n) for n in lex.nouns}
+        plain_gold = [
+            (g.record.verb, g.record.rel.code, g.record.noun) for g in gold if g.extraction_ok
+        ]
+        plain_srs = {(sr.verb, sr.rel.code, sr.class_id) for sr in srs}
+        expected = oracle.eval_ratios(plain_gold, parents, senses, plain_srs)
+        for with_labels in (None, labels):
+            report = evaluate_gold(gold, srs, lex, with_labels)
+            assert (report.precision, report.recall) == expected
 
     def test_toy_render_text_golden(self, toy_eval):
         gold, srs, lex, _ = toy_eval

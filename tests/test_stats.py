@@ -6,6 +6,7 @@ from the brute-force reference in oracle.py.
 """
 
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -324,6 +325,76 @@ class TestSenseCorrected:
         assert probe.class_count("lift", S1, "entity") == 3
         # but the raw totals still include the unknown noun
         assert probe.table.vs_total("lift", S1) == 4
+
+
+# nouns with 3, 4 and 5 senses: the sense scale is lcm(3, 4, 5) = 60
+WIDE_PARENTS = {"top": set(), "left": {"top"}, "right": {"top"}} | {
+    f"s{k}": {"left" if k % 2 else "right"} for k in range(5)
+}
+WIDE_SENSES = {
+    "three": frozenset({"s0", "s1", "s2"}),
+    "four": frozenset({"s0", "s1", "s2", "s3"}),
+    "five": frozenset({f"s{k}" for k in range(5)}),
+    "one": frozenset({"s4"}),
+}
+WIDE_TRIPLES = (
+    [("see", "1", "three")] * 2
+    + [("see", "1", "four")]
+    + [("see", "1", "five")] * 3
+    + [("hear", "1", "four")] * 2
+    + [("hear", "1", "one")]
+    + [("hear", "1", "unknown")]
+)
+
+
+class TestSenseScale:
+    """Sense-corrected sums are integers scaled by the LCM of the sense counts."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return build_world(WIDE_PARENTS, WIDE_SENSES, WIDE_TRIPLES)
+
+    def test_scale_is_lcm_of_lexicon_nouns_sense_counts(self, wide):
+        assert wide.sense_scale == 60
+        assert build_world(TOY_PARENTS, TOY_SENSES, TOY_TRIPLES).sense_scale == 1
+
+    def test_counts_are_unscaled_fractions(self, wide):
+        sense = EstimatorKind.SENSE_CORRECTED
+        # left holds s1, s3: 2 * 1/3 + 1 * 2/4 + 3 * 2/5
+        assert wide.class_count("see", S1, "left", sense) == Fraction(2, 3) + Fraction(
+            1, 2
+        ) + Fraction(6, 5)
+        assert wide.position_class_count(S1, "top", sense) == 9
+        assert wide.global_class_count("s4", sense) == Fraction(3, 5) + 1
+        assert wide.class_counts("see", S1, sense)["s0"] == Fraction(2, 3) + Fraction(
+            1, 4
+        ) + Fraction(3, 5)
+
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_scores_equal_fraction_path(self, wide, kind):
+        sense = EstimatorKind.SENSE_CORRECTED
+        grand = wide.table.grand_total
+        total = wide.table.total(S1)
+        for v in ("see", "hear"):
+            vs = wide.table.vs_total(v, S1)
+            for cls in wide.class_counts(v, S1, sense):
+                joint = wide.class_count(v, S1, cls, sense)
+                if kind is ScoreKind.ASSOC:
+                    p = wide.cond_probs(v, S1, cls, sense)
+                    ref = float(p.c_given_vs) * math.log2(
+                        p.vc_given_s / (p.v_given_s * p.c_given_s)
+                    )
+                elif kind is ScoreKind.ASSOC_PAIR_MI:
+                    p_c = Fraction(wide.global_class_count(cls, sense)) / grand
+                    ref = float(joint / vs) * math.log2(
+                        (joint / grand) / (Fraction(vs, grand) * p_c)
+                    )
+                else:
+                    at_s = wide.position_class_count(S1, cls, sense)
+                    ref = log_likelihood_ratio(
+                        joint, vs - joint, at_s - joint, total - vs - at_s + joint
+                    )
+                assert wide.score(kind, v, S1, cls, sense) == ref
 
 
 class TestToyTriplesFixtureAgreement:

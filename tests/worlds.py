@@ -14,8 +14,9 @@ RELS = ("0", "1", "with")
 
 
 def make_world(rng: random.Random, full_lexicon: bool = True,
-               max_classes: int = 50, max_triples: int = 100):
-    """Returns (parents, senses, triples) in plain-data form."""
+               max_classes: int = 50, max_triples: int = 100, max_senses: int = 3):
+    """Returns (parents, senses, triples) in plain-data form; each lexicon
+    noun has 1 to ``max_senses`` senses (fewer if there are fewer leaves)."""
     n_internal = rng.randint(1, 12)
     internal = [f"i{k}" for k in range(n_internal)]
     parents: dict[str, set[str]] = {}
@@ -33,7 +34,7 @@ def make_world(rng: random.Random, full_lexicon: bool = True,
     senses: dict[str, frozenset[str]] = {}
     for n in nouns:
         if full_lexicon or rng.random() < 0.8:
-            senses[n] = frozenset(rng.sample(leaves, rng.randint(1, min(3, n_leaves))))
+            senses[n] = frozenset(rng.sample(leaves, rng.randint(1, min(max_senses, n_leaves))))
 
     verbs = [f"v{k}" for k in range(rng.randint(1, 5))]
     rels = RELS[: rng.randint(1, 3)]
