@@ -13,10 +13,13 @@ errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Callable, TextIO
 
 from .evaluate import evaluate_gold, percentage, read_gold, read_labels
 from .extract import (
@@ -105,6 +108,35 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], None]]]) -> None:
+    """Write each (path, writer) pair to a new file beside its path, then
+    move all of them into place with ``os.replace``.
+
+    No output is replaced until every one is complete, so a failed write
+    leaves no partial or half-updated output behind.  An error names the
+    output path, as opening that path directly would."""
+    temps: list[str] = []
+    path = None
+    try:
+        for path, write in outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            head, tail = os.path.split(path)
+            temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            temps.append(temp)
+            with open(fd, "w", encoding="utf-8") as f:
+                write(f)
+        for (path, _), temp in zip(outputs, temps):
+            os.replace(temp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.unlink(temp)
+
+
 # -- subcommands ---------------------------------------------------------
 
 
@@ -123,10 +155,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
     discards = [r for r in records if not r.kept]
     triples_path = eff["triples"]
     discards_path = eff.get("discards", triples_path + ".discards")
-    with open(triples_path, "w", encoding="utf-8") as f:
-        write_triples(kept, f)
-    with open(discards_path, "w", encoding="utf-8") as f:
-        write_discards(discards, f)
+    _write_outputs(
+        [
+            (triples_path, lambda f: write_triples(kept, f)),
+            (discards_path, lambda f: write_discards(discards, f)),
+        ]
+    )
 
     raw = len(records)
     non_noun = sum(1 for r in discards if r.discard_reason == NON_NOUN_HEAD)
@@ -178,8 +212,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "taxonomy_sha256": _sha256(eff["taxonomy"]),
         "lexicon_sha256": _sha256(eff["lexicon"]),
     }
-    with open(eff["out"], "w", encoding="utf-8") as f:
-        write_restrictions(restrictions, f, header)
+    _write_outputs([(eff["out"], lambda f: write_restrictions(restrictions, f, header))])
     positions = {(sr.verb, sr.rel) for sr in restrictions}
     print(f"{len(restrictions)} restrictions across {len(positions)} verb positions")
     if failures:

@@ -13,6 +13,11 @@ and forms the morphology cannot fold to an alphabetic lemma are
 discarded as lemma failures.  Discarded records stay in the output
 stream with ``discard_reason`` set so that every raw extraction is
 accounted for.
+
+Records are named tuples, and a relation is a validated ``str``
+subclass, so the dict lookups keyed by relations downstream hash and
+compare in C.  The tree walk is iterative over constituents only, and
+lemmas are memoized per ``LemmaTable``.
 """
 
 from __future__ import annotations
@@ -37,51 +42,52 @@ class ExtractionError(ValueError):
     """Malformed extractor input (lemma table or triples file)."""
 
 
-@dataclass(frozen=True, order=True)
-class SynRel:
+class SynRel(str):
     """Syntactic relation between a verb and a complement head.
 
     ``code`` is "0" (subject), "1" (object) or a lowercase preposition.
+    A relation is its code as a ``str`` subclass, so hashing, equality
+    and ordering run in C and equal a comparison of the codes.
     """
 
-    code: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.code in (SUBJECT_CODE, OBJECT_CODE):
-            return
-        if (
-            not self.code
-            or self.code != self.code.lower()
-            or any(ch.isspace() for ch in self.code)
+    def __new__(cls, code: str) -> "SynRel":
+        if code not in (SUBJECT_CODE, OBJECT_CODE) and (
+            not code or code != code.lower() or any(ch.isspace() for ch in code)
         ):
-            raise ValueError(f"bad relation code {self.code!r}")
+            raise ValueError(f"bad relation code {code!r}")
+        return str.__new__(cls, code)
 
     @classmethod
     def prep(cls, preposition: str) -> "SynRel":
         return cls(preposition.lower())
 
     @property
+    def code(self) -> str:
+        return str.__str__(self)
+
+    @property
     def is_subject(self) -> bool:
-        return self.code == SUBJECT_CODE
+        return self == SUBJECT_CODE
 
     @property
     def is_object(self) -> bool:
-        return self.code == OBJECT_CODE
+        return self == OBJECT_CODE
 
     @property
     def is_prep(self) -> bool:
-        return self.code not in (SUBJECT_CODE, OBJECT_CODE)
+        return self not in (SUBJECT_CODE, OBJECT_CODE)
 
-    def __str__(self) -> str:
-        return self.code
+    def __repr__(self) -> str:
+        return f"SynRel(code={self.code!r})"
 
 
 SUBJECT = SynRel(SUBJECT_CODE)
 OBJECT = SynRel(OBJECT_CODE)
 
 
-@dataclass(frozen=True)
-class TripleRecord:
+class TripleRecord(NamedTuple):
     """One (verb, relation, noun) observation; discards carry their reason."""
 
     verb: str
@@ -133,6 +139,8 @@ class LemmaTable:
 
     def __init__(self, entries: dict[tuple[str, str], str] | None = None):
         self._entries = {}
+        # lemmatize's results for this table, keyed by (form, coarse POS).
+        self._memo: dict[tuple[str, str], LemmaResult] = {}
         if entries:
             for (form, pos), lemma in entries.items():
                 self._entries[form.lower(), pos] = lemma
@@ -196,8 +204,17 @@ def lemmatize(form: str, pos: str, table: LemmaTable) -> LemmaResult:
     """Case-folded table lookup with suffix-stripping fallback.
 
     Forms containing non-alphabetic characters that miss the table are
-    returned folded but flagged as failures.
+    returned folded but flagged as failures.  The result is a pure
+    function of (form, POS, table) and is memoized on the table.
     """
+    key = (form, pos)
+    result = table._memo.get(key)
+    if result is None:
+        result = table._memo[key] = _lemmatize(form, pos, table)
+    return result
+
+
+def _lemmatize(form: str, pos: str, table: LemmaTable) -> LemmaResult:
     if pos not in (NOUN, VERB):
         raise ValueError(f"bad coarse POS {pos!r}")
     folded = form.lower()
@@ -214,7 +231,7 @@ def np_head(np: ParseTree, tags: TagSet = PENN) -> tuple[str, str] | None:
     """Surface form and tag of the NP's head, or None when the rightmost
     noun-tagged leaf is missing at the top level of the phrase."""
     for child in reversed(np.children):
-        if child.is_leaf and child.label in tags.noun_tags:
+        if child.token is not None and child.label in tags.noun_tags:
             return child.token, child.label
     return None
 
@@ -235,11 +252,22 @@ def _innermost_vp(vp: ParseTree, tags: TagSet) -> ParseTree:
         node = nested[0]
 
 
-def _verb_leaf(vp: ParseTree, tags: TagSet) -> ParseTree | None:
-    for child in reversed(vp.children):
-        if child.is_leaf and child.label in tags.verb_tags:
+def _first(children: tuple[ParseTree, ...], labels: frozenset[str]) -> ParseTree | None:
+    for child in children:
+        if child.label in labels:
             return child
     return None
+
+
+def _verb_leaf(vp: ParseTree, tags: TagSet) -> ParseTree | None:
+    for child in reversed(vp.children):
+        if child.token is not None and child.label in tags.verb_tags:
+            return child
+    return None
+
+
+# Relation of each preposition token seen, shared by all records.
+_PREP_RELS: dict[str, SynRel] = {}
 
 
 def extract_triples(
@@ -251,16 +279,22 @@ def extract_triples(
     """Emit one TripleRecord per verb-complement pair found in the tree.
 
     Every clause node (a clause label with a VP child) is processed
-    independently: subject from the nearest NP sister before the VP, the
-    first NP inside the innermost VP as object, and each PP inside it as
-    a prepositional complement.  Clauses with no identifiable verb yield
-    nothing.
+    independently, in preorder: subject from the nearest NP sister before
+    the VP, the first NP inside the innermost VP as object, and each PP
+    inside it as a prepositional complement.  Clauses with no
+    identifiable verb yield nothing.  The walk is iterative and visits
+    constituents only, since a leaf is never a clause.
     """
     records: list[TripleRecord] = []
-    for clause in tree.subtrees():
+    stack = [] if tree.is_leaf else [tree]
+    while stack:
+        clause = stack.pop()
+        for child in reversed(clause.children):
+            if child.token is None:
+                stack.append(child)
         if clause.label not in tags.clause_labels:
             continue
-        vp = next((c for c in clause.children if c.label in tags.vp_labels), None)
+        vp = _first(clause.children, tags.vp_labels)
         if vp is None:
             continue
         inner = _innermost_vp(vp, tags)
@@ -291,7 +325,7 @@ def extract_triples(
         if subject_np is not None:
             emit(SUBJECT, subject_np)
 
-        object_np = next((c for c in inner.children if c.label in tags.np_labels), None)
+        object_np = _first(inner.children, tags.np_labels)
         if object_np is not None:
             emit(OBJECT, object_np)
 
@@ -299,12 +333,16 @@ def extract_triples(
             if child.label not in tags.pp_labels:
                 continue
             prep = next(
-                (c for c in child.children if c.is_leaf and c.label in tags.prep_tags), None
+                (c for c in child.children if c.token is not None and c.label in tags.prep_tags),
+                None,
             )
-            pp_np = next((c for c in child.children if c.label in tags.np_labels), None)
+            pp_np = _first(child.children, tags.np_labels)
             if prep is None or pp_np is None:
                 continue
-            emit(SynRel.prep(prep.token), pp_np)
+            rel = _PREP_RELS.get(prep.token)
+            if rel is None:
+                rel = _PREP_RELS[prep.token] = SynRel.prep(prep.token)
+            emit(rel, pp_np)
     return records
 
 
@@ -342,8 +380,11 @@ def write_discards(records: Iterable[TripleRecord], f) -> None:
 
 
 def read_triples(text: str) -> list[TripleRecord]:
-    """Parse a triples file; each line becomes a kept record."""
+    """Parse a triples file; each line becomes a kept record.
+
+    Records share one ``SynRel`` per distinct relation code."""
     records: list[TripleRecord] = []
+    rels: dict[str, SynRel] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip(" \r")
         if not line.strip() or line.startswith("#"):
@@ -354,9 +395,11 @@ def read_triples(text: str) -> list[TripleRecord]:
         verb, rel_code, noun = fields
         if not verb or not noun:
             raise ExtractionError(f"triples line {lineno}: empty verb or noun")
-        try:
-            rel = SynRel(rel_code)
-        except ValueError as exc:
-            raise ExtractionError(f"triples line {lineno}: {exc}") from None
-        records.append(TripleRecord(verb, rel, noun, sentence_id=len(records)))
+        rel = rels.get(rel_code)
+        if rel is None:
+            try:
+                rel = rels[rel_code] = SynRel(rel_code)
+            except ValueError as exc:
+                raise ExtractionError(f"triples line {lineno}: {exc}") from None
+        records.append(TripleRecord(verb, rel, noun, len(records)))
     return records

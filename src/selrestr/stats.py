@@ -116,7 +116,7 @@ def accumulate(triples: Iterable[TripleRecord]) -> CountsTable:
     """Aggregate kept triples; passing a discarded record is an error."""
     counts: dict[tuple[str, SynRel, str], int] = {}
     for t in triples:
-        if not t.kept:
+        if t.discard_reason is not None:
             raise ValueError(f"cannot accumulate discarded triple {t}")
         key = (t.verb, t.rel, t.noun)
         counts[key] = counts.get(key, 0) + 1
@@ -126,6 +126,7 @@ def accumulate(triples: Iterable[TripleRecord]) -> CountsTable:
 def read_counts(text: str) -> CountsTable:
     """Parse a pre-aggregated ``verb<TAB>rel<TAB>noun<TAB>count`` file."""
     counts: dict[tuple[str, SynRel, str], int] = {}
+    rels: dict[str, SynRel] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -134,8 +135,12 @@ def read_counts(text: str) -> CountsTable:
         if len(fields) != 4:
             raise ExtractionError(f"counts line {lineno}: expected 4 fields, got {len(fields)}")
         verb, rel_code, noun, count_text = fields
+        if not verb or not noun:
+            raise ExtractionError(f"counts line {lineno}: empty verb or noun")
         try:
-            rel = SynRel(rel_code)
+            rel = rels.get(rel_code)
+            if rel is None:
+                rel = rels[rel_code] = SynRel(rel_code)
             count = int(count_text)
         except ValueError as exc:
             raise ExtractionError(f"counts line {lineno}: {exc}") from None

@@ -4,60 +4,90 @@ Accepts the flat s-expression style used by treebank corpora: one or
 more trees per input, ``(LABEL child child ...)`` for constituents and
 ``(TAG token)`` for leaves.  Whitespace between tokens is free-form, so
 trees may span lines.
+
+The reader scans the text with one compiled regular expression whose
+alternatives match a whole leaf ``(TAG token)``, an opening bracket with
+its label, a bare bracket, or a stray atom; only constituents go through
+the bracket stack.  Nodes are immutable tuples (``ParseTree``), and every
+walk over them is iterative, so nesting depth is bounded by memory, not
+by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 
 class TreeSyntaxError(ValueError):
-    """Ill-formed bracketing; ``offset`` is the byte position in the input."""
+    """Ill-formed bracketing; ``offset`` is the character position in the input."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"offset {offset}: {message}")
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class ParseTree:
+class _Node(NamedTuple):
+    label: str
+    children: tuple["ParseTree", ...]
+    token: str | None
+
+
+class ParseTree(_Node):
     """A constituent (with children) or a tagged leaf (with a token)."""
 
-    label: str
-    children: tuple["ParseTree", ...] = ()
-    token: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.label:
+    def __new__(cls, label: str, children: tuple["ParseTree", ...] = (), token: str | None = None):
+        if not label:
             raise ValueError("empty node label")
-        if bool(self.children) == (self.token is not None):
-            raise ValueError(f"node {self.label!r} must have children or a token, not both")
+        if bool(children) == (token is not None):
+            raise ValueError(f"node {label!r} must have children or a token, not both")
+        return tuple.__new__(cls, (label, children, token))
 
     @property
     def is_leaf(self) -> bool:
         return self.token is not None
 
     def leaves(self) -> list["ParseTree"]:
-        if self.is_leaf:
-            return [self]
         out: list[ParseTree] = []
-        for child in self.children:
-            out.extend(child.leaves())
+        stack = [self]
+        while stack:
+            tree = stack.pop()
+            if tree.token is not None:
+                out.append(tree)
+            else:
+                stack.extend(reversed(tree.children))
         return out
 
     def subtrees(self):
         """All nodes in preorder, this one included."""
-        yield self
-        for child in self.children:
-            yield from child.subtrees()
+        stack = [self]
+        while stack:
+            tree = stack.pop()
+            yield tree
+            stack.extend(reversed(tree.children))
 
     def tokens(self) -> list[str]:
         return [leaf.token for leaf in self.leaves()]
 
     def __str__(self) -> str:
-        if self.is_leaf:
-            return f"({self.label} {self.token})"
-        return f"({self.label} {' '.join(str(c) for c in self.children)})"
+        parts: list[str] = []
+        # Items are nodes still to print, or the ")" closing a constituent.
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                parts.append(item)
+            elif item.token is not None:
+                parts.append(f"({item.label} {item.token})")
+            else:
+                parts.append(f"({item.label}")
+                stack.append(")")
+                for child in reversed(item.children):
+                    stack.append(child)
+                    stack.append(" ")
+        return "".join(parts)
 
 
 def leaf(label: str, token: str) -> ParseTree:
@@ -68,62 +98,61 @@ def node(label: str, *children: ParseTree) -> ParseTree:
     return ParseTree(label, children=tuple(children))
 
 
-def _tokenize(text: str):
-    """Yield (offset, token) with token one of "(", ")" or an atom."""
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            yield i, ch
-            i += 1
-        else:
-            start = i
-            while i < n and not text[i].isspace() and text[i] not in "()":
-                i += 1
-            yield start, text[start:i]
+# Alternatives, tried in order: a whole leaf "(TAG token)" (groups 1 and 2),
+# "(" with its label (group 1 alone), a bare bracket (group 3) and an atom
+# outside any label position (group 4).  Whitespace matches none of them,
+# so finditer skips it; \s is the same class as str.isspace.
+_SCAN = re.compile(r"\(\s*([^\s()]+)(?:\s+([^\s()]+)\s*\))?|([()])|([^\s()]+)")
+
+# Parser-made nodes are valid by construction and skip ParseTree's checks.
+_new_node = tuple.__new__
+
+
+def _close_error(open_at: int, label: str | None, children: list, atoms: list | None):
+    """The error a ")" raises when its frame is not a labelled constituent
+    with children only.  A one-token leaf never gets here: the leaf
+    alternative takes it whole."""
+    if label is None or not atoms:
+        return TreeSyntaxError("empty constituent", open_at)
+    if children:
+        return TreeSyntaxError(f"constituent {label!r} mixes tokens and sub-constituents", open_at)
+    return TreeSyntaxError(f"leaf {label!r} has more than one token", open_at)
 
 
 def parse_bracketed(text: str) -> list[ParseTree]:
     """Parse every top-level tree in ``text``, preserving input order."""
     trees: list[ParseTree] = []
-    # Stack frames: [open-paren offset, label or None, children, leaf tokens].
+    # Stack frames: [open-paren offset, label or None, children, leaf tokens or None].
     stack: list[list] = []
-    for offset, tok in _tokenize(text):
-        if tok == "(":
-            stack.append([offset, None, [], []])
-        elif tok == ")":
+    siblings = trees  # children of the innermost open constituent
+    for m in _SCAN.finditer(text):
+        label, token, bracket, atom = m.groups()
+        if token is not None:
+            siblings.append(_new_node(ParseTree, (label, (), token)))
+        elif label is not None:
+            siblings = []
+            stack.append([m.start(), label, siblings, None])
+        elif bracket == "(":
+            siblings = []
+            stack.append([m.start(), None, siblings, None])
+        elif bracket == ")":
             if not stack:
-                raise TreeSyntaxError("unbalanced parentheses: unexpected ')'", offset)
+                raise TreeSyntaxError("unbalanced parentheses: unexpected ')'", m.start())
             open_at, label, children, atoms = stack.pop()
-            if label is None:
-                raise TreeSyntaxError("empty constituent", open_at)
-            if atoms and children:
-                raise TreeSyntaxError(
-                    f"constituent {label!r} mixes tokens and sub-constituents", open_at
-                )
-            if len(atoms) > 1:
-                raise TreeSyntaxError(f"leaf {label!r} has more than one token", open_at)
-            if atoms:
-                tree = ParseTree(label, token=atoms[0])
-            elif children:
-                tree = ParseTree(label, children=tuple(children))
-            else:
-                raise TreeSyntaxError("empty constituent", open_at)
-            if stack:
-                stack[-1][2].append(tree)
-            else:
-                trees.append(tree)
+            if label is None or atoms or not children:
+                raise _close_error(open_at, label, children, atoms)
+            siblings = stack[-1][2] if stack else trees
+            siblings.append(_new_node(ParseTree, (label, tuple(children), None)))
         else:
             if not stack:
-                raise TreeSyntaxError(f"token {tok!r} outside any tree", offset)
+                raise TreeSyntaxError(f"token {atom!r} outside any tree", m.start())
             frame = stack[-1]
             if frame[1] is None:
-                frame[1] = tok
+                frame[1] = atom
+            elif frame[3] is None:
+                frame[3] = [atom]
             else:
-                frame[3].append(tok)
+                frame[3].append(atom)
     if stack:
         raise TreeSyntaxError("unbalanced parentheses: unclosed '('", len(text))
     return trees

@@ -185,3 +185,77 @@ def eval_ratios(triples, parents, senses, srs):
     precision = Fraction(hits, denom_p) if denom_p else None
     recall = Fraction(hits, len(triples)) if triples else None
     return precision, recall
+
+
+# -- bracketed trees -------------------------------------------------------
+
+
+class OracleSyntaxError(ValueError):
+    """Ill-formed bracketing, with the same message and offset as the package."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"offset {offset}: {message}")
+        self.offset = offset
+
+
+def _tokenize(text: str):
+    """Yield (offset, token) with token one of "(", ")" or an atom."""
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            yield i, ch
+            i += 1
+        else:
+            start = i
+            while i < n and not text[i].isspace() and text[i] not in "()":
+                i += 1
+            yield start, text[start:i]
+
+
+def parse_bracketed(text: str) -> list[tuple]:
+    """Character-at-a-time tree reader; nodes are plain
+    ``(label, children, token)`` tuples, which compare equal to the
+    package's nodes with the same fields."""
+    trees: list[tuple] = []
+    # Stack frames: [open-paren offset, label or None, children, leaf tokens].
+    stack: list[list] = []
+    for offset, tok in _tokenize(text):
+        if tok == "(":
+            stack.append([offset, None, [], []])
+        elif tok == ")":
+            if not stack:
+                raise OracleSyntaxError("unbalanced parentheses: unexpected ')'", offset)
+            open_at, label, children, atoms = stack.pop()
+            if label is None:
+                raise OracleSyntaxError("empty constituent", open_at)
+            if atoms and children:
+                raise OracleSyntaxError(
+                    f"constituent {label!r} mixes tokens and sub-constituents", open_at
+                )
+            if len(atoms) > 1:
+                raise OracleSyntaxError(f"leaf {label!r} has more than one token", open_at)
+            if atoms:
+                tree = (label, (), atoms[0])
+            elif children:
+                tree = (label, tuple(children), None)
+            else:
+                raise OracleSyntaxError("empty constituent", open_at)
+            if stack:
+                stack[-1][2].append(tree)
+            else:
+                trees.append(tree)
+        else:
+            if not stack:
+                raise OracleSyntaxError(f"token {tok!r} outside any tree", offset)
+            frame = stack[-1]
+            if frame[1] is None:
+                frame[1] = tok
+            else:
+                frame[3].append(tok)
+    if stack:
+        raise OracleSyntaxError("unbalanced parentheses: unclosed '('", len(text))
+    return trees

@@ -6,13 +6,17 @@ were derived by hand from the toy counts before being frozen.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import selrestr
 from selrestr.cli import run
+
+SRC_DIR = str(Path(selrestr.__file__).resolve().parent.parent)
 
 TOY_BODY = (
     "drink\t0\tanimal\t0.415037\t2\t3\n"
@@ -94,6 +98,61 @@ class TestExtractCommand:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_discards_path_is_a_directory(self, data_dir, tmp_path, capsys):
+        # Neither output is moved into place until both are complete.
+        (tmp_path / "sidecar").mkdir()
+        rc = run(
+            [
+                "extract",
+                "--corpus", str(data_dir / "mini.mrg"),
+                "--triples", str(tmp_path / "t.tsv"),
+                "--discards", str(tmp_path / "sidecar"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: '{tmp_path / 'sidecar'}'\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sidecar"]
+
+    def test_missing_output_directory_names_the_output(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "nodir" / "t.tsv"
+        rc = run(["extract", "--corpus", str(data_dir / "mini.mrg"), "--triples", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_outputs_replace_old_files_and_leave_no_temps(self, data_dir, tmp_path, capsys):
+        triples = tmp_path / "t.tsv"
+        triples.write_text("stale\n", encoding="utf-8")
+        argv = ["extract", "--corpus", str(data_dir / "demo.mrg"), "--triples", str(triples)]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.tsv", "t.tsv.discards"]
+        assert triples.read_text(encoding="utf-8").startswith("seek\t0\t")
+
+    def test_deep_tree_extracts_without_traceback(self, tmp_path):
+        depth = 5000
+        corpus = tmp_path / "deep.mrg"
+        corpus.write_text(
+            "(S " + "(NP " * depth + "(NN dog)" + ")" * depth + " (VP (VBZ barks)))\n",
+            encoding="utf-8",
+        )
+        triples = tmp_path / "t.tsv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "selrestr", "extract",
+             "--corpus", str(corpus), "--triples", str(triples)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.startswith("raw extractions  1\n")
+        assert triples.read_text(encoding="utf-8") == ""
+        assert (tmp_path / "t.tsv.discards").read_text(encoding="utf-8") == (
+            "bark\t0\tdog\tNonNounHead\n"
+        )
 
     def test_demo_corpus_all_kept(self, data_dir, tmp_path, capsys):
         triples = tmp_path / "demo.tsv"
@@ -265,6 +324,13 @@ class TestLearnCommand:
             ]
         )
         assert rc == 1
+
+    def test_out_is_a_directory(self, data_dir, tmp_path, capsys):
+        (tmp_path / "srs").mkdir()
+        assert run(toy_learn_argv(data_dir, tmp_path / "srs")) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["srs"]
+        assert list((tmp_path / "srs").iterdir()) == []
 
     def test_bad_workers(self, data_dir, tmp_path, capsys):
         rc = run(toy_learn_argv(data_dir, tmp_path / "o.tsv", "--workers", "0"))

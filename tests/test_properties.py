@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
@@ -30,6 +31,26 @@ def leaf_classes(parents):
 
 
 class TestLemmatizer:
+    @given(
+        forms=st.lists(st.text(alphabet="abcEIS-7. ", min_size=1, max_size=8), max_size=12),
+        pos_order=st.permutations(["noun", "verb"]),
+    )
+    def test_memoized_equals_unmemoized(self, forms, pos_order):
+        from selrestr.extract import LemmaTable, _lemmatize, lemmatize
+
+        table = LemmaTable({("Is", "verb"): "be", ("mice", "noun"): "mouse", ("a.b", "noun"): "ab"})
+        for form in forms + ["Is", "mice", "a.b", "flies"] + forms:
+            for pos in pos_order:
+                assert lemmatize(form, pos, table) == _lemmatize(form, pos, table)
+
+    def test_bad_pos_is_rejected_every_time(self):
+        from selrestr.extract import LemmaTable, lemmatize
+
+        table = LemmaTable()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="bad coarse POS 'det'"):
+                lemmatize("dog", "det", table)
+
     @given(word=alpha_words, pos=st.sampled_from(["noun", "verb"]))
     def test_idempotent_on_alpha(self, word, pos):
         from selrestr.extract import EMPTY_LEMMA_TABLE, lemmatize
@@ -46,6 +67,47 @@ class TestLemmatizer:
         result = lemmatize(word.upper() + "7", pos, EMPTY_LEMMA_TABLE)
         assert result.failed
         assert result.lemma == word + "7"
+
+
+relation_codes = st.one_of(
+    st.sampled_from(["0", "1", "with", "on", "to", "With", "", "o n", "in\t", "\u3000"]),
+    st.text(alphabet="01aZé \t\x1c\u3000", max_size=4),
+)
+
+
+def _valid_code(code: str) -> bool:
+    return code in ("0", "1") or (
+        code != "" and code == code.lower() and not any(ch.isspace() for ch in code)
+    )
+
+
+class TestSynRelProperties:
+    @given(code=relation_codes)
+    def test_validation_and_text(self, code):
+        if not _valid_code(code):
+            with pytest.raises(ValueError) as err:
+                SynRel(code)
+            assert str(err.value) == f"bad relation code {code!r}"
+            return
+        rel = SynRel(code)
+        assert rel.code == code and type(rel.code) is str
+        assert str(rel) == code and f"{rel}" == code
+        assert repr(rel) == f"SynRel(code={code!r})"
+        assert rel.is_subject == (code == "0")
+        assert rel.is_object == (code == "1")
+        assert rel.is_prep == (code not in ("0", "1"))
+
+    @given(codes=st.lists(relation_codes.filter(_valid_code), min_size=1, max_size=6))
+    def test_equality_ordering_and_hash_follow_the_code(self, codes):
+        rels = [SynRel(c) for c in codes]
+        for a, ra in zip(codes, rels):
+            for b, rb in zip(codes, rels):
+                assert (ra == rb) == (a == b)
+                assert (ra < rb) == (a < b)
+                if ra == rb:
+                    assert hash(ra) == hash(rb)
+        assert [r.code for r in sorted(rels)] == sorted(codes)
+        assert len(set(rels)) == len(set(codes))
 
 
 class TestTaxonomyProperties:

@@ -110,6 +110,11 @@ class TestCountsFiles:
         with pytest.raises(ExtractionError, match="count must be >= 1"):
             read_counts("drink\t0\tdog\t0\n")
 
+    def test_read_counts_empty_noun(self):
+        with pytest.raises(ExtractionError) as err:
+            read_counts("drink\t0\tdog\t1\ndrink\t1\t\t2\n")
+        assert str(err.value) == "counts line 2: empty verb or noun"
+
     def test_read_counts_bad_relation(self):
         with pytest.raises(ExtractionError, match="counts line 1"):
             read_counts("drink\tSUBJ\tdog\t1\n")

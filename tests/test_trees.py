@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from selrestr.trees import TreeSyntaxError, leaf, node, parse_bracketed
+import oracle
+from selrestr.trees import ParseTree, TreeSyntaxError, leaf, node, parse_bracketed
 
 
 SIMPLE = "(S (NP (NN dog)) (VP (VBZ barks)))"
@@ -37,6 +39,130 @@ class TestParse:
     def test_leaves_in_order(self):
         (tree,) = parse_bracketed("(S (NP (DT the) (NN dog)) (VP (VBZ barks)))")
         assert [l.token for l in tree.leaves()] == ["the", "dog", "barks"]
+
+
+    def test_label_after_children_quirk(self):
+        # An unlabeled bracket takes the first stray atom as its label,
+        # even after its children.
+        (tree,) = parse_bracketed("((NN dog) X)")
+        assert tree == node("X", leaf("NN", "dog"))
+
+    def test_whitespace_inside_leaf_brackets(self):
+        (tree,) = parse_bracketed("( NN\u3000dog\x1c)")
+        assert tree == leaf("NN", "dog")
+
+    def test_leaf_tree_at_top_level(self):
+        assert parse_bracketed("(NN dog) (VB run)") == [leaf("NN", "dog"), leaf("VB", "run")]
+
+
+class TestDeepTrees:
+    DEPTH = 5000
+
+    def deep_text(self):
+        return "(S " + "(NP " * self.DEPTH + "(NN dog)" + ")" * self.DEPTH + " (VP (VBZ barks)))"
+
+    def test_deep_np_parses_and_round_trips(self):
+        text = self.deep_text()
+        (tree,) = parse_bracketed(text)
+        assert str(tree) == text
+        assert tree.tokens() == ["dog", "barks"]
+        assert [l.label for l in tree.leaves()] == ["NN", "VBZ"]
+        labels = [t.label for t in tree.subtrees()]
+        assert labels == ["S"] + ["NP"] * self.DEPTH + ["NN", "VP", "VBZ"]
+
+
+class TestNodes:
+    def test_fields_repr_and_equality(self):
+        tree = leaf("NN", "dog")
+        assert (tree.label, tree.children, tree.token) == ("NN", (), "dog")
+        assert repr(tree) == "ParseTree(label='NN', children=(), token='dog')"
+        assert tree == ParseTree("NN", token="dog")
+        assert hash(tree) == hash(ParseTree("NN", token="dog"))
+        assert tree != leaf("NN", "cat")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("",), "empty node label"),
+            (("NP",), "must have children or a token"),
+            (("NP", (leaf("NN", "dog"),), "x"), "must have children or a token"),
+        ],
+    )
+    def test_validation(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            ParseTree(*args)
+
+    def test_immutable(self):
+        tree = leaf("NN", "dog")
+        with pytest.raises(AttributeError):
+            tree.label = "VB"
+
+
+# Texts for the differential property: fragments that make well-formed
+# trees, every error and the whitespace quirks, including Unicode
+# whitespace that str.isspace accepts.
+_WHITESPACE = [" ", "\n", "\t", "\r", "\x0b", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+_FRAGMENTS = ["(", ")", "(", ")", "S", "NP", "NN", "dog", "x", "(NN dog)", "\u00e9t\u00e9"]
+bracket_texts = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS + _WHITESPACE), max_size=30).map("".join),
+    st.text(alphabet="()ab" + "".join(_WHITESPACE), max_size=30),
+)
+
+
+def _render(tree, draw_space) -> str:
+    """A (label, children) tree as text; a leaf's only child is its token."""
+    if isinstance(tree, str):
+        return tree
+    label, children = tree
+    inner = "".join(draw_space() + _render(c, draw_space) for c in children)
+    return "(" + draw_space(optional=True) + label + inner + draw_space(optional=True) + ")"
+
+
+@st.composite
+def well_formed_texts(draw):
+    labels = st.sampled_from(["S", "NP", "VP", "NN", "x"])
+    leaves = st.tuples(labels, st.tuples(st.sampled_from(["dog", "runs", "7", "\u00e9"])))
+    trees = st.recursive(
+        leaves,
+        lambda inner: st.tuples(labels, st.lists(inner, min_size=1, max_size=3)),
+        max_leaves=12,
+    )
+
+    def draw_space(optional=False):
+        return draw(st.text(alphabet=_WHITESPACE, min_size=0 if optional else 1, max_size=2))
+
+    forest = draw(st.lists(trees, max_size=3))
+    return "".join(draw_space(optional=True) + _render(t, draw_space) for t in forest)
+
+
+def _outcome(parse, error, text):
+    try:
+        return "trees", parse(text)
+    except error as exc:
+        return "error", str(exc), exc.offset
+
+
+class TestAgainstReference:
+    """The regex reader against the character-at-a-time reference reader."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.one_of(bracket_texts, well_formed_texts()))
+    @example("((NN dog) X)")
+    @example("((")
+    @example("(NN dog cat)")
+    @example("(NP (NN dog) stray)")
+    @example("(NP stray (NN dog))")
+    @example("(S ()) x")
+    @example("dog (S (NN dog)")
+    @example("(NN\x1cdog\u3000)")
+    @example("(X)")
+    def test_same_trees_or_same_error(self, text):
+        got = _outcome(parse_bracketed, TreeSyntaxError, text)
+        assert got == _outcome(oracle.parse_bracketed, oracle.OracleSyntaxError, text)
+        if got[0] == "trees":
+            for tree in got[1]:
+                assert all(type(t) is ParseTree for t in tree.subtrees())
+                assert parse_bracketed(str(tree)) == [tree]
 
 
 class TestErrors:
@@ -77,6 +203,11 @@ class TestErrors:
     def test_mixed_children_and_token(self):
         with pytest.raises(TreeSyntaxError):
             parse_bracketed("(NP (NN dog) stray)")
+
+    def test_labelled_bracket_without_content(self):
+        with pytest.raises(TreeSyntaxError, match="empty constituent") as err:
+            parse_bracketed("(S (X))")
+        assert err.value.offset == 3
 
 
 class TestBuilders:
