@@ -4,7 +4,7 @@ Every option can also come from a JSON config file (``--config``); keys
 use the option names with underscores and explicit flags win over the
 file.  Outputs carry no timestamps, and learned-restriction files embed
 the SHA-256 of each input, so identical inputs give byte-identical
-results no matter how often or how parallel the run.
+results no matter how often the run is repeated.
 
 Exit status: 0 on success, 1 on validation or format errors, 2 on I/O
 errors.
@@ -195,12 +195,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
         min_verb_support=_as_int(eff, "min_verb_support", 10),
         keep_nonpositive=_as_bool(eff, "keep_nonpositive", True),
     )
-    workers = _as_int(eff, "workers", 1)
-    if workers < 1:
-        raise ExtractionError(f"workers must be >= 1, got {workers}")
-
     failures = []
-    restrictions = learn_all(Scorer(table, lexicon), cfg, workers, failures)
+    restrictions = learn_all(Scorer(table, lexicon), cfg, failures)
     header = {
         "tool": f"selrestr {TOOL_VERSION}",
         "scorer": cfg.scorer.value,
@@ -321,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="keep classes whose score is <= 0",
     )
-    ln.add_argument("--workers", type=int, help="parallel scoring threads")
     _add_common(ln)
     ln.set_defaults(
         func=cmd_learn,
@@ -337,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "estimator",
                 "min_verb_support",
                 "keep_nonpositive",
-                "workers",
             }
         ),
     )

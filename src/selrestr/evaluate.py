@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 from .extract import ExtractionError, SynRel, TripleRecord
 from .learner import SelectionalRestriction
 from .taxonomy import SenseLexicon
+from .tsv import rows
 
 PARSER_ERR = "parser_err"
 LEMMA_ERR = "lemma_err"
@@ -201,15 +202,7 @@ def read_gold(text: str) -> list[GoldTriple]:
     """Gold file: verb, rel, noun, then optionally the correct sense
     class ("-" if unknown) and an extraction status token."""
     out: list[GoldTriple] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) not in (3, 5):
-            raise ExtractionError(
-                f"gold line {lineno}: expected 3 or 5 fields, got {len(fields)}"
-            )
+    for lineno, fields in rows(text, "gold", (3, 5), ExtractionError):
         verb, rel_code, noun = fields[:3]
         try:
             record = TripleRecord(verb, SynRel(rel_code), noun)
@@ -239,15 +232,7 @@ def read_labels(text: str) -> list[LabelRow]:
     triples at evaluation time."""
     out: list[LabelRow] = []
     seen: set[tuple[str, SynRel, str]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) not in (4, 5):
-            raise ExtractionError(
-                f"labels line {lineno}: expected 4 or 5 fields, got {len(fields)}"
-            )
+    for lineno, fields in rows(text, "labels", (4, 5), ExtractionError):
         verb, rel_code, class_id = fields[:3]
         label = _LABEL_BY_NAME.get(fields[3])
         if label is None:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .trees import ParseTree
+from .tsv import rows
 
 NOUN = "noun"
 VERB = "verb"
@@ -154,16 +155,7 @@ class LemmaTable:
     @classmethod
     def from_text(cls, text: str) -> "LemmaTable":
         entries: dict[tuple[str, str], str] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip(" \r")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ExtractionError(
-                    f"lemma table line {lineno}: expected 3 fields, got {len(fields)}"
-                )
-            form, pos, lemma = fields
+        for lineno, (form, pos, lemma) in rows(text, "lemma table", (3,), ExtractionError):
             if pos not in (NOUN, VERB):
                 raise ExtractionError(f"lemma table line {lineno}: bad POS {pos!r}")
             if not lemma:
@@ -385,14 +377,7 @@ def read_triples(text: str) -> list[TripleRecord]:
     Records share one ``SynRel`` per distinct relation code."""
     records: list[TripleRecord] = []
     rels: dict[str, SynRel] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip(" \r")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ExtractionError(f"triples line {lineno}: expected 3 fields, got {len(fields)}")
-        verb, rel_code, noun = fields
+    for lineno, (verb, rel_code, noun) in rows(text, "triples", (3,), ExtractionError):
         if not verb or not noun:
             raise ExtractionError(f"triples line {lineno}: empty verb or noun")
         rel = rels.get(rel_code)

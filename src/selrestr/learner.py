@@ -18,8 +18,6 @@ shape of the association score.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -32,6 +30,7 @@ from .stats import (
     ZeroDenominatorError,
 )
 from .taxonomy import Taxonomy
+from .tsv import rows
 
 
 @dataclass
@@ -191,37 +190,18 @@ def learn_group(
 def learn_all(
     model: Scorer,
     cfg: LearnerConfig,
-    workers: int = 1,
     failures: list[ScoringFailure] | None = None,
 ) -> list[SelectionalRestriction]:
     """Learn restrictions for every (verb, position) with enough support.
 
-    Output is ordered by (verb, relation, extraction order) and does not
-    depend on ``workers``; per-candidate scoring failures go to the
-    optional ``failures`` sink instead of aborting the run.
+    Output is ordered by (verb, relation, extraction order); per-candidate
+    scoring failures go to the optional ``failures`` sink instead of
+    aborting the run.
     """
-    groups = [
-        (v, s)
-        for v, s in model.table.verb_positions()
-        if model.table.vs_total(v, s) >= cfg.min_verb_support
-    ]
-
-    def run(group: tuple[str, SynRel]):
-        local: list[ScoringFailure] = []
-        srs = learn_group(model, group[0], group[1], cfg, local)
-        return srs, local
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, groups))
-    else:
-        results = [run(g) for g in groups]
-
     out: list[SelectionalRestriction] = []
-    for srs, local in results:
-        out.extend(srs)
-        if failures is not None:
-            failures.extend(local)
+    for v, s in model.table.verb_positions():
+        if model.table.vs_total(v, s) >= cfg.min_verb_support:
+            out.extend(learn_group(model, v, s, cfg, failures))
     return out
 
 
@@ -251,34 +231,9 @@ def write_restrictions(
         f.write(format_restriction(sr) + "\n")
 
 
-def write_restrictions_jsonl(restrictions: Iterable[SelectionalRestriction], f) -> None:
-    for sr in restrictions:
-        f.write(
-            json.dumps(
-                {
-                    "verb": sr.verb,
-                    "rel": sr.rel.code,
-                    "class": sr.class_id,
-                    "score": round(_clean_score(sr.score), 6),
-                    "n_nouns": sr.n_nouns,
-                    "support": sr.support,
-                }
-            )
-            + "\n"
-        )
-
-
 def read_restrictions(text: str) -> list[SelectionalRestriction]:
     out: list[SelectionalRestriction] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 6:
-            raise ExtractionError(
-                f"restrictions line {lineno}: expected 6 fields, got {len(fields)}"
-            )
+    for lineno, fields in rows(text, "restrictions", (6,), ExtractionError):
         verb, rel_code, class_id, score_text, n_nouns_text, support_text = fields
         try:
             sr = SelectionalRestriction(

@@ -34,6 +34,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .extract import ExtractionError, SynRel, TripleRecord
 from .taxonomy import SenseLexicon
+from .tsv import rows
 
 
 class ZeroDenominatorError(ValueError):
@@ -65,14 +66,12 @@ class CountsTable:
         self.counts: dict[tuple[str, SynRel, str], int] = dict(counts)
         self.position_total: dict[SynRel, int] = {}
         self.verb_position_total: dict[tuple[str, SynRel], int] = {}
-        self.noun_position_total: dict[tuple[str, SynRel], int] = {}
         self.noun_total: dict[str, int] = {}
         self._by_vs: dict[tuple[str, SynRel], dict[str, int]] = {}
         self._by_s: dict[SynRel, dict[str, int]] = {}
         for (v, s, n), c in self.counts.items():
             self.position_total[s] = self.position_total.get(s, 0) + c
             self.verb_position_total[v, s] = self.verb_position_total.get((v, s), 0) + c
-            self.noun_position_total[n, s] = self.noun_position_total.get((n, s), 0) + c
             self.noun_total[n] = self.noun_total.get(n, 0) + c
             vs_map = self._by_vs.setdefault((v, s), {})
             vs_map[n] = vs_map.get(n, 0) + c
@@ -127,14 +126,7 @@ def read_counts(text: str) -> CountsTable:
     """Parse a pre-aggregated ``verb<TAB>rel<TAB>noun<TAB>count`` file."""
     counts: dict[tuple[str, SynRel, str], int] = {}
     rels: dict[str, SynRel] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ExtractionError(f"counts line {lineno}: expected 4 fields, got {len(fields)}")
-        verb, rel_code, noun, count_text = fields
+    for lineno, (verb, rel_code, noun, count_text) in rows(text, "counts", (4,), ExtractionError):
         if not verb or not noun:
             raise ExtractionError(f"counts line {lineno}: empty verb or noun")
         try:
@@ -154,11 +146,6 @@ def read_counts(text: str) -> CountsTable:
 def write_counts(table: CountsTable, f) -> None:
     for (v, s, n), c in sorted(table.counts.items(), key=lambda kv: (kv[0][0], kv[0][1].code, kv[0][2])):
         f.write(f"{v}\t{s.code}\t{n}\t{c}\n")
-
-
-def lexicon_misses(table: CountsTable, lexicon: SenseLexicon) -> set[str]:
-    """Observed nouns with no lexicon entry (they never support a class)."""
-    return {n for n in table.noun_total if n not in lexicon}
 
 
 class CondProbs(NamedTuple):
@@ -218,9 +205,7 @@ class Scorer:
     (``Fraction`` for the sense-corrected estimator).
 
     ``sense_scale`` is fixed at construction and class sums are cached
-    per (position, estimator), so the object is cheap to query repeatedly;
-    it is read-only after construction and safe to share across worker
-    threads.
+    per (position, estimator), so the object is cheap to query repeatedly.
     """
 
     def __init__(self, table: CountsTable, lexicon: SenseLexicon):

@@ -12,49 +12,36 @@ File formats (UTF-8, tab-separated, ``#`` starts a comment line):
   taxonomy:  <class_id>\\t<comma-separated parent ids, or "-" for a root>
   lexicon:   <noun_lemma>\\t<comma-separated class_ids>
 
-Both structures are immutable once loaded and safe to share across
-threads; hypernym closures are memoized on the taxonomy.
+Both structures are read-only once loaded; hypernym closures are
+memoized on the taxonomy.  Lines follow the shared rule of
+``selrestr.tsv``, and an error in a line names ``taxonomy line N`` or
+``lexicon line N``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+
+from .tsv import rows
 
 
 class TaxonomyError(ValueError):
-    """Malformed taxonomy or lexicon input (carries a 1-based line number)."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Malformed taxonomy or lexicon input, or a query for an unknown name."""
 
 
-def _iter_data_lines(text: str) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        # Strip spaces and CR but keep tabs: a trailing tab means an empty field.
-        line = raw.strip(" \r")
-        if not line.strip() or line.startswith("#"):
-            continue
-        yield lineno, line
-
-
-def _check_class_id(token: str, lineno: int) -> str:
+def _check_class_id(token: str, where: str) -> str:
     if not token:
-        raise TaxonomyError("empty class id", lineno)
+        raise TaxonomyError(f"{where}: empty class id")
     if any(ch.isspace() for ch in token):
-        raise TaxonomyError(f"class id {token!r} contains whitespace", lineno)
+        raise TaxonomyError(f"{where}: class id {token!r} contains whitespace")
     return token
 
 
 class Taxonomy:
     """A validated, immutable is-a hierarchy over class ids."""
 
-    def __init__(self, parents: dict[str, set[str]], gloss: dict[str, str] | None = None):
+    def __init__(self, parents: dict[str, set[str]]):
         self._parents = {c: frozenset(ps) for c, ps in parents.items()}
-        self.gloss = dict(gloss) if gloss else {}
         self._closures: dict[str, frozenset[str]] = {}
         self._check_dangling()
         self._check_acyclic()
@@ -102,9 +89,6 @@ class Taxonomy:
             return self._parents[class_id]
         except KeyError:
             raise TaxonomyError(f"unknown class {class_id!r}") from None
-
-    def roots(self) -> frozenset[str]:
-        return frozenset(c for c, ps in self._parents.items() if not ps)
 
     def hypernym_closure(self, class_id: str) -> frozenset[str]:
         """The class itself plus all its ancestors, at every level."""
@@ -206,49 +190,46 @@ class SenseLexicon:
 def parse_taxonomy(text: str) -> Taxonomy:
     parents: dict[str, set[str]] = {}
     lines: dict[str, int] = {}
-    for lineno, line in _iter_data_lines(text):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise TaxonomyError(f"expected 2 tab-separated fields, got {len(fields)}", lineno)
-        class_id = _check_class_id(fields[0], lineno)
+    for lineno, (class_text, parent_text) in rows(text, "taxonomy", (2,), TaxonomyError):
+        where = f"taxonomy line {lineno}"
+        class_id = _check_class_id(class_text, where)
         if class_id in parents:
             raise TaxonomyError(
-                f"duplicate class {class_id!r} (first seen on line {lines[class_id]})", lineno
+                f"{where}: duplicate class {class_id!r} (first seen on line {lines[class_id]})"
             )
         lines[class_id] = lineno
-        if fields[1] == "-":
+        if parent_text == "-":
             parent_set: set[str] = set()
         else:
-            parent_set = {_check_class_id(p, lineno) for p in fields[1].split(",")}
+            parent_set = {_check_class_id(p, where) for p in parent_text.split(",")}
         parents[class_id] = parent_set
     for child, ps in parents.items():
         for p in ps:
             if p not in parents:
-                raise TaxonomyError(f"class {child!r} names unknown parent {p!r}", lines[child])
+                raise TaxonomyError(
+                    f"taxonomy line {lines[child]}: class {child!r} names unknown parent {p!r}"
+                )
     return Taxonomy(parents)
 
 
 def parse_lexicon(text: str, taxonomy: Taxonomy) -> SenseLexicon:
     senses: dict[str, frozenset[str]] = {}
     lines: dict[str, int] = {}
-    for lineno, line in _iter_data_lines(text):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise TaxonomyError(f"expected 2 tab-separated fields, got {len(fields)}", lineno)
-        noun = fields[0]
+    for lineno, (noun, sense_text) in rows(text, "lexicon", (2,), TaxonomyError):
+        where = f"lexicon line {lineno}"
         if not noun or any(ch.isspace() for ch in noun):
-            raise TaxonomyError(f"bad noun lemma {noun!r}", lineno)
+            raise TaxonomyError(f"{where}: bad noun lemma {noun!r}")
         if noun in senses:
             raise TaxonomyError(
-                f"duplicate lexicon entry for {noun!r} (first seen on line {lines[noun]})", lineno
+                f"{where}: duplicate lexicon entry for {noun!r} (first seen on line {lines[noun]})"
             )
         lines[noun] = lineno
-        if not fields[1]:
-            raise TaxonomyError(f"empty sense list for noun {noun!r}", lineno)
-        sense_set = frozenset(_check_class_id(c, lineno) for c in fields[1].split(","))
+        if not sense_text:
+            raise TaxonomyError(f"{where}: empty sense list for noun {noun!r}")
+        sense_set = frozenset(_check_class_id(c, where) for c in sense_text.split(","))
         for c in sense_set:
             if c not in taxonomy:
-                raise TaxonomyError(f"noun {noun!r} names unknown class {c!r}", lineno)
+                raise TaxonomyError(f"{where}: noun {noun!r} names unknown class {c!r}")
         senses[noun] = sense_set
     return SenseLexicon(taxonomy, senses)
 
@@ -266,26 +247,3 @@ def load_taxonomy_files(taxonomy_path, lexicon_path) -> tuple[Taxonomy, SenseLex
     with open(lexicon_path, encoding="utf-8") as f:
         lexicon_text = f.read()
     return load_taxonomy(taxonomy_text, lexicon_text)
-
-
-def check_partial_order(taxonomy: Taxonomy, classes: Iterable[str] | None = None) -> bool:
-    """Exhaustively verify reflexivity, antisymmetry and transitivity of
-    ``is_ancestor_or_equal`` over the given classes (defaults to all).
-
-    Intended for test fixtures; quadratic-to-cubic in the class count.
-    """
-    cs = sorted(classes) if classes is not None else sorted(taxonomy.nodes)
-    leq = {(a, b): taxonomy.is_ancestor_or_equal(a, b) for a in cs for b in cs}
-    for a in cs:
-        if not leq[a, a]:
-            return False
-    for a in cs:
-        for b in cs:
-            if a != b and leq[a, b] and leq[b, a]:
-                return False
-            if not leq[a, b]:
-                continue
-            for c in cs:
-                if leq[b, c] and not leq[a, c]:
-                    return False
-    return True

@@ -1,0 +1,51 @@
+"""Checks and writers that only the tests use, over package objects."""
+
+from __future__ import annotations
+
+import json
+from typing import Iterable
+
+
+def check_partial_order(taxonomy, classes: Iterable[str] | None = None) -> bool:
+    """Exhaustively verify reflexivity, antisymmetry and transitivity of
+    ``is_ancestor_or_equal`` over the given classes (defaults to all).
+
+    Quadratic-to-cubic in the class count.
+    """
+    cs = sorted(classes) if classes is not None else sorted(taxonomy.nodes)
+    leq = {(a, b): taxonomy.is_ancestor_or_equal(a, b) for a in cs for b in cs}
+    for a in cs:
+        if not leq[a, a]:
+            return False
+    for a in cs:
+        for b in cs:
+            if a != b and leq[a, b] and leq[b, a]:
+                return False
+            if not leq[a, b]:
+                continue
+            for c in cs:
+                if leq[b, c] and not leq[a, c]:
+                    return False
+    return True
+
+
+def lexicon_misses(table, lexicon) -> set[str]:
+    """Observed nouns with no lexicon entry (they never support a class)."""
+    return {n for n in table.noun_total if n not in lexicon}
+
+
+def write_restrictions_jsonl(restrictions, f) -> None:
+    for sr in restrictions:
+        f.write(
+            json.dumps(
+                {
+                    "verb": sr.verb,
+                    "rel": sr.rel.code,
+                    "class": sr.class_id,
+                    "score": round(0.0 if sr.score == 0.0 else sr.score, 6),
+                    "n_nouns": sr.n_nouns,
+                    "support": sr.support,
+                }
+            )
+            + "\n"
+        )

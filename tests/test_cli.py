@@ -283,13 +283,6 @@ class TestLearnCommand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_workers_do_not_change_bytes(self, data_dir, tmp_path, capsys):
-        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        assert run(toy_learn_argv(data_dir, a)) == 0
-        assert run(toy_learn_argv(data_dir, b, "--workers", "4")) == 0
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
-
     def test_scorer_and_estimator_flags(self, data_dir, tmp_path, capsys):
         out = tmp_path / "srs.tsv"
         rc = run(toy_learn_argv(data_dir, out, "--scorer", "g2", "--estimator", "sense"))
@@ -331,11 +324,6 @@ class TestLearnCommand:
         assert "Is a directory" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["srs"]
         assert list((tmp_path / "srs").iterdir()) == []
-
-    def test_bad_workers(self, data_dir, tmp_path, capsys):
-        rc = run(toy_learn_argv(data_dir, tmp_path / "o.tsv", "--workers", "0"))
-        assert rc == 1
-        assert "workers must be >= 1" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -379,6 +367,17 @@ class TestConfigFile:
         rc = run(toy_learn_argv(data_dir, tmp_path / "o.tsv", "--config", str(cfg)))
         assert rc == 1
         assert "unknown keys thresold" in capsys.readouterr().err
+
+    def test_workers_is_not_an_option(self, data_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(toy_learn_argv(data_dir, tmp_path / "o.tsv", "--workers", "2"))
+        assert err.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 2}))
+        capsys.readouterr()
+        assert run(toy_learn_argv(data_dir, tmp_path / "o.tsv", "--config", str(cfg))) == 1
+        assert "unknown keys workers" in capsys.readouterr().err
+        assert not (tmp_path / "o.tsv").exists()
 
     def test_wrong_config_value_type(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

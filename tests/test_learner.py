@@ -8,6 +8,7 @@ import random
 import pytest
 
 from conftest import TOY_PARENTS, TOY_SENSES, TOY_TRIPLES, build_world
+from helpers import write_restrictions_jsonl
 from selrestr.extract import ExtractionError, SynRel
 from selrestr.learner import (
     LearnerConfig,
@@ -22,7 +23,6 @@ from selrestr.learner import (
     score_candidates,
     select_disjoint,
     write_restrictions,
-    write_restrictions_jsonl,
 )
 from selrestr.stats import EstimatorKind, ScoreKind
 from selrestr.taxonomy import load_taxonomy
@@ -247,10 +247,6 @@ class TestLearnAll:
         cfg = LearnerConfig(threshold=1, min_verb_support=2)
         srs = learn_all(toy, cfg)
         assert {(sr.verb, sr.rel.code) for sr in srs} == {("drink", "0"), ("drink", "1")}
-
-    def test_workers_do_not_change_output(self, eat):
-        for workers in (2, 4, 7):
-            assert learn_all(eat, LOOSE, workers=workers) == learn_all(eat, LOOSE)
 
     def test_failures_sink_plumbed(self, toy):
         failures: list[ScoringFailure] = []

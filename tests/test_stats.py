@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import TOY_PARENTS, TOY_SENSES, TOY_TRIPLES, build_world
+from helpers import lexicon_misses
 from selrestr.extract import SUBJECT, ExtractionError, SynRel, TripleRecord
 from selrestr.stats import (
     CountsTable,
@@ -21,7 +22,6 @@ from selrestr.stats import (
     UnsupportedClassError,
     ZeroDenominatorError,
     accumulate,
-    lexicon_misses,
     log_likelihood_ratio,
     read_counts,
     write_counts,
@@ -45,7 +45,6 @@ class TestCountsTable:
     def test_toy_noun_marginals(self, toy_scorer):
         t = toy_scorer.table
         assert t.noun_total == {"dog": 2, "cat": 1, "water": 3, "man": 1}
-        assert t.noun_position_total["dog", S0] == 2
         assert t.count("drink", S0, "dog") == 2
         assert t.count("drink", S0, "water") == 0
 
@@ -114,6 +113,11 @@ class TestCountsFiles:
         with pytest.raises(ExtractionError) as err:
             read_counts("drink\t0\tdog\t1\ndrink\t1\t\t2\n")
         assert str(err.value) == "counts line 2: empty verb or noun"
+
+    def test_read_counts_leading_tab_is_empty_verb(self):
+        with pytest.raises(ExtractionError) as err:
+            read_counts("\t0\tdog\t2\n")
+        assert str(err.value) == "counts line 1: empty verb or noun"
 
     def test_read_counts_bad_relation(self):
         with pytest.raises(ExtractionError, match="counts line 1"):

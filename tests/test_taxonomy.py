@@ -4,12 +4,12 @@ import pytest
 
 from selrestr.taxonomy import (
     TaxonomyError,
-    check_partial_order,
     load_taxonomy,
     parse_lexicon,
     parse_taxonomy,
 )
 
+from helpers import check_partial_order
 from worlds import make_world, taxonomy_text
 
 

@@ -1,0 +1,106 @@
+"""The shared line rule of every tab-separated reader.
+
+Each reader goes through ``selrestr.tsv.rows``: spaces and CR are
+stripped from the ends of a line, tabs are kept, blank and ``#`` lines
+are skipped, and an error in a line names ``<kind> line N``.  The fuzz
+tests feed each reader text built from the characters these files are
+made of and require a result or the reader's own ``ValueError``
+subclass, never another exception.
+"""
+
+import re
+import string
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from selrestr.evaluate import read_gold, read_labels
+from selrestr.extract import ExtractionError, LemmaTable, read_triples
+from selrestr.learner import read_restrictions
+from selrestr.stats import read_counts
+from selrestr.taxonomy import TaxonomyError, parse_lexicon, parse_taxonomy
+
+TAX = parse_taxonomy("a\t-\nb\ta\nc\ta,b\nanimal\t-\n")
+
+
+def _taxonomy(text):
+    tax = parse_taxonomy(text)
+    return {c: tax.parents(c) for c in tax.nodes}
+
+
+def _lexicon(text):
+    lex = parse_lexicon(text, TAX)
+    return {n: lex.senses(n) for n in lex.nouns}
+
+
+# kind, reader returning a comparable value, error class, one valid line
+READERS = [
+    ("lemma table", lambda t: LemmaTable.from_text(t)._entries, ExtractionError,
+     "geese\tnoun\tgoose"),
+    ("triples", read_triples, ExtractionError, "eat\t1\tdog"),
+    ("counts", lambda t: read_counts(t).counts, ExtractionError, "eat\t1\tdog\t2"),
+    ("restrictions", read_restrictions, ExtractionError, "eat\t1\tanimal\t0.5\t2\t3"),
+    ("gold", read_gold, ExtractionError, "eat\t1\tdog\tanimal\tok"),
+    ("labels", read_labels, ExtractionError, "eat\t1\tanimal\tOk\t2"),
+    ("taxonomy", _taxonomy, TaxonomyError, "animal\t-"),
+    ("lexicon", _lexicon, TaxonomyError, "dog\tanimal"),
+]
+IDS = [kind for kind, *_ in READERS]
+
+
+@pytest.mark.parametrize("kind, read, error, line", READERS, ids=IDS)
+class TestLineRule:
+    def test_spaces_and_cr_are_stripped(self, kind, read, error, line):
+        clean = read(line + "\n")
+        assert read(f"  {line}  \r\n") == clean
+        assert read(f" {line}\r") == clean
+
+    def test_comment_and_blank_lines_are_skipped(self, kind, read, error, line):
+        text = f"# a comment\n#\twith\ttabs\n\n   \n\t\n \t \r\n{line}\n"
+        assert read(text) == read(line + "\n")
+
+    def test_trailing_tab_is_an_empty_field(self, kind, read, error, line):
+        got = line.count("\t") + 2
+        with pytest.raises(error, match=rf"^{kind} line 3: expected .* fields, got {got}$"):
+            read(f"# header\n\n{line}\t\n")
+
+
+# -- fuzzing ---------------------------------------------------------------
+
+FIELD_ALPHABET = " #-," + string.digits + string.ascii_letters
+# Tokens the readers give meaning to, so that generated lines get past the
+# field count and reach the per-field checks.
+TOKENS = ["0", "1", "with", "Up", "noun", "verb", "ok", "parser_err", "Ok", "Noise",
+          "-", "a", "b", "c", "a,b", "b,a", "a,", "dog", "2", "0.5", "-1", "", " "]
+FIELD_COUNTS = {"gold": (3, 5), "labels": (4, 5)}
+field = st.one_of(st.sampled_from(TOKENS), st.text(alphabet=FIELD_ALPHABET, max_size=6))
+
+
+def texts(arities):
+    width = st.one_of(st.sampled_from(arities), st.integers(min_value=0, max_value=7))
+    line = width.flatmap(lambda n: st.lists(field, min_size=n, max_size=n)).map("\t".join)
+    lines = st.lists(
+        st.tuples(line, st.sampled_from(["\n", "\r\n", "\r", " \n", "\n#\t\n"])),
+        max_size=8,
+    ).map(lambda parts: "".join(a + b for a, b in parts))
+    return st.one_of(st.text(alphabet="\t\r\n" + FIELD_ALPHABET, max_size=60), lines)
+
+
+@pytest.mark.parametrize("kind, read, error, line", READERS, ids=IDS)
+def test_fuzz_reader_result_or_own_error(kind, read, error, line):
+    arities = FIELD_COUNTS.get(kind, (line.count("\t") + 1,))
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=texts(arities))
+    def check(text):
+        try:
+            read(text)
+        except error as exc:
+            message = str(exc)
+            if kind == "taxonomy" and message.startswith("cycle detected among classes: "):
+                return
+            m = re.match(rf"{kind} line (\d+): ", message)
+            assert m, message
+            assert 1 <= int(m.group(1)) <= len(text.splitlines()), message
+
+    check()
