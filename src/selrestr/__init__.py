@@ -27,7 +27,6 @@ from .extract import (
 )
 from .learner import (
     LearnerConfig,
-    ScoredCandidate,
     SelectionalRestriction,
     candidate_space,
     learn_all,
@@ -47,7 +46,6 @@ __all__ = [
     "LemmaTable",
     "ParseTree",
     "ScoreKind",
-    "ScoredCandidate",
     "Scorer",
     "SelectionalRestriction",
     "SenseLexicon",

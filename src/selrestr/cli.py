@@ -4,7 +4,9 @@ Every option can also come from a JSON config file (``--config``); keys
 use the option names with underscores and explicit flags win over the
 file.  Outputs carry no timestamps, and learned-restriction files embed
 the SHA-256 of each input, so identical inputs give byte-identical
-results no matter how often the run is repeated.
+results no matter how often the run is repeated; ``eval`` refuses a
+restrictions file whose taxonomy or lexicon digest is not that of the
+files it is given.
 
 Exit status: 0 on success, 1 on validation or format errors, 2 on I/O
 errors.
@@ -35,7 +37,7 @@ from .extract import (
     write_discards,
     write_triples,
 )
-from .learner import LearnerConfig, learn_all, read_restrictions, write_restrictions
+from .learner import LearnerConfig, learn_all, read_header, read_restrictions, write_restrictions
 from .stats import EstimatorKind, ScoreKind, Scorer, accumulate, read_counts
 from .taxonomy import load_taxonomy_files
 from .trees import read_trees
@@ -195,8 +197,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         min_verb_support=_as_int(eff, "min_verb_support", 10),
         keep_nonpositive=_as_bool(eff, "keep_nonpositive", True),
     )
-    failures = []
-    restrictions = learn_all(Scorer(table, lexicon), cfg, failures)
+    restrictions = learn_all(Scorer(table, lexicon), cfg)
     header = {
         "tool": f"selrestr {TOOL_VERSION}",
         "scorer": cfg.scorer.value,
@@ -211,8 +212,6 @@ def cmd_learn(args: argparse.Namespace) -> int:
     _write_outputs([(eff["out"], lambda f: write_restrictions(restrictions, f, header))])
     positions = {(sr.verb, sr.rel) for sr in restrictions}
     print(f"{len(restrictions)} restrictions across {len(positions)} verb positions")
-    if failures:
-        print(f"{len(failures)} candidate classes were unscorable", file=sys.stderr)
     return 0
 
 
@@ -220,8 +219,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     eff = _effective(args)
     _require(eff, "gold", "srs", "taxonomy", "lexicon")
     _, lexicon = load_taxonomy_files(eff["taxonomy"], eff["lexicon"])
+    srs_text = _read(eff["srs"])
+    header = read_header(srs_text)
+    for option in ("taxonomy", "lexicon"):
+        key = f"{option}_sha256"
+        if key in header and header[key] != _sha256(eff[option]):
+            raise ExtractionError(
+                f"restrictions file {eff['srs']}: {key} does not match --{option} {eff[option]}"
+            )
     gold = read_gold(_read(eff["gold"]))
-    restrictions = read_restrictions(_read(eff["srs"]))
+    restrictions = read_restrictions(srs_text)
     labels = None
     if _as_str(eff, "labels") is not None:
         labels = read_labels(_read(eff["labels"]))

@@ -204,6 +204,8 @@ def read_gold(text: str) -> list[GoldTriple]:
     out: list[GoldTriple] = []
     for lineno, fields in rows(text, "gold", (3, 5), ExtractionError):
         verb, rel_code, noun = fields[:3]
+        if not verb or not noun:
+            raise ExtractionError(f"gold line {lineno}: empty verb or noun")
         try:
             record = TripleRecord(verb, SynRel(rel_code), noun)
         except ValueError as exc:
@@ -234,6 +236,8 @@ def read_labels(text: str) -> list[LabelRow]:
     seen: set[tuple[str, SynRel, str]] = set()
     for lineno, fields in rows(text, "labels", (4, 5), ExtractionError):
         verb, rel_code, class_id = fields[:3]
+        if not verb or not class_id:
+            raise ExtractionError(f"labels line {lineno}: empty verb or class")
         label = _LABEL_BY_NAME.get(fields[3])
         if label is None:
             raise ExtractionError(

@@ -3,32 +3,26 @@
 For every (verb, position) with enough observations, the candidate space
 is the union of the hypernym closures of every sense of every noun seen
 there, cut down to classes with at least ``threshold`` supporting
-occurrences.  Candidates are scored, then a greedy pass over the whole
-space repeatedly extracts the best-scoring class and drops everything
-related to it by hyperonymy, so the surviving classes are mutually
-disjoint.
+occurrences.  Candidates are ``(class_id, n_nouns, support)`` tuples,
+each scored into a ``SelectionalRestriction``; then a greedy pass over
+the whole space repeatedly extracts the best-scoring class and drops
+everything related to it by hyperonymy, so the surviving classes are
+mutually disjoint.
 
-The greedy pass is a single walk over the candidates sorted once by
-rank, testing each against the kept classes with set lookups on
-hypernym closures, so it is linear in the candidates times the closure
-size.  Considering the full candidate set (rather than best-first
-expansion from the sense classes upward) is immune to the non-monotone
-shape of the association score.
+The greedy pass is one walk in rank order with set lookups on hypernym
+closures, linear in the candidates times the closure size.  Taking the
+full candidate set, not a best-first climb from the sense classes, is
+immune to the non-monotone shape of the association score.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .extract import ExtractionError, SynRel
-from .stats import (
-    EstimatorKind,
-    ScoreKind,
-    Scorer,
-    UnsupportedClassError,
-    ZeroDenominatorError,
-)
+from .stats import EstimatorKind, ScoreKind, Scorer
 from .taxonomy import Taxonomy
 from .tsv import rows
 
@@ -59,19 +53,9 @@ class LearnerConfig:
 
 
 @dataclass(frozen=True)
-class ScoredCandidate:
-    class_id: str
-    score: float | None
-    n_nouns: int
-    support: int
-
-    def with_score(self, score: float) -> "ScoredCandidate":
-        return ScoredCandidate(self.class_id, score, self.n_nouns, self.support)
-
-
-@dataclass(frozen=True)
 class SelectionalRestriction:
-    """An acquired (verb, relation, class) constraint with its evidence."""
+    """A scored (verb, relation, class) with its evidence: a ranked
+    candidate while learning, an acquired constraint once selected."""
 
     verb: str
     rel: SynRel
@@ -81,32 +65,22 @@ class SelectionalRestriction:
     support: int
 
 
-@dataclass(frozen=True)
-class ScoringFailure:
-    verb: str
-    rel: SynRel
-    class_id: str
-    message: str
-
-
-def candidate_space(model: Scorer, v: str, s: SynRel, cfg: LearnerConfig) -> list[ScoredCandidate]:
-    """Unscored candidates for (v, s): every hypernym (at all levels) of the
-    observed nouns' senses whose raw support reaches the threshold."""
-    nouns = model.table.nouns_for(v, s)
-    if sum(nouns.values()) < cfg.min_verb_support:
-        raise ValueError(
-            f"(v={v!r}, s={s.code!r}) has fewer than {cfg.min_verb_support} observations"
-        )
+def candidate_space(
+    model: Scorer, v: str, s: SynRel, cfg: LearnerConfig
+) -> list[tuple[str, int, int]]:
+    """``(class_id, n_nouns, support)`` for every hypernym (at all levels)
+    of the observed nouns' senses whose raw support reaches the
+    threshold, sorted by class id."""
     support: dict[str, int] = {}
     distinct: dict[str, int] = {}
-    for n, c in nouns.items():
+    for n, c in model.table.nouns_for(v, s).items():
         if n not in model.lexicon:
             continue
         for cls in model.lexicon.classes_of(n):
             support[cls] = support.get(cls, 0) + c
             distinct[cls] = distinct.get(cls, 0) + 1
     return [
-        ScoredCandidate(cls, None, distinct[cls], supp)
+        (cls, distinct[cls], supp)
         for cls, supp in sorted(support.items())
         if supp >= cfg.threshold
     ]
@@ -116,106 +90,78 @@ def score_candidates(
     model: Scorer,
     v: str,
     s: SynRel,
-    candidates: Iterable[ScoredCandidate],
+    candidates: Iterable[tuple[str, int, int]],
     cfg: LearnerConfig,
-    failures: list[ScoringFailure] | None = None,
-) -> list[ScoredCandidate]:
-    scored = []
-    for cand in candidates:
-        try:
-            value = model.score(cfg.scorer, v, s, cand.class_id, cfg.estimator)
-        except (UnsupportedClassError, ZeroDenominatorError) as exc:
-            if failures is not None:
-                failures.append(ScoringFailure(v, s, cand.class_id, str(exc)))
-            continue
-        scored.append(cand.with_score(value))
-    return scored
+) -> list[SelectionalRestriction]:
+    """Score each candidate into a restriction.  None can fail: its raw
+    support is >= ``threshold`` >= 1, so every class sum it divides by is
+    positive for both estimators."""
+    return [
+        SelectionalRestriction(
+            v, s, cls, model.score(cfg.scorer, v, s, cls, cfg.estimator), n_nouns, support
+        )
+        for cls, n_nouns, support in candidates
+    ]
 
 
-def _rank_key(cand: ScoredCandidate):
+def _rank_key(sr: SelectionalRestriction):
     # Total order: score, then support, then distinct nouns (all descending),
     # then class id; makes selection independent of input permutation.
-    return (-cand.score, -cand.support, -cand.n_nouns, cand.class_id)
+    return (-sr.score, -sr.support, -sr.n_nouns, sr.class_id)
 
 
 def select_disjoint(
-    candidates: Iterable[ScoredCandidate], taxonomy: Taxonomy
-) -> list[ScoredCandidate]:
-    """Greedy extraction over the full candidate set: take the best-ranked
-    class, discard every candidate related to it by hyperonymy in either
-    direction, repeat until nothing is left.
+    candidates: Iterable[SelectionalRestriction], taxonomy: Taxonomy
+) -> list[SelectionalRestriction]:
+    """Greedy extraction: take the best-ranked class, discard every
+    candidate related to it by hyperonymy, repeat until nothing is left.
 
-    One pass in rank order gives the same result: a candidate is kept iff
-    it is related to no class kept before it, that is, it is not in the
-    union of the kept classes' hypernym closures (not an ancestor of a kept
-    class) and its own closure holds no kept class (not a descendant)."""
-    pool = list(candidates)
-    for cand in pool:
-        if cand.score is None:
-            raise ValueError(f"candidate {cand.class_id!r} is unscored")
-    pool.sort(key=_rank_key)
-    chosen: list[ScoredCandidate] = []
+    One pass in rank order does this: a candidate is kept iff it is not in
+    the union of the kept classes' hypernym closures (not an ancestor) and
+    its own closure holds no kept class (not a descendant)."""
+    chosen: list[SelectionalRestriction] = []
     chosen_ids: set[str] = set()
     covered: set[str] = set()
-    for cand in pool:
-        if cand.class_id in covered:
+    for sr in sorted(candidates, key=_rank_key):
+        if sr.class_id in covered:
             continue
-        closure = taxonomy.hypernym_closure(cand.class_id)
+        closure = taxonomy.hypernym_closure(sr.class_id)
         if not chosen_ids.isdisjoint(closure):
             continue
-        chosen.append(cand)
-        chosen_ids.add(cand.class_id)
+        chosen.append(sr)
+        chosen_ids.add(sr.class_id)
         covered |= closure
     return chosen
 
 
 def learn_group(
-    model: Scorer,
-    v: str,
-    s: SynRel,
-    cfg: LearnerConfig,
-    failures: list[ScoringFailure] | None = None,
+    model: Scorer, v: str, s: SynRel, cfg: LearnerConfig
 ) -> list[SelectionalRestriction]:
     """Full pipeline for one (verb, position): candidates, scores, selection."""
-    cands = candidate_space(model, v, s, cfg)
-    scored = score_candidates(model, v, s, cands, cfg, failures)
+    scored = score_candidates(model, v, s, candidate_space(model, v, s, cfg), cfg)
     if not cfg.keep_nonpositive:
-        scored = [c for c in scored if c.score > 0]
-    return [
-        SelectionalRestriction(v, s, c.class_id, c.score, c.n_nouns, c.support)
-        for c in select_disjoint(scored, model.taxonomy)
-    ]
+        scored = [sr for sr in scored if sr.score > 0]
+    return select_disjoint(scored, model.taxonomy)
 
 
-def learn_all(
-    model: Scorer,
-    cfg: LearnerConfig,
-    failures: list[ScoringFailure] | None = None,
-) -> list[SelectionalRestriction]:
-    """Learn restrictions for every (verb, position) with enough support.
-
-    Output is ordered by (verb, relation, extraction order); per-candidate
-    scoring failures go to the optional ``failures`` sink instead of
-    aborting the run.
-    """
+def learn_all(model: Scorer, cfg: LearnerConfig) -> list[SelectionalRestriction]:
+    """Learn restrictions for every (verb, position) with at least
+    ``min_verb_support`` observations, ordered by (verb, relation,
+    extraction order)."""
     out: list[SelectionalRestriction] = []
     for v, s in model.table.verb_positions():
         if model.table.vs_total(v, s) >= cfg.min_verb_support:
-            out.extend(learn_group(model, v, s, cfg, failures))
+            out.extend(learn_group(model, v, s, cfg))
     return out
 
 
 # -- restriction files ---------------------------------------------------
 
 
-def _clean_score(score: float) -> float:
-    return 0.0 if score == 0.0 else score
-
-
 def format_restriction(sr: SelectionalRestriction) -> str:
-    return (
+    return (  # a score of -0.0 prints as 0.000000
         f"{sr.verb}\t{sr.rel.code}\t{sr.class_id}"
-        f"\t{_clean_score(sr.score):.6f}\t{sr.n_nouns}\t{sr.support}"
+        f"\t{sr.score or 0.0:.6f}\t{sr.n_nouns}\t{sr.support}"
     )
 
 
@@ -231,10 +177,25 @@ def write_restrictions(
         f.write(format_restriction(sr) + "\n")
 
 
+def read_header(text: str) -> dict[str, str]:
+    """The ``# key=value`` lines that open a restrictions file."""
+    header: dict[str, str] = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            break
+        key, sep, value = line[1:].strip().partition("=")
+        if sep:
+            header[key] = value
+    return header
+
+
 def read_restrictions(text: str) -> list[SelectionalRestriction]:
     out: list[SelectionalRestriction] = []
     for lineno, fields in rows(text, "restrictions", (6,), ExtractionError):
         verb, rel_code, class_id, score_text, n_nouns_text, support_text = fields
+        if not verb or not class_id:
+            raise ExtractionError(f"restrictions line {lineno}: empty verb or class")
         try:
             sr = SelectionalRestriction(
                 verb,
@@ -246,5 +207,11 @@ def read_restrictions(text: str) -> list[SelectionalRestriction]:
             )
         except ValueError as exc:
             raise ExtractionError(f"restrictions line {lineno}: {exc}") from None
+        if not math.isfinite(sr.score):
+            raise ExtractionError(
+                f"restrictions line {lineno}: score must be finite, got {score_text!r}"
+            )
+        if sr.n_nouns < 0 or sr.support < 0:
+            raise ExtractionError(f"restrictions line {lineno}: nouns and support must be >= 0")
         out.append(sr)
     return out

@@ -451,6 +451,40 @@ class TestEvalCommand:
         assert rc == 1
         assert "format must be text or json" in capsys.readouterr().err
 
+    def test_learned_header_with_matching_files(self, data_dir, tmp_path, capsys):
+        srs = tmp_path / "srs.tsv"
+        assert run(toy_learn_argv(data_dir, srs)) == 0
+        assert run(self.eval_argv(data_dir, "--srs", str(srs))) == 0
+        assert "precision        0.667 (2/3)\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", ["taxonomy", "lexicon"])
+    def test_header_digest_mismatch_exits_1(self, data_dir, tmp_path, capsys, option):
+        srs = tmp_path / "srs.tsv"
+        assert run(toy_learn_argv(data_dir, srs)) == 0
+        other = tmp_path / f"{option}.tsv"
+        other.write_bytes((data_dir / f"toy_{option}.tsv").read_bytes() + b"# edited\n")
+        capsys.readouterr()
+        rc = run(self.eval_argv(data_dir, "--srs", str(srs), f"--{option}", str(other)))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: restrictions file {srs}: {option}_sha256 does not match"
+            f" --{option} {other}\n"
+        )
+
+    def test_header_without_digests_accepted(self, data_dir, tmp_path, capsys):
+        srs = tmp_path / "srs.tsv"
+        srs.write_text("# tool=selrestr 0.1.0\n# scorer=assoc\n" + TOY_BODY)
+        assert run(self.eval_argv(data_dir, "--srs", str(srs))) == 0
+        assert "recall           0.667 (2/3)\n" in capsys.readouterr().out
+
+    def test_bad_restrictions_line_exits_1(self, data_dir, tmp_path, capsys):
+        srs = tmp_path / "srs.tsv"
+        srs.write_text(TOY_BODY + "drink\t0\tdog\tnan\t1\t2\n")
+        assert run(self.eval_argv(data_dir, "--srs", str(srs))) == 1
+        assert capsys.readouterr().err == (
+            "error: restrictions line 4: score must be finite, got 'nan'\n"
+        )
+
     def test_missing_required(self, capsys):
         rc = run(["eval", "--format", "json"])
         assert rc == 1

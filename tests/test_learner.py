@@ -4,6 +4,7 @@ group pipeline, and the restrictions file format."""
 import io
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,8 +13,6 @@ from helpers import write_restrictions_jsonl
 from selrestr.extract import ExtractionError, SynRel
 from selrestr.learner import (
     LearnerConfig,
-    ScoredCandidate,
-    ScoringFailure,
     SelectionalRestriction,
     candidate_space,
     format_restriction,
@@ -24,7 +23,7 @@ from selrestr.learner import (
     select_disjoint,
     write_restrictions,
 )
-from selrestr.stats import EstimatorKind, ScoreKind
+from selrestr.stats import EstimatorKind, ScoreKind, UnsupportedClassError
 from selrestr.taxonomy import load_taxonomy
 
 S0 = SynRel("0")
@@ -81,68 +80,55 @@ class TestLearnerConfig:
 
 class TestCandidateSpace:
     def test_toy_drink_subject(self, toy):
-        cands = candidate_space(toy, "drink", S0, LOOSE)
-        by_id = {c.class_id: c for c in cands}
-        assert [c.class_id for c in cands] == sorted(by_id)
-        assert set(by_id) == {"dog", "cat", "animal", "entity"}
-        assert (by_id["animal"].support, by_id["animal"].n_nouns) == (3, 2)
-        assert (by_id["dog"].support, by_id["dog"].n_nouns) == (2, 1)
-        assert (by_id["entity"].support, by_id["entity"].n_nouns) == (3, 2)
-        assert all(c.score is None for c in cands)
+        # (class_id, n_nouns, support), sorted by class id
+        assert candidate_space(toy, "drink", S0, LOOSE) == [
+            ("animal", 2, 3),
+            ("cat", 1, 1),
+            ("dog", 1, 2),
+            ("entity", 2, 3),
+        ]
 
     def test_threshold_prunes(self, toy):
         cfg = LearnerConfig(threshold=2, min_verb_support=1)
         cands = candidate_space(toy, "drink", S0, cfg)
-        assert {c.class_id for c in cands} == {"dog", "animal", "entity"}
-
-    def test_min_verb_support_enforced(self, toy):
-        cfg = LearnerConfig(threshold=1, min_verb_support=2)
-        with pytest.raises(ValueError, match="fewer than 2 observations"):
-            candidate_space(toy, "sleep", S0, cfg)
+        assert [cls for cls, _, _ in cands] == ["animal", "dog", "entity"]
 
     def test_unknown_nouns_contribute_no_classes(self):
         scorer = build_world(
             TOY_PARENTS, TOY_SENSES, TOY_TRIPLES + [("drink", "0", "xyzzy")] * 5
         )
-        cands = candidate_space(scorer, "drink", S0, LOOSE)
-        by_id = {c.class_id: c for c in cands}
+        by_id = {cls: support for cls, _, support in candidate_space(scorer, "drink", S0, LOOSE)}
         # the unknown noun bumps verb support but supports no class
-        assert by_id["animal"].support == 3
+        assert by_id["animal"] == 3
         assert "xyzzy" not in by_id
 
     def test_support_is_raw_even_for_sense_estimator(self, toy):
         cfg = LearnerConfig(
             threshold=1, min_verb_support=1, estimator=EstimatorKind.SENSE_CORRECTED
         )
-        cands = {c.class_id: c for c in candidate_space(toy, "drink", S0, cfg)}
-        assert cands["animal"].support == 3
+        by_id = {cls: support for cls, _, support in candidate_space(toy, "drink", S0, cfg)}
+        assert by_id["animal"] == 3
 
 
 class TestScoreCandidates:
     def test_scores_filled(self, toy):
         cands = candidate_space(toy, "drink", S0, LOOSE)
         scored = score_candidates(toy, "drink", S0, cands, LOOSE)
-        by_id = {c.class_id: c.score for c in scored}
+        assert [(sr.verb, sr.rel, sr.class_id, sr.n_nouns, sr.support) for sr in scored] == [
+            ("drink", S0, cls, n_nouns, support) for cls, n_nouns, support in cands
+        ]
+        by_id = {sr.class_id: sr.score for sr in scored}
         assert by_id["animal"] == pytest.approx(0.41503749927884376, rel=1e-12)
         assert by_id["entity"] == 0.0
 
-    def test_failures_sink_collects(self, toy):
-        bogus = [ScoredCandidate("liquid", None, 1, 1)]
-        failures: list[ScoringFailure] = []
-        scored = score_candidates(toy, "drink", S0, bogus, LOOSE, failures)
-        assert scored == []
-        assert len(failures) == 1
-        f = failures[0]
-        assert (f.verb, f.rel, f.class_id) == ("drink", S0, "liquid")
-        assert "no support" in f.message
-
-    def test_failures_without_sink_are_silent(self, toy):
-        bogus = [ScoredCandidate("liquid", None, 1, 1)]
-        assert score_candidates(toy, "drink", S0, bogus, LOOSE) == []
+    def test_unsupported_candidate_raises(self, toy):
+        # candidate_space never yields such a class; scoring one is a bug
+        with pytest.raises(UnsupportedClassError, match="no support"):
+            score_candidates(toy, "drink", S0, [("liquid", 1, 1)], LOOSE)
 
 
 def _cand(cid, score, n_nouns=1, support=1):
-    return ScoredCandidate(cid, score, n_nouns, support)
+    return SelectionalRestriction("v", S0, cid, score, n_nouns, support)
 
 
 @pytest.fixture(scope="module")
@@ -192,12 +178,8 @@ class TestSelectDisjoint:
     def test_positive_scaling_invariance(self, chain_tax):
         base = [_cand("a", 0.2, 1, 4), _cand("x", 0.7, 2, 2), _cand("c", 0.4, 1, 6)]
         ids = [c.class_id for c in select_disjoint(base, chain_tax)]
-        scaled = [c.with_score(c.score * 37.5) for c in base]
+        scaled = [replace(c, score=c.score * 37.5) for c in base]
         assert [c.class_id for c in select_disjoint(scaled, chain_tax)] == ids
-
-    def test_unscored_candidate_rejected(self, chain_tax):
-        with pytest.raises(ValueError, match="unscored"):
-            select_disjoint([_cand("a", None)], chain_tax)
 
     def test_empty_input(self, chain_tax):
         assert select_disjoint([], chain_tax) == []
@@ -248,11 +230,16 @@ class TestLearnAll:
         srs = learn_all(toy, cfg)
         assert {(sr.verb, sr.rel.code) for sr in srs} == {("drink", "0"), ("drink", "1")}
 
-    def test_failures_sink_plumbed(self, toy):
-        failures: list[ScoringFailure] = []
-        learn_all(toy, LOOSE, failures=failures)
-        # the pipeline only scores supported candidates, so nothing fails here
-        assert failures == []
+    def test_every_candidate_scores(self, toy):
+        # learning has no failure path: every candidate of every group
+        # scores, for every scorer and estimator
+        for scorer in ScoreKind:
+            for estimator in EstimatorKind:
+                cfg = LearnerConfig(1, scorer, estimator, min_verb_support=1)
+                for v, s in toy.table.verb_positions():
+                    cands = candidate_space(toy, v, s, cfg)
+                    assert len(score_candidates(toy, v, s, cands, cfg)) == len(cands) > 0
+                assert len(learn_all(toy, cfg)) == 3
 
 
 class TestRestrictionFiles:

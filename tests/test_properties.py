@@ -8,6 +8,7 @@ as the comparison point where one exists.
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,12 +18,20 @@ import oracle
 from conftest import build_world
 from selrestr.evaluate import PARSER_ERR, GoldTriple, evaluate_gold
 from selrestr.extract import SynRel, TripleRecord
-from selrestr.learner import LearnerConfig, ScoredCandidate, learn_all, select_disjoint
+from selrestr.learner import (
+    LearnerConfig,
+    SelectionalRestriction,
+    candidate_space,
+    learn_all,
+    score_candidates,
+    select_disjoint,
+)
 from selrestr.stats import EstimatorKind, ScoreKind, accumulate, log_likelihood_ratio
 from selrestr.taxonomy import load_taxonomy
 from worlds import make_world, taxonomy_text
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+S0 = SynRel("0")
 alpha_words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=14)
 
 
@@ -253,7 +262,9 @@ class TestSelectionProperties:
     def _candidates(self, rng, parents):
         ids = rng.sample(sorted(parents), rng.randint(1, len(parents)))
         return [
-            ScoredCandidate(
+            SelectionalRestriction(
+                "v",
+                S0,
                 cid,
                 round(rng.random(), 1),  # coarse scores force ties
                 rng.randint(1, 5),
@@ -299,7 +310,7 @@ class TestSelectionProperties:
         rng.shuffle(shuffled)
         assert select_disjoint(shuffled, tax) == baseline
         factor = rng.uniform(0.5, 8.0)
-        scaled = [c.with_score(c.score * factor) for c in cands]
+        scaled = [replace(c, score=c.score * factor) for c in cands]
         assert [c.class_id for c in select_disjoint(scaled, tax)] == [
             c.class_id for c in baseline
         ]
@@ -328,7 +339,9 @@ class TestSelectionProperties:
         }
         tax, _ = load_taxonomy(taxonomy_text(parents), "")
         cands = [
-            ScoredCandidate(
+            SelectionalRestriction(
+                "v",
+                S0,
                 cid,
                 rng.choice((-0.5, 0.0, 0.5, 1.0)),
                 rng.randint(1, 2),
@@ -340,6 +353,31 @@ class TestSelectionProperties:
         tiebreak = {c.class_id: (c.support, c.n_nouns) for c in cands}
         expected = oracle.greedy_disjoint(parents, scored, tiebreak)
         assert [c.class_id for c in select_disjoint(cands, tax)] == expected
+
+
+class TestLearnerProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds)
+    def test_every_candidate_scores(self, seed):
+        # The learner has no failure path: every class that candidate_space
+        # yields for a group learn_all visits scores, for every scorer and
+        # estimator, on partial lexicons and nouns with several senses.
+        rng = random.Random(seed)
+        parents, senses, triples = make_world(
+            rng, full_lexicon=rng.random() < 0.5, max_senses=rng.randint(1, 5)
+        )
+        scorer = build_world(parents, senses, triples)
+        threshold, min_verb_support = rng.randint(1, 4), rng.randint(1, 8)
+        for kind in ScoreKind:
+            for est in EstimatorKind:
+                cfg = LearnerConfig(threshold, kind, est, min_verb_support)
+                for v, s in scorer.table.verb_positions():
+                    if scorer.table.vs_total(v, s) < min_verb_support:
+                        continue
+                    cands = candidate_space(scorer, v, s, cfg)
+                    scored = score_candidates(scorer, v, s, cands, cfg)
+                    assert [(sr.class_id, sr.n_nouns, sr.support) for sr in scored] == cands
+                    assert all(math.isfinite(sr.score) for sr in scored)
 
 
 class TestEvaluationProperties:

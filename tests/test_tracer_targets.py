@@ -1,13 +1,21 @@
 """The benchmark tracer wraps package functions by name; every name it
-wraps must still resolve, or a refactor silently drops per-layer metrics."""
+wraps must still resolve, and its count hooks must still read the
+arguments and results, or a refactor silently drops per-layer metrics."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import selrestr
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+SRC_DIR = str(Path(selrestr.__file__).resolve().parent.parent)
 
 
 def _load_tracer():
@@ -31,3 +39,39 @@ def test_target_resolves_to_a_callable(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _traced(tmp_path, *argv):
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), str(spans), *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(spans.read_text(encoding="utf-8"))
+
+
+def test_traced_toy_learn_and_eval(data_dir, tmp_path):
+    srs = tmp_path / "srs.tsv"
+    files = ["--taxonomy", str(data_dir / "toy_taxonomy.tsv"),
+             "--lexicon", str(data_dir / "toy_lexicon.tsv")]
+    learn = _traced(
+        tmp_path, "learn", "--counts", str(data_dir / "toy_counts.tsv"), *files,
+        "--threshold", "1", "--min-verb-support", "1", "--out", str(srs),
+    )
+    assert learn["missing"] == []
+    counts = learn["counts"]
+    # groups (drink, 0), (drink, 1), (sleep, 0) with 4 + 3 + 3 candidates
+    assert counts["learner.groups"] == 3
+    assert counts["learner.candidates"] == counts["stats.score_calls"] == 10
+    assert counts["stats.unscorable"] == 0
+    assert counts["learner.selected"] == 3
+    assert counts["taxonomy.related_calls"] == 0
+
+    evaluated = _traced(tmp_path, "eval", "--gold", str(data_dir / "toy_gold.tsv"),
+                        "--srs", str(srs), *files)
+    assert evaluated["missing"] == []
+    assert evaluated["counts"]["evaluate.fulfills_calls"] > 0
+    spans = {name for name, *_ in evaluated["spans"]}
+    assert {"cli", "taxonomy.load", "evaluate.read", "evaluate.eval"} <= spans

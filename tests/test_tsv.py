@@ -5,9 +5,11 @@ stripped from the ends of a line, tabs are kept, blank and ``#`` lines
 are skipped, and an error in a line names ``<kind> line N``.  The fuzz
 tests feed each reader text built from the characters these files are
 made of and require a result or the reader's own ``ValueError``
-subclass, never another exception.
+subclass, never another exception; a result may hold no empty name, no
+non-finite score and no negative count.
 """
 
+import math
 import re
 import string
 
@@ -65,13 +67,47 @@ class TestLineRule:
             read(f"# header\n\n{line}\t\n")
 
 
+# test id, reader kind, a second line whose fields pass the line rule, the error
+BAD_FIELDS = [
+    ("restrictions-empty-verb", "restrictions", "\teat\t1\tanimal\t0.5\t2",
+     "empty verb or class"),
+    ("restrictions-empty-class", "restrictions", "eat\t1\t\t0.5\t2\t3",
+     "empty verb or class"),
+    ("restrictions-nan", "restrictions", "eat\t1\tanimal\tnan\t2\t3",
+     "score must be finite, got 'nan'"),
+    ("restrictions-minus-inf", "restrictions", "eat\t1\tanimal\t-inf\t2\t3",
+     "score must be finite, got '-inf'"),
+    ("restrictions-overflow", "restrictions", "eat\t1\tanimal\t1e999\t2\t3",
+     "score must be finite, got '1e999'"),
+    ("restrictions-negative-nouns", "restrictions", "eat\t1\tanimal\t0.5\t-1\t3",
+     "nouns and support must be >= 0"),
+    ("restrictions-negative-support", "restrictions", "eat\t1\tanimal\t0.5\t2\t-5",
+     "nouns and support must be >= 0"),
+    ("gold-empty-verb", "gold", "\t1\tdog", "empty verb or noun"),
+    ("gold-empty-noun", "gold", "eat\t1\t\tanimal\tok", "empty verb or noun"),
+    ("labels-empty-verb", "labels", "\teat\tanimal\tOk", "empty verb or class"),
+    ("labels-empty-class", "labels", "eat\t1\t\tOk\t2", "empty verb or class"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, bad, message", [c[1:] for c in BAD_FIELDS], ids=[c[0] for c in BAD_FIELDS]
+)
+def test_bad_field_is_an_error_naming_the_line(kind, bad, message):
+    read, good = next((r, line) for k, r, _, line in READERS if k == kind)
+    with pytest.raises(ExtractionError) as err:
+        read(f"{good}\n{bad}\n")
+    assert str(err.value) == f"{kind} line 2: {message}"
+
+
 # -- fuzzing ---------------------------------------------------------------
 
 FIELD_ALPHABET = " #-," + string.digits + string.ascii_letters
 # Tokens the readers give meaning to, so that generated lines get past the
 # field count and reach the per-field checks.
 TOKENS = ["0", "1", "with", "Up", "noun", "verb", "ok", "parser_err", "Ok", "Noise",
-          "-", "a", "b", "c", "a,b", "b,a", "a,", "dog", "2", "0.5", "-1", "", " "]
+          "-", "a", "b", "c", "a,b", "b,a", "a,", "dog", "2", "0.5", "-1", "nan", "inf",
+          "", " "]
 FIELD_COUNTS = {"gold": (3, 5), "labels": (4, 5)}
 field = st.one_of(st.sampled_from(TOKENS), st.text(alphabet=FIELD_ALPHABET, max_size=6))
 
@@ -86,15 +122,29 @@ def texts(arities):
     return st.one_of(st.text(alphabet="\t\r\n" + FIELD_ALPHABET, max_size=60), lines)
 
 
+# What every accepted record must satisfy, for the readers with field checks.
+ACCEPTED = {
+    "triples": lambda r: r.verb and r.noun,
+    "restrictions": lambda sr: (
+        sr.verb and sr.class_id and math.isfinite(sr.score) and min(sr.n_nouns, sr.support) >= 0
+    ),
+    "gold": lambda g: g.record.verb and g.record.noun,
+    "labels": lambda row: row[0] and row[2],
+}
+
+
 @pytest.mark.parametrize("kind, read, error, line", READERS, ids=IDS)
 def test_fuzz_reader_result_or_own_error(kind, read, error, line):
     arities = FIELD_COUNTS.get(kind, (line.count("\t") + 1,))
+    accepted = ACCEPTED.get(kind)
 
     @settings(max_examples=100, deadline=None)
     @given(text=texts(arities))
     def check(text):
         try:
-            read(text)
+            out = read(text)
+            if accepted is not None:
+                assert all(accepted(record) for record in out), out
         except error as exc:
             message = str(exc)
             if kind == "taxonomy" and message.startswith("cycle detected among classes: "):
