@@ -1,12 +1,19 @@
 """Command-line pipeline: extract, learn, eval, report.
 
-Every option can also come from a JSON config file (``--config``); keys
-use the option names with underscores and explicit flags win over the
-file.  Outputs carry no timestamps, and learned-restriction files embed
-the SHA-256 of each input, so identical inputs give byte-identical
-results no matter how often the run is repeated; ``eval`` refuses a
-restrictions file whose taxonomy or lexicon digest is not that of the
-files it is given.
+Each subcommand declares its options once, in its table in ``OPTIONS``.
+Every option can also come from a JSON config file (``--config``): an
+object whose keys are the option names with underscores.  Explicit flags
+win over the file.  Each value, from the file or a flag, is checked
+against its option's kind: a path must be a non-empty JSON string, an
+integer a JSON integer, a switch true or false, and a choice one of its
+values.  An input that cannot be decoded or parsed as a whole (UTF-8,
+JSON, bracketed trees) gives an error that names the file.
+
+Outputs carry no timestamps, and learned-restriction files embed the
+SHA-256 of the bytes each input was parsed from, so identical inputs give
+byte-identical results no matter how often the run is repeated; ``eval``
+refuses a restrictions file whose taxonomy or lexicon digest is not that
+of the files it is given.
 
 Exit status: 0 on success, 1 on validation or format errors, 2 on I/O
 errors.
@@ -20,8 +27,9 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
 from .evaluate import evaluate_gold, percentage, read_gold, read_labels
 from .extract import (
@@ -39,62 +47,101 @@ from .extract import (
 )
 from .learner import LearnerConfig, learn_all, read_header, read_restrictions, write_restrictions
 from .stats import EstimatorKind, ScoreKind, Scorer, accumulate, read_counts
-from .taxonomy import load_taxonomy_files
-from .trees import read_trees
+from .taxonomy import SenseLexicon, load_taxonomy
+from .trees import TreeSyntaxError, read_trees
 
 TOOL_VERSION = "0.1.0"
 
+# -- options -------------------------------------------------------------
+# One table per subcommand; each row is (name, kind, required, help).  The
+# name is the ``--config`` key and, with dashes, the flag.  A kind is PATH,
+# INT, BOOL or the tuple of a choice's values.  The tables hold types only:
+# the learner's defaults and ranges live in ``LearnerConfig``.
 
-def _as_int(eff: dict, key: str, fallback: int) -> int:
-    value = eff.get(key, fallback)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ExtractionError(f"option {key} must be an integer, got {value!r}")
-    return value
+PATH, INT, BOOL = "path", "int", "bool"
+_KINDS = {
+    PATH: ("a path string", lambda v: isinstance(v, str) and v != ""),
+    INT: ("an integer", lambda v: type(v) is int),
+    BOOL: ("true or false", lambda v: type(v) is bool),
+}
+
+OPTIONS = {
+    "extract": (
+        ("corpus", PATH, True, "bracketed-tree corpus file"),
+        ("lemmas", PATH, False, "form/POS/lemma table (TSV)"),
+        ("tagset", PATH, False, "tag-set override file (JSON)"),
+        ("triples", PATH, True, "output triples file"),
+        ("discards", PATH, False, "discard sidecar (default: <triples>.discards)"),
+    ),
+    "learn": (
+        ("triples", PATH, False, "triples file (one occurrence per line)"),
+        ("counts", PATH, False, "pre-aggregated counts file"),
+        ("taxonomy", PATH, True, "class hierarchy file"),
+        ("lexicon", PATH, True, "noun sense file"),
+        ("out", PATH, True, "output restrictions file"),
+        ("threshold", INT, False, "min occurrences per candidate class"),
+        ("scorer", tuple(k.value for k in ScoreKind), False, "association measure"),
+        ("estimator", tuple(k.value for k in EstimatorKind), False, "class count estimator"),
+        ("min_verb_support", INT, False, "min triples per verb position"),
+        ("keep_nonpositive", BOOL, False, "keep classes whose score is <= 0"),
+    ),
+    "eval": (
+        ("gold", PATH, True, "annotated held-out triples"),
+        ("srs", PATH, True, "restrictions file to evaluate"),
+        ("taxonomy", PATH, True, "class hierarchy file"),
+        ("lexicon", PATH, True, "noun sense file"),
+        ("labels", PATH, False, "per-class diagnostic label file"),
+        ("format", ("text", "json"), False, "report format"),
+    ),
+    "report": (
+        ("srs", PATH, True, "restrictions file"),
+        ("labels", PATH, False, "per-class diagnostic label file"),
+    ),
+}
 
 
-def _as_bool(eff: dict, key: str, fallback: bool) -> bool:
-    value = eff.get(key, fallback)
-    if not isinstance(value, bool):
-        raise ExtractionError(f"option {key} must be true or false, got {value!r}")
-    return value
-
-
-def _as_str(eff: dict, key: str, fallback: str | None = None) -> str | None:
-    value = eff.get(key, fallback)
-    if value is not None and not isinstance(value, str):
-        raise ExtractionError(f"option {key} must be a string, got {value!r}")
-    return value
-
-
-def _effective(args: argparse.Namespace) -> dict:
-    """Config-file values overridden by whatever was given on the line."""
-    eff: dict = {}
+def _options(args: argparse.Namespace) -> dict:
+    """The options in force: ``--config`` values overridden by the flags
+    given.  Every value, from the file or a flag, is checked against its
+    row, and every required option must be present."""
+    table = {row[0]: row for row in OPTIONS[args.command]}
+    config = {}
     if args.config is not None:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
+        with _input(args.config):
+            config = json.loads(_read(args.config))
+        if not isinstance(config, dict):
             raise ExtractionError(f"config {args.config}: top level must be a JSON object")
-        unknown = set(data) - args.allowed
+        unknown = set(config) - set(table)
         if unknown:
-            raise ExtractionError(
-                f"config {args.config}: unknown keys {', '.join(sorted(unknown))}"
-            )
-        eff.update(data)
-    for key in args.allowed:
-        value = getattr(args, key, None)
-        if value is not None:
-            eff[key] = value
-    return eff
-
-
-def _require(eff: dict, *keys: str) -> None:
-    missing = [k for k in keys if k not in eff]
+            keys = ", ".join(sorted(unknown))
+            raise ExtractionError(f"config {args.config}: unknown keys {keys}")
+    flags = {name: getattr(args, name) for name in table if getattr(args, name) is not None}
+    for name, value in [*config.items(), *flags.items()]:
+        kind = table[name][1]
+        if isinstance(kind, tuple):
+            want, ok = " or ".join(kind), value in kind
+        else:
+            want, check = _KINDS[kind]
+            ok = check(value)
+        if not ok:
+            raise ExtractionError(f"option {name} must be {want}, got {value!r}")
+    options = {**config, **flags}
+    missing = [name for name, _, required, _ in table.values() if required and name not in options]
     if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-        raise ExtractionError(f"missing required option(s): {flags}")
+        flags_text = ", ".join("--" + k.replace("_", "-") for k in missing)
+        raise ExtractionError(f"missing required option(s): {flags_text}")
+    return options
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+@contextmanager
+def _input(path: str) -> Iterator[None]:
+    """Re-raise a decoding, JSON or bracketing error in reading ``path``
+    as one that names the file.  JSON nested too deep for the decoder's
+    recursion counts as malformed."""
+    try:
+        yield
+    except (UnicodeDecodeError, json.JSONDecodeError, TreeSyntaxError, RecursionError) as exc:
+        raise ExtractionError(f"{path}: {exc}") from None
 
 
 def _read_hashed(path: str) -> tuple[str, str]:
@@ -103,11 +150,22 @@ def _read_hashed(path: str) -> tuple[str, str]:
     The readers split lines with ``str.splitlines``, so CR and CRLF line
     ends need no newline translation."""
     data = Path(path).read_bytes()
-    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    with _input(path):
+        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    with _input(path):
+        return Path(path).read_text(encoding="utf-8")
+
+
+def load_taxonomy_files(taxonomy_path: str, lexicon_path: str) -> tuple[SenseLexicon, str, str]:
+    """The lexicon over its taxonomy, with the SHA-256 of each file's bytes
+    as parsed."""
+    taxonomy_text, taxonomy_sha256 = _read_hashed(taxonomy_path)
+    lexicon_text, lexicon_sha256 = _read_hashed(lexicon_path)
+    _, lexicon = load_taxonomy(taxonomy_text, lexicon_text)
+    return lexicon, taxonomy_sha256, lexicon_sha256
 
 
 def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], None]]]) -> None:
@@ -143,20 +201,20 @@ def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], None]]]) -> None:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    eff = _effective(args)
-    _require(eff, "corpus", "triples")
+    opts = _options(args)
     lemmas = EMPTY_LEMMA_TABLE
-    if _as_str(eff, "lemmas") is not None:
-        lemmas = LemmaTable.from_file(eff["lemmas"])
+    if "lemmas" in opts:
+        lemmas = LemmaTable.from_text(_read(opts["lemmas"]))
     tags = PENN
-    if _as_str(eff, "tagset") is not None:
-        tags = TagSet.from_file(eff["tagset"])
-
-    records = extract_corpus(read_trees(eff["corpus"]), lemmas, tags)
+    if "tagset" in opts:
+        with _input(opts["tagset"]):
+            tags = TagSet.from_file(opts["tagset"])
+    with _input(opts["corpus"]):
+        records = extract_corpus(read_trees(opts["corpus"]), lemmas, tags)
     kept = [r for r in records if r.kept]
     discards = [r for r in records if not r.kept]
-    triples_path = eff["triples"]
-    discards_path = eff.get("discards", triples_path + ".discards")
+    triples_path = opts["triples"]
+    discards_path = opts.get("discards", triples_path + ".discards")
     _write_outputs(
         [
             (triples_path, lambda f: write_triples(kept, f)),
@@ -175,28 +233,21 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    eff = _effective(args)
-    _require(eff, "taxonomy", "lexicon", "out")
-    triples_path = _as_str(eff, "triples")
-    counts_path = _as_str(eff, "counts")
-    if (triples_path is None) == (counts_path is None):
+    opts = _options(args)
+    if ("triples" in opts) == ("counts" in opts):
         raise ExtractionError("exactly one of --triples and --counts is required")
+    # Only the options given: the defaults are LearnerConfig's own.
+    fields = LearnerConfig.__dataclass_fields__
+    cfg = LearnerConfig(**{k: v for k, v in opts.items() if k in fields})
 
-    _, lexicon = load_taxonomy_files(eff["taxonomy"], eff["lexicon"])
-    text, input_sha256 = _read_hashed(counts_path if counts_path is not None else triples_path)
-    if counts_path is not None:
+    lexicon, *digests = load_taxonomy_files(opts["taxonomy"], opts["lexicon"])
+    text, input_sha256 = _read_hashed(opts.get("counts") or opts["triples"])
+    if "counts" in opts:
         table = read_counts(text)
     else:
         table = accumulate(read_triples(text))
     del text  # not needed while learning
 
-    cfg = LearnerConfig(
-        threshold=_as_int(eff, "threshold", 3),
-        scorer=ScoreKind(_as_str(eff, "scorer", "assoc")),
-        estimator=EstimatorKind(_as_str(eff, "estimator", "raw")),
-        min_verb_support=_as_int(eff, "min_verb_support", 10),
-        keep_nonpositive=_as_bool(eff, "keep_nonpositive", True),
-    )
     restrictions = learn_all(Scorer(table, lexicon), cfg)
     header = {
         "tool": f"selrestr {TOOL_VERSION}",
@@ -206,47 +257,43 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "min_verb_support": str(cfg.min_verb_support),
         "keep_nonpositive": "true" if cfg.keep_nonpositive else "false",
         "input_sha256": input_sha256,
-        "taxonomy_sha256": _sha256(eff["taxonomy"]),
-        "lexicon_sha256": _sha256(eff["lexicon"]),
+        "taxonomy_sha256": digests[0],
+        "lexicon_sha256": digests[1],
     }
-    _write_outputs([(eff["out"], lambda f: write_restrictions(restrictions, f, header))])
+    _write_outputs([(opts["out"], lambda f: write_restrictions(restrictions, f, header))])
     positions = {(sr.verb, sr.rel) for sr in restrictions}
     print(f"{len(restrictions)} restrictions across {len(positions)} verb positions")
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    eff = _effective(args)
-    _require(eff, "gold", "srs", "taxonomy", "lexicon")
-    _, lexicon = load_taxonomy_files(eff["taxonomy"], eff["lexicon"])
-    srs_text = _read(eff["srs"])
+    opts = _options(args)
+    lexicon, *digests = load_taxonomy_files(opts["taxonomy"], opts["lexicon"])
+    srs_text = _read(opts["srs"])
     header = read_header(srs_text)
-    for option in ("taxonomy", "lexicon"):
+    for option, digest in zip(("taxonomy", "lexicon"), digests):
         key = f"{option}_sha256"
-        if key in header and header[key] != _sha256(eff[option]):
+        if key in header and header[key] != digest:
             raise ExtractionError(
-                f"restrictions file {eff['srs']}: {key} does not match --{option} {eff[option]}"
+                f"restrictions file {opts['srs']}: {key} does not match --{option} {opts[option]}"
             )
-    gold = read_gold(_read(eff["gold"]))
+    gold = read_gold(_read(opts["gold"]))
     restrictions = read_restrictions(srs_text)
     labels = None
-    if _as_str(eff, "labels") is not None:
-        labels = read_labels(_read(eff["labels"]))
+    if "labels" in opts:
+        labels = read_labels(_read(opts["labels"]))
     report = evaluate_gold(gold, restrictions, lexicon, labels)
-    fmt = _as_str(eff, "format", "text")
-    if fmt not in ("text", "json"):
-        raise ExtractionError(f"format must be text or json, got {fmt!r}")
-    sys.stdout.write(report.render_json() if fmt == "json" else report.render_text())
+    json_format = opts.get("format", "text") == "json"
+    sys.stdout.write(report.render_json() if json_format else report.render_text())
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    eff = _effective(args)
-    _require(eff, "srs")
-    restrictions = read_restrictions(_read(eff["srs"]))
+    opts = _options(args)
+    restrictions = read_restrictions(_read(opts["srs"]))
     label_of = {}
-    if _as_str(eff, "labels") is not None:
-        for verb, rel, class_id, label, _count in read_labels(_read(eff["labels"])):
+    if "labels" in opts:
+        for verb, rel, class_id, label, _count in read_labels(_read(opts["labels"])):
             label_of[verb, rel, class_id] = label.value
     rows = [("verb", "rel", "class", "score", "nouns", "support", "label")]
     for sr in restrictions:
@@ -272,8 +319,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 # -- argument wiring -----------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="JSON", help="JSON file of option defaults")
+COMMANDS = (
+    ("extract", cmd_extract, "corpus trees -> co-occurrence triples"),
+    ("learn", cmd_learn, "triples -> selectional restrictions"),
+    ("eval", cmd_eval, "restrictions vs. gold triples -> report"),
+    ("report", cmd_report, "pretty-print a restrictions file"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,85 +334,18 @@ def build_parser() -> argparse.ArgumentParser:
         " from a parsed corpus and a noun taxonomy.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ex = sub.add_parser("extract", help="corpus trees -> co-occurrence triples")
-    ex.add_argument("--corpus", help="bracketed-tree corpus file")
-    ex.add_argument("--lemmas", help="form/POS/lemma table (TSV)")
-    ex.add_argument("--tagset", metavar="JSON", help="tag-set override file")
-    ex.add_argument("--triples", help="output triples file")
-    ex.add_argument("--discards", help="discard sidecar (default: <triples>.discards)")
-    _add_common(ex)
-    ex.set_defaults(
-        func=cmd_extract,
-        allowed=frozenset({"corpus", "lemmas", "tagset", "triples", "discards"}),
-    )
-
-    ln = sub.add_parser("learn", help="triples -> selectional restrictions")
-    ln.add_argument("--triples", help="triples file (one occurrence per line)")
-    ln.add_argument("--counts", help="pre-aggregated counts file")
-    ln.add_argument("--taxonomy", help="class hierarchy file")
-    ln.add_argument("--lexicon", help="noun sense file")
-    ln.add_argument("--out", help="output restrictions file")
-    ln.add_argument("--threshold", type=int, help="min occurrences per candidate class")
-    ln.add_argument(
-        "--scorer", choices=[k.value for k in ScoreKind], help="association measure"
-    )
-    ln.add_argument(
-        "--estimator",
-        choices=[k.value for k in EstimatorKind],
-        help="class count estimator",
-    )
-    ln.add_argument(
-        "--min-verb-support",
-        dest="min_verb_support",
-        type=int,
-        help="min triples per verb position",
-    )
-    ln.add_argument(
-        "--keep-nonpositive",
-        dest="keep_nonpositive",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="keep classes whose score is <= 0",
-    )
-    _add_common(ln)
-    ln.set_defaults(
-        func=cmd_learn,
-        allowed=frozenset(
-            {
-                "triples",
-                "counts",
-                "taxonomy",
-                "lexicon",
-                "out",
-                "threshold",
-                "scorer",
-                "estimator",
-                "min_verb_support",
-                "keep_nonpositive",
-            }
-        ),
-    )
-
-    ev = sub.add_parser("eval", help="restrictions vs. gold triples -> report")
-    ev.add_argument("--gold", help="annotated held-out triples")
-    ev.add_argument("--srs", help="restrictions file to evaluate")
-    ev.add_argument("--taxonomy", help="class hierarchy file")
-    ev.add_argument("--lexicon", help="noun sense file")
-    ev.add_argument("--labels", help="per-class diagnostic label file")
-    ev.add_argument("--format", choices=["text", "json"], help="report format")
-    _add_common(ev)
-    ev.set_defaults(
-        func=cmd_eval,
-        allowed=frozenset({"gold", "srs", "taxonomy", "lexicon", "labels", "format"}),
-    )
-
-    rp = sub.add_parser("report", help="pretty-print a restrictions file")
-    rp.add_argument("--srs", help="restrictions file")
-    rp.add_argument("--labels", help="per-class diagnostic label file")
-    _add_common(rp)
-    rp.set_defaults(func=cmd_report, allowed=frozenset({"srs", "labels"}))
-
+    for name, func, help_text in COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for option, kind, _, option_help in OPTIONS[name]:
+            flag = "--" + option.replace("_", "-")
+            if kind == BOOL:
+                command.add_argument(flag, action=argparse.BooleanOptionalAction, help=option_help)
+            elif isinstance(kind, tuple):
+                command.add_argument(flag, choices=kind, help=option_help)
+            else:
+                command.add_argument(flag, type=int if kind == INT else str, help=option_help)
+        command.add_argument("--config", metavar="JSON", help="JSON file of option defaults")
+        command.set_defaults(func=func)
     return parser
 
 

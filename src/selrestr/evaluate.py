@@ -213,6 +213,8 @@ def read_gold(text: str) -> list[GoldTriple]:
         sense: str | None = None
         error: str | None = None
         if len(fields) == 5:
+            if not fields[3]:
+                raise ExtractionError(f"gold line {lineno}: empty sense class (use - for unknown)")
             sense = None if fields[3] == "-" else fields[3]
             if fields[4] not in _GOLD_STATUS:
                 raise ExtractionError(

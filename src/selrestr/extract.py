@@ -116,15 +116,18 @@ class TagSet:
 
     @classmethod
     def from_json(cls, text: str) -> "TagSet":
+        """A JSON object mapping some of the field names to lists of
+        strings; the other fields keep their Penn defaults."""
         data = json.loads(text)
-        fields = {}
-        for name in cls.__dataclass_fields__:
-            if name in data:
-                fields[name] = frozenset(data[name])
+        if not isinstance(data, dict):
+            raise ExtractionError(f"tagset must be a JSON object, got {data!r}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ExtractionError(f"unknown tagset keys: {', '.join(sorted(unknown))}")
-        return cls(**fields)
+        for name, tags in data.items():
+            if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+                raise ExtractionError(f"tagset key {name} must be a list of strings, got {tags!r}")
+        return cls(**{name: frozenset(tags) for name, tags in data.items()})
 
     @classmethod
     def from_file(cls, path) -> "TagSet":

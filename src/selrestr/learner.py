@@ -36,7 +36,8 @@ class LearnerConfig:
     position) before learning is attempted at all.  Support is always
     counted in whole occurrences, regardless of the estimator used for
     scoring.  ``keep_nonpositive`` retains candidates whose score is
-    zero or negative; dropping them is the stricter reading.
+    zero or negative; dropping them is the stricter reading.  ``scorer``
+    and ``estimator`` may also be given by value, as in ``"g2"``.
     """
 
     threshold: int = 3
@@ -46,6 +47,8 @@ class LearnerConfig:
     keep_nonpositive: bool = True
 
     def __post_init__(self):
+        self.scorer = ScoreKind(self.scorer)
+        self.estimator = EstimatorKind(self.estimator)
         if self.threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {self.threshold}")
         if self.min_verb_support < 1:

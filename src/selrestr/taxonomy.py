@@ -239,11 +239,3 @@ def load_taxonomy(taxonomy_text: str, lexicon_text: str) -> tuple[Taxonomy, Sens
     taxonomy = parse_taxonomy(taxonomy_text)
     lexicon = parse_lexicon(lexicon_text, taxonomy)
     return taxonomy, lexicon
-
-
-def load_taxonomy_files(taxonomy_path, lexicon_path) -> tuple[Taxonomy, SenseLexicon]:
-    with open(taxonomy_path, encoding="utf-8") as f:
-        taxonomy_text = f.read()
-    with open(lexicon_path, encoding="utf-8") as f:
-        lexicon_text = f.read()
-    return load_taxonomy(taxonomy_text, lexicon_text)

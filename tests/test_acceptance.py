@@ -41,7 +41,7 @@ from selrestr.learner import (
     select_disjoint,
 )
 from selrestr.stats import EstimatorKind, Scorer, accumulate, log_likelihood_ratio
-from selrestr.taxonomy import load_taxonomy, load_taxonomy_files
+from selrestr.taxonomy import load_taxonomy
 from selrestr.trees import read_trees
 
 RAW = EstimatorKind.RAW
@@ -59,8 +59,9 @@ def test_criterion_1_demo_corpus_restrictions(data_dir, capsys):
     trees = read_trees(data_dir / "demo.mrg")
     lemmas = LemmaTable.from_file(data_dir / "demo_lemmas.tsv")
     records = [r for r in extract_corpus(trees, lemmas) if r.kept]
-    taxonomy, lexicon = load_taxonomy_files(
-        data_dir / "demo_taxonomy.tsv", data_dir / "demo_lexicon.tsv"
+    taxonomy, lexicon = load_taxonomy(
+        (data_dir / "demo_taxonomy.tsv").read_text(encoding="utf-8"),
+        (data_dir / "demo_lexicon.tsv").read_text(encoding="utf-8"),
     )
     srs = learn_all(
         Scorer(accumulate(records), lexicon),
@@ -326,8 +327,9 @@ def test_criterion_6_extraction_conservation(data_dir, test_data_dir, capsys):
 
 
 def test_criterion_7_eval_formulas(data_dir, test_data_dir, capsys):
-    _, lexicon = load_taxonomy_files(
-        data_dir / "toy_taxonomy.tsv", data_dir / "toy_lexicon.tsv"
+    _, lexicon = load_taxonomy(
+        (data_dir / "toy_taxonomy.tsv").read_text(encoding="utf-8"),
+        (data_dir / "toy_lexicon.tsv").read_text(encoding="utf-8"),
     )
     gold = read_gold((data_dir / "toy_gold.tsv").read_text(encoding="utf-8"))
     srs = read_restrictions((data_dir / "toy_srs.tsv").read_text(encoding="utf-8"))

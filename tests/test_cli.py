@@ -5,15 +5,20 @@ were derived by hand from the toy counts before being frozen.
 """
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import selrestr
+from selrestr import cli
 from selrestr.cli import run
 
 SRC_DIR = str(Path(selrestr.__file__).resolve().parent.parent)
@@ -572,3 +577,209 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
+
+
+# -- option table and input errors ----------------------------------------
+
+
+def _cli(cwd, *argv):
+    """``python -m selrestr ARGV`` in ``cwd`` with stdin closed: (status, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "selrestr", *argv],
+        cwd=cwd, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC_DIR},
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.returncode, proc.stderr
+
+
+class TestConfigValueRegressions:
+    """Config values of the wrong JSON type used to escape as a traceback,
+    read stdin, or fail without naming the option."""
+
+    def extract(self, data_dir, tmp_path, config):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["extract", "--config", "cfg.json"]
+        if "corpus" not in config:
+            argv += ["--corpus", str(data_dir / "demo.mrg")]
+        if "triples" not in config:
+            argv += ["--triples", "t.tsv"]
+        status, err = _cli(tmp_path, *argv)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+        return status, err
+
+    def test_corpus_list(self, data_dir, tmp_path):
+        assert self.extract(data_dir, tmp_path, {"corpus": ["x"]}) == (
+            1, "error: option corpus must be a path string, got ['x']\n"
+        )
+
+    def test_corpus_zero_does_not_read_stdin(self, data_dir, tmp_path):
+        assert self.extract(data_dir, tmp_path, {"corpus": 0}) == (
+            1, "error: option corpus must be a path string, got 0\n"
+        )
+
+    def test_triples_int(self, data_dir, tmp_path):
+        assert self.extract(data_dir, tmp_path, {"triples": 7}) == (
+            1, "error: option triples must be a path string, got 7\n"
+        )
+
+    def test_discards_int(self, data_dir, tmp_path):
+        assert self.extract(data_dir, tmp_path, {"discards": 3}) == (
+            1, "error: option discards must be a path string, got 3\n"
+        )
+
+    def test_scorer_names_the_option(self, data_dir, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"scorer": "bogus"}))
+        argv = toy_learn_argv(data_dir, tmp_path / "o.tsv", "--config", "cfg.json")
+        assert _cli(tmp_path, *argv) == (
+            1, "error: option scorer must be assoc or pairmi or g2, got 'bogus'\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_tagset_string_value_is_not_a_tag_list(self, data_dir, tmp_path):
+        # {"noun_tags": "NN"} used to be read as the tag set {"N"}.
+        (tmp_path / "tags.json").write_text('{"noun_tags": "NN"}')
+        argv = ["extract", "--corpus", str(data_dir / "demo.mrg"),
+                "--tagset", "tags.json", "--triples", "t.tsv"]
+        assert _cli(tmp_path, *argv) == (
+            1, "error: tagset key noun_tags must be a list of strings, got 'NN'\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tags.json"]
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("extract", {"tagset": 5}, "option tagset must be a path string, got 5"),
+        ("extract", {"lemmas": ""}, "option lemmas must be a path string, got ''"),
+        ("learn", {"threshold": True}, "option threshold must be an integer, got True"),
+        ("learn", {"min_verb_support": 1.0},
+         "option min_verb_support must be an integer, got 1.0"),
+        ("learn", {"keep_nonpositive": "no"},
+         "option keep_nonpositive must be true or false, got 'no'"),
+        ("learn", {"estimator": None}, "option estimator must be raw or sense, got None"),
+        ("learn", {"threshold": 0}, "threshold must be >= 1, got 0"),
+        ("eval", {"format": 3}, "option format must be text or json, got 3"),
+        ("report", {"labels": {"a": 1}}, "option labels must be a path string, got {'a': 1}"),
+    ],
+)
+def test_config_value_error_names_the_option(data_dir, tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.tsv"
+    argv = {
+        "extract": ["extract", "--corpus", str(data_dir / "demo.mrg"), "--triples", str(out)],
+        "learn": ["learn", "--counts", str(data_dir / "toy_counts.tsv"),
+                  "--taxonomy", str(data_dir / "toy_taxonomy.tsv"),
+                  "--lexicon", str(data_dir / "toy_lexicon.tsv"), "--out", str(out)],
+        "eval": TestEvalCommand().eval_argv(data_dir),
+        "report": ["report", "--srs", str(data_dir / "toy_srs.tsv")],
+    }[command]
+    assert run(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "name, content, option",
+    [
+        ("corpus.mrg", b"(S (NP (NN dog\xff)))\n", "--corpus"),
+        ("corpus.mrg", b"(S (NP (NN dog))\n", "--corpus"),
+        ("tags.json", b'{"noun_tags": ["N\xff"]}', "--tagset"),
+        ("tags.json", b'{"noun_tags": ["N"],}', "--tagset"),
+        ("lemmas.tsv", b"dogs\tnoun\tdog\xff\n", "--lemmas"),
+        ("cfg.json", b'{"triples": "t.tsv"\xff}', "--config"),
+        ("cfg.json", b"{'triples': 't.tsv'}", "--config"),
+        ("cfg.json", b"[" * 100_000, "--config"),
+    ],
+    ids=["corpus-utf8", "corpus-syntax", "tagset-utf8", "tagset-json", "lemmas-utf8",
+         "config-utf8", "config-json", "config-too-deep"],
+)
+def test_undecodable_input_names_the_file(data_dir, tmp_path, capsys, name, content, option):
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    argv = ["extract", "--corpus", str(data_dir / "demo.mrg"), option, str(bad)]
+    out = tmp_path / "t.tsv"
+    assert run(argv + ["--triples", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+# -- fuzzing ---------------------------------------------------------------
+
+# The toy inputs each fuzz case starts from, by the name it has in its
+# working directory.
+FUZZ_FILES = {
+    "corpus.mrg": "demo.mrg",
+    "lemmas.tsv": "demo_lemmas.tsv",
+    "counts.tsv": "toy_counts.tsv",
+    "taxonomy.tsv": "toy_taxonomy.tsv",
+    "lexicon.tsv": "toy_lexicon.tsv",
+    "gold.tsv": "toy_gold.tsv",
+    "srs.tsv": "toy_srs.tsv",
+    "labels.tsv": "toy_labels.tsv",
+}
+FUZZ_FLAGS = {
+    "extract": [("--corpus", "corpus.mrg"), ("--lemmas", "lemmas.tsv"), ("--triples", "out.tsv")],
+    "learn": [("--counts", "counts.tsv"), ("--taxonomy", "taxonomy.tsv"),
+              ("--lexicon", "lexicon.tsv"), ("--threshold", "1"),
+              ("--min-verb-support", "1"), ("--out", "out.tsv")],
+    "eval": [("--gold", "gold.tsv"), ("--srs", "srs.tsv"), ("--taxonomy", "taxonomy.tsv"),
+             ("--lexicon", "lexicon.tsv")],
+    "report": [("--srs", "srs.tsv")],
+}
+# Strings that mean something to some option, then JSON values of every
+# type.  Generated strings hold no path separator, so every path stays
+# inside the case's working directory.
+MEANINGFUL = [*FUZZ_FILES, "out.tsv", "tags.json", "", ".", "assoc", "g2", "sense", "json"]
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-3, max_value=12) | st.floats()
+    | st.sampled_from(MEANINGFUL)
+    | st.text(st.characters(blacklist_characters="/\\", blacklist_categories=("Cs",)), max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _snapshot(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", list(FUZZ_FLAGS))
+def test_fuzz_config_gives_a_status_never_a_traceback(data_dir, tmp_path, command):
+    names = [name for name, *_ in cli.OPTIONS[command]] + ["unknown_key"]
+    flags = FUZZ_FLAGS[command]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        config=st.dictionaries(st.sampled_from(names), json_value, max_size=4),
+        keep=st.lists(st.booleans(), min_size=len(flags), max_size=len(flags)),
+    )
+    def check(config, keep):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+            root = Path(work)
+            for name, source in FUZZ_FILES.items():
+                (root / name).write_bytes((data_dir / source).read_bytes())
+            (root / "tags.json").write_text('{"noun_tags": ["NN", "NNS"]}')
+            (root / "cfg.json").write_text(json.dumps(config))
+            argv = [command, "--config", "cfg.json"]
+            for (flag, value), used in zip(flags, keep):
+                argv += [flag, value] if used else []
+            before = _snapshot(root)
+            out, err = io.StringIO(), io.StringIO()
+            cwd = os.getcwd()
+            os.chdir(root)
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    status = run(argv)
+            finally:
+                os.chdir(cwd)
+            after = _snapshot(root)
+            assert status in (0, 1, 2)
+            assert not [p for p in after if p.name.endswith(".tmp")], after
+            if status:
+                assert err.getvalue().startswith("error: "), err.getvalue()
+                assert after == before
+
+    check()

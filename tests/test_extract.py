@@ -76,6 +76,20 @@ class TestTagSet:
         with pytest.raises(ExtractionError, match="unknown tagset keys: nouns"):
             TagSet.from_json('{"nouns": ["NN"]}')
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"noun_tags": "NN"}', "tagset key noun_tags must be a list of strings, got 'NN'"),
+            ('{"noun_tags": 5}', "tagset key noun_tags must be a list of strings, got 5"),
+            ('{"verb_tags": ["VB", 1]}', "tagset key verb_tags must be a list of strings"),
+            ('["noun_tags"]', "tagset must be a JSON object, got ['noun_tags']"),
+        ],
+    )
+    def test_from_json_rejects_other_shapes(self, text, message):
+        with pytest.raises(ExtractionError) as err:
+            TagSet.from_json(text)
+        assert str(err.value).startswith(message)
+
     def test_from_file(self, tmp_path):
         p = tmp_path / "tags.json"
         p.write_text('{"pp_labels": ["PP", "PP-LOC"]}', encoding="utf-8")

@@ -2,6 +2,7 @@
 wraps must still resolve, and its count hooks must still read the
 arguments and results, or a refactor silently drops per-layer metrics."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -15,6 +16,7 @@ import pytest
 import selrestr
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+RUNNER = TRACER.with_name("run.py")
 SRC_DIR = str(Path(selrestr.__file__).resolve().parent.parent)
 
 
@@ -75,3 +77,21 @@ def test_traced_toy_learn_and_eval(data_dir, tmp_path):
     assert evaluated["counts"]["evaluate.fulfills_calls"] > 0
     spans = {name for name, *_ in evaluated["spans"]}
     assert {"cli", "taxonomy.load", "evaluate.read", "evaluate.eval"} <= spans
+
+
+def test_benchmark_setup_code_runs(data_dir):
+    # The set-up child of perfbench/run.py calls selrestr.cli by name; if
+    # that call breaks, every set-up time is of a failing command.
+    module = ast.parse(RUNNER.read_text(encoding="utf-8"))
+    setup_code = next(
+        ast.literal_eval(node.value)
+        for node in module.body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "SETUP_CODE"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", setup_code,
+         str(data_dir / "toy_taxonomy.tsv"), str(data_dir / "toy_lexicon.tsv")],
+        env=dict(os.environ, PYTHONPATH=SRC_DIR), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -5,8 +5,8 @@ stripped from the ends of a line, tabs are kept, blank and ``#`` lines
 are skipped, and an error in a line names ``<kind> line N``.  The fuzz
 tests feed each reader text built from the characters these files are
 made of and require a result or the reader's own ``ValueError``
-subclass, never another exception; a result may hold no empty name, no
-non-finite score and no negative count.
+subclass, never another exception; a result may hold no empty name or
+sense class, no non-finite score and no negative count.
 """
 
 import math
@@ -85,6 +85,7 @@ BAD_FIELDS = [
      "nouns and support must be >= 0"),
     ("gold-empty-verb", "gold", "\t1\tdog", "empty verb or noun"),
     ("gold-empty-noun", "gold", "eat\t1\t\tanimal\tok", "empty verb or noun"),
+    ("gold-empty-sense", "gold", "eat\t1\tdog\t\tok", "empty sense class (use - for unknown)"),
     ("labels-empty-verb", "labels", "\teat\tanimal\tOk", "empty verb or class"),
     ("labels-empty-class", "labels", "eat\t1\t\tOk\t2", "empty verb or class"),
 ]
@@ -128,7 +129,7 @@ ACCEPTED = {
     "restrictions": lambda sr: (
         sr.verb and sr.class_id and math.isfinite(sr.score) and min(sr.n_nouns, sr.support) >= 0
     ),
-    "gold": lambda g: g.record.verb and g.record.noun,
+    "gold": lambda g: g.record.verb and g.record.noun and g.correct_sense != "",
     "labels": lambda row: row[0] and row[2],
 }
 
