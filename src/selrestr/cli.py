@@ -107,8 +107,9 @@ def _options(args: argparse.Namespace) -> dict:
     table = {row[0]: row for row in OPTIONS[args.command]}
     config = {}
     if args.config is not None:
+        text = _read(args.config)
         with _input(args.config):
-            config = json.loads(_read(args.config))
+            config = json.loads(text)
         if not isinstance(config, dict):
             raise ExtractionError(f"config {args.config}: top level must be a JSON object")
         unknown = set(config) - set(table)
@@ -135,12 +136,15 @@ def _options(args: argparse.Namespace) -> dict:
 
 @contextmanager
 def _input(path: str) -> Iterator[None]:
-    """Re-raise a decoding, JSON or bracketing error in reading ``path``
-    as one that names the file.  JSON nested too deep for the decoder's
-    recursion counts as malformed."""
+    """Re-raise a decoding, JSON, bracketing or content error in reading
+    ``path`` as one that names the file.  JSON nested too deep for the
+    decoder's recursion counts as malformed.  An error raised inside must
+    not name the file already, as ``_read``'s do."""
     try:
         yield
-    except (UnicodeDecodeError, json.JSONDecodeError, TreeSyntaxError, RecursionError) as exc:
+    except (
+        UnicodeDecodeError, json.JSONDecodeError, TreeSyntaxError, RecursionError, ExtractionError
+    ) as exc:
         raise ExtractionError(f"{path}: {exc}") from None
 
 
@@ -204,7 +208,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     opts = _options(args)
     lemmas = EMPTY_LEMMA_TABLE
     if "lemmas" in opts:
-        lemmas = LemmaTable.from_text(_read(opts["lemmas"]))
+        with _input(opts["lemmas"]):
+            lemmas = LemmaTable.from_file(opts["lemmas"])
     tags = PENN
     if "tagset" in opts:
         with _input(opts["tagset"]):

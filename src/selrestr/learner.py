@@ -9,6 +9,13 @@ the whole space repeatedly extracts the best-scoring class and drops
 everything related to it by hyperonymy, so the surviving classes are
 mutually disjoint.
 
+The nouns of a group are walked once, by ``Scorer.group_sums``: the same
+walk gives the candidates' support and noun counts and the class sums
+their scores read, and the whole group is scored in one call.  Groups
+are learned one after another and the scorer keeps only the current
+group's sums, so memory grows with the largest group, not with the
+number of groups.
+
 The greedy pass is one walk in rank order with set lookups on hypernym
 closures, linear in the candidates times the closure size.  Taking the
 full candidate set, not a best-first climb from the sense classes, is
@@ -74,36 +81,28 @@ def candidate_space(
     """``(class_id, n_nouns, support)`` for every hypernym (at all levels)
     of the observed nouns' senses whose raw support reaches the
     threshold, sorted by class id."""
-    support: dict[str, int] = {}
-    distinct: dict[str, int] = {}
-    for n, c in model.table.nouns_for(v, s).items():
-        if n not in model.lexicon:
-            continue
-        for cls in model.lexicon.classes_of(n):
-            support[cls] = support.get(cls, 0) + c
-            distinct[cls] = distinct.get(cls, 0) + 1
-    return [
-        (cls, distinct[cls], supp)
-        for cls, supp in sorted(support.items())
+    sums = model.group_sums(v, s, cfg.estimator)
+    return sorted(
+        (cls, sums.distinct[cls], supp)
+        for cls, supp in sums.support.items()
         if supp >= cfg.threshold
-    ]
+    )
 
 
 def score_candidates(
     model: Scorer,
     v: str,
     s: SynRel,
-    candidates: Iterable[tuple[str, int, int]],
+    candidates: list[tuple[str, int, int]],
     cfg: LearnerConfig,
 ) -> list[SelectionalRestriction]:
-    """Score each candidate into a restriction.  None can fail: its raw
-    support is >= ``threshold`` >= 1, so every class sum it divides by is
-    positive for both estimators."""
+    """Score each candidate into a restriction, all in one call to the
+    scorer.  None can fail: its raw support is >= ``threshold`` >= 1, so
+    every class sum it divides by is positive for both estimators."""
+    scores = model.scores(cfg.scorer, v, s, [cls for cls, _, _ in candidates], cfg.estimator)
     return [
-        SelectionalRestriction(
-            v, s, cls, model.score(cfg.scorer, v, s, cls, cfg.estimator), n_nouns, support
-        )
-        for cls, n_nouns, support in candidates
+        SelectionalRestriction(v, s, cls, score, n_nouns, support)
+        for (cls, n_nouns, support), score in zip(candidates, scores)
     ]
 
 

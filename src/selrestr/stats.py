@@ -28,9 +28,11 @@ quantities compare equal and independence gives a score of exactly 0.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .extract import ExtractionError, SynRel, TripleRecord
 from .taxonomy import SenseLexicon
@@ -64,19 +66,29 @@ class CountsTable:
             if n < 1:
                 raise ValueError(f"count for {key} must be >= 1, got {n}")
         self.counts: dict[tuple[str, SynRel, str], int] = dict(counts)
-        self.position_total: dict[SynRel, int] = {}
-        self.verb_position_total: dict[tuple[str, SynRel], int] = {}
-        self.noun_total: dict[str, int] = {}
+        # Each key is one (v, s, n), so a group's nouns need no summing;
+        # every marginal is then summed from the groups.
         self._by_vs: dict[tuple[str, SynRel], dict[str, int]] = {}
-        self._by_s: dict[SynRel, dict[str, int]] = {}
         for (v, s, n), c in self.counts.items():
-            self.position_total[s] = self.position_total.get(s, 0) + c
-            self.verb_position_total[v, s] = self.verb_position_total.get((v, s), 0) + c
-            self.noun_total[n] = self.noun_total.get(n, 0) + c
-            vs_map = self._by_vs.setdefault((v, s), {})
-            vs_map[n] = vs_map.get(n, 0) + c
-            s_map = self._by_s.setdefault(s, {})
-            s_map[n] = s_map.get(n, 0) + c
+            group = self._by_vs.get((v, s))
+            if group is None:
+                group = self._by_vs[v, s] = {}
+            group[n] = c
+        self.verb_position_total: dict[tuple[str, SynRel], int] = {
+            vs: sum(group.values()) for vs, group in self._by_vs.items()
+        }
+        self._by_s: dict[SynRel, dict[str, int]] = {}
+        for (_, s), group in self._by_vs.items():
+            at_s = self._by_s.setdefault(s, {})
+            for n, c in group.items():
+                at_s[n] = at_s.get(n, 0) + c
+        self.position_total: dict[SynRel, int] = {
+            s: sum(at_s.values()) for s, at_s in self._by_s.items()
+        }
+        self.noun_total: dict[str, int] = {}
+        for at_s in self._by_s.values():
+            for n, c in at_s.items():
+                self.noun_total[n] = self.noun_total.get(n, 0) + c
         self.grand_total: int = sum(self.position_total.values())
 
     @property
@@ -191,6 +203,14 @@ def log_likelihood_ratio(k11, k12, k21, k22, scale: int = 1) -> float:
     return 0.0
 
 
+class GroupSums(NamedTuple):
+    """Integer class sums over one walk of a set of noun counts."""
+
+    support: dict[str, int]  # raw occurrences under each class
+    distinct: Mapping[str, int]  # distinct nouns under each class
+    joint: dict[str, int]  # the estimator's scaled sums; ``support`` for raw
+
+
 class Scorer:
     """Binds a counts table to a taxonomy and lexicon and scores classes.
 
@@ -204,8 +224,15 @@ class Scorer:
     reference.  The public count accessors return unscaled values
     (``Fraction`` for the sense-corrected estimator).
 
-    ``sense_scale`` is fixed at construction and class sums are cached
-    per (position, estimator), so the object is cheap to query repeatedly.
+    One walk of the nouns of a (verb, position), ``group_sums``, yields the
+    raw support and distinct-noun counts that candidate generation reads
+    and the estimator's sums that scoring reads.  Only the last group
+    walked is kept, so memory is bounded by one group however many groups
+    are visited; the learner visits each group once.  The sums of a whole
+    position and of the whole table, which every group's scores divide by,
+    are kept per estimator.  ``scores`` scores a list of classes of one
+    group with the group's totals taken once, and the per-class methods
+    call it with a single class, so each scorer has one formula.
     """
 
     def __init__(self, table: CountsTable, lexicon: SenseLexicon):
@@ -215,40 +242,54 @@ class Scorer:
         self.sense_scale: int = math.lcm(
             *{len(lexicon.senses(n)) for n in table.noun_total if n in lexicon}
         )
-        self._vs_class_sums: dict = {}
-        self._position_class_sums: dict = {}
-        self._global_class_sums: dict = {}
+        self._group: tuple[tuple[str, SynRel, EstimatorKind], GroupSums] | None = None
+        self._position_class_sums: dict[tuple[SynRel, EstimatorKind], dict[str, int]] = {}
+        self._global_class_sums: dict[EstimatorKind, dict[str, int]] = {}
 
     # -- class-level counts ---------------------------------------------
 
     def _scale(self, est: EstimatorKind) -> int:
         return 1 if est is EstimatorKind.RAW else self.sense_scale
 
-    def _class_sums(self, noun_counts: Mapping[str, int], est: EstimatorKind) -> dict[str, int]:
-        """Class -> scaled (integer) sum over the given noun counts."""
+    def _walk(self, noun_counts: Mapping[str, int], est: EstimatorKind) -> GroupSums:
+        """Class sums over the given noun counts; a noun outside the
+        lexicon supports no class."""
+        lexicon = self.lexicon
+        nouns = [(n, c) for n, c in noun_counts.items() if n in lexicon]
+        closures = [lexicon.classes_of(n) for n, _ in nouns]
+        distinct = Counter(chain.from_iterable(closures))
+        # One occurrence per noun so far; a noun seen c times adds c - 1.
+        support = dict(distinct)
+        for (_, c), closure in zip(nouns, closures):
+            if c > 1:
+                extra = c - 1
+                for cls in closure:
+                    support[cls] += extra
+        joint = support if est is EstimatorKind.RAW else self._sense_sums(nouns)
+        return GroupSums(support, distinct, joint)
+
+    def _sense_sums(self, nouns: Iterable[tuple[str, int]]) -> dict[str, int]:
+        """Scaled sense-corrected sums over (lexicon noun, count) pairs."""
         sums: dict[str, int] = {}
-        if est is EstimatorKind.RAW:
-            for n, c in noun_counts.items():
-                if n not in self.lexicon:
-                    continue
-                for cls in self.lexicon.classes_of(n):
-                    sums[cls] = sums.get(cls, 0) + c
-        else:
-            for n, c in noun_counts.items():
-                if n not in self.lexicon:
-                    continue
-                unit = c * (self.sense_scale // len(self.lexicon.senses(n)))
-                for cls, hits in self.lexicon.sense_hits(n).items():
-                    sums[cls] = sums.get(cls, 0) + unit * hits
+        for n, c in nouns:
+            unit = c * (self.sense_scale // len(self.lexicon.senses(n)))
+            for cls, hits in self.lexicon.sense_hits(n).items():
+                sums[cls] = sums.get(cls, 0) + unit * hits
         return sums
 
-    def _vs_sums(self, v: str, s: SynRel, est: EstimatorKind) -> dict[str, int]:
+    def _class_sums(self, noun_counts: Mapping[str, int], est: EstimatorKind) -> dict[str, int]:
+        """The estimator's sums alone, for a whole position or table."""
+        if est is EstimatorKind.RAW:
+            return self._walk(noun_counts, est).support
+        return self._sense_sums((n, c) for n, c in noun_counts.items() if n in self.lexicon)
+
+    def group_sums(self, v: str, s: SynRel, est: EstimatorKind) -> GroupSums:
+        """The class sums of the nouns seen with (v, s); a new group
+        replaces the one kept."""
         key = (v, s, est)
-        cached = self._vs_class_sums.get(key)
-        if cached is None:
-            cached = self._class_sums(self.table.nouns_for(v, s), est)
-            self._vs_class_sums[key] = cached
-        return cached
+        if self._group is None or self._group[0] != key:
+            self._group = (key, self._walk(self.table.nouns_for(v, s), est))
+        return self._group[1]
 
     def _position_sums(self, s: SynRel, est: EstimatorKind) -> dict[str, int]:
         key = (s, est)
@@ -270,14 +311,14 @@ class Scorer:
 
     def class_counts(self, v: str, s: SynRel, est: EstimatorKind) -> Mapping:
         """All classes supported by (v, s) with their (possibly weighted) counts."""
-        sums = self._vs_sums(v, s, est)
+        sums = self.group_sums(v, s, est).joint
         if est is EstimatorKind.RAW:
             return sums
         return {cls: Fraction(k, self.sense_scale) for cls, k in sums.items()}
 
     def class_count(self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW):
         """Occurrences of nouns of class ``c`` with (v, s); 0 if unsupported."""
-        return self._unscaled(self._vs_sums(v, s, est).get(c, 0), est)
+        return self._unscaled(self.group_sums(v, s, est).joint.get(c, 0), est)
 
     def position_class_count(self, s: SynRel, c: str, est: EstimatorKind):
         """Class occurrences at position ``s`` across all verbs."""
@@ -314,61 +355,102 @@ class Scorer:
             raise ZeroDenominatorError(f"no observations of verb {v!r} at position {s.code!r}")
         return total, vs
 
+    def scores(
+        self,
+        kind: ScoreKind,
+        v: str,
+        s: SynRel,
+        classes: Sequence[str],
+        est: EstimatorKind = EstimatorKind.RAW,
+    ) -> list[float]:
+        """The scores of ``classes`` for (v, s), in order.  Under assoc and
+        pairmi every class must have support with (v, s)."""
+        if kind is ScoreKind.ASSOC:
+            return [weight * mi for weight, mi in self._assoc_terms(v, s, classes, est)]
+        if kind is ScoreKind.ASSOC_PAIR_MI:
+            return self._pair_mi_scores(v, s, classes, est)
+        return self._g2_scores(v, s, classes, est)
+
+    def _assoc_terms(
+        self, v: str, s: SynRel, classes: Sequence[str], est: EstimatorKind
+    ) -> list[tuple[float, float]]:
+        total, vs = self._position_totals(v, s)
+        joint = self.group_sums(v, s, est).joint
+        at_position = self._position_sums(s, est)
+        weight_denominator = vs * self._scale(est)
+        terms = []
+        for c in classes:
+            k = _supported(joint, v, s, c)
+            # P(v,c|s) / (P(v|s) P(c|s)); the scale of k and at_position cancels.
+            terms.append((k / weight_denominator, math.log2(k * total / (vs * at_position[c]))))
+        return terms
+
+    def _pair_mi_scores(
+        self, v: str, s: SynRel, classes: Sequence[str], est: EstimatorKind
+    ) -> list[float]:
+        grand = self.table.grand_total
+        if grand == 0:
+            raise ZeroDenominatorError("empty counts table")
+        joint = self.group_sums(v, s, est).joint
+        vs = self.table.vs_total(v, s)
+        weight_denominator = vs * self._scale(est)
+        at_all = self._global_sums(est)
+        out = []
+        for c in classes:
+            k = _supported(joint, v, s, c)
+            # P(v,s,c) / (P(v,s) P(c)); the scale of k and at_all cancels.
+            out.append(k / weight_denominator * math.log2(k * grand / (vs * at_all[c])))
+        return out
+
+    def _g2_scores(
+        self, v: str, s: SynRel, classes: Sequence[str], est: EstimatorKind
+    ) -> list[float]:
+        total = self.table.total(s)
+        if total == 0:
+            raise ZeroDenominatorError(f"no observations at position {s.code!r}")
+        scale = self._scale(est)
+        joint = self.group_sums(v, s, est).joint
+        at_position = self._position_sums(s, est)
+        row = self.table.vs_total(v, s) * scale  # this verb, in class or not
+        n = total * scale
+        out = []
+        for c in classes:
+            k11 = joint.get(c, 0)
+            k21 = at_position.get(c, 0) - k11
+            out.append(log_likelihood_ratio(k11, row - k11, k21, n - row - k21, scale))
+        return out
+
+    def score(
+        self, kind: ScoreKind, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW
+    ) -> float:
+        return self.scores(kind, v, s, (c,), est)[0]
+
     def assoc_components(
         self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW
     ) -> tuple[float, float]:
         """(P(c|v,s), conditional mutual information) whose product is assoc."""
-        total, vs = self._position_totals(v, s)
-        joint = self._vs_sums(v, s, est).get(c, 0)
-        if joint == 0:
-            raise UnsupportedClassError(
-                f"class {c!r} has no support with verb {v!r} at position {s.code!r}"
-            )
-        at_position = self._position_sums(s, est).get(c, 0)
-        # P(v,c|s) / (P(v|s) P(c|s)); the scale of joint and at_position cancels.
-        mi = math.log2(joint * total / (vs * at_position))
-        return joint / (vs * self._scale(est)), mi
+        return self._assoc_terms(v, s, (c,), est)[0]
 
     def assoc(self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW) -> float:
-        weight, mi = self.assoc_components(v, s, c, est)
-        return weight * mi
+        return self.score(ScoreKind.ASSOC, v, s, c, est)
 
     def assoc_pair_mi(
         self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW
     ) -> float:
         """Association with the verb-position pair treated as one event,
         estimated over the whole triple space rather than per position."""
-        grand = self.table.grand_total
-        if grand == 0:
-            raise ZeroDenominatorError("empty counts table")
-        joint = self._vs_sums(v, s, est).get(c, 0)
-        if joint == 0:
-            raise UnsupportedClassError(
-                f"class {c!r} has no support with verb {v!r} at position {s.code!r}"
-            )
-        vs = self.table.vs_total(v, s)
-        at_all = self._global_sums(est).get(c, 0)
-        # P(v,s,c) / (P(v,s) P(c)); the scale of joint and at_all cancels.
-        mi = math.log2(joint * grand / (vs * at_all))
-        return joint / (vs * self._scale(est)) * mi
+        return self.score(ScoreKind.ASSOC_PAIR_MI, v, s, c, est)
 
     def g2(self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW) -> float:
         """Signed log-likelihood ratio of class-vs-verb at the position."""
-        total = self.table.total(s)
-        if total == 0:
-            raise ZeroDenominatorError(f"no observations at position {s.code!r}")
-        scale = self._scale(est)
-        k11 = self._vs_sums(v, s, est).get(c, 0)
-        k12 = self.table.vs_total(v, s) * scale - k11
-        k21 = self._position_sums(s, est).get(c, 0) - k11
-        k22 = total * scale - k11 - k12 - k21
-        return log_likelihood_ratio(k11, k12, k21, k22, scale)
+        return self.score(ScoreKind.LOG_LIKELIHOOD_RATIO, v, s, c, est)
 
-    def score(
-        self, kind: ScoreKind, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW
-    ) -> float:
-        if kind is ScoreKind.ASSOC:
-            return self.assoc(v, s, c, est)
-        if kind is ScoreKind.ASSOC_PAIR_MI:
-            return self.assoc_pair_mi(v, s, c, est)
-        return self.g2(v, s, c, est)
+
+def _supported(joint: Mapping[str, int], v: str, s: SynRel, c: str) -> int:
+    """The class sum of ``c`` for (v, s), which must be positive."""
+    k = joint.get(c, 0)
+    if k == 0:
+        raise UnsupportedClassError(
+            f"class {c!r} has no support with verb {v!r} at position {s.code!r}"
+        )
+    return k

@@ -3,7 +3,10 @@
 Everything here recomputes quantities from first principles over explicit
 triple lists (``(verb, rel_code, noun)`` tuples, one per occurrence) and a
 plain parent map, with no imports from the package under test, so test
-expectations are cross-checked rather than copied.
+expectations are cross-checked rather than copied.  The class-sum loops
+are the exception: they walk a noun -> count map one noun at a time over
+the package's lexicon object, as the scorer and the learner once did in
+two separate passes, and are the reference for the scorer's single walk.
 """
 
 from __future__ import annotations
@@ -137,6 +140,43 @@ def g2(k11, k12, k21, k22) -> float:
     if Fraction(k11) == Fraction(r1) * c1 / n:
         return 0.0
     return total if k11 > Fraction(r1) * c1 / n else -total
+
+
+# -- class-sum loops over the package's lexicon ----------------------------
+
+
+def support_and_distinct(noun_counts, lexicon) -> tuple[dict[str, int], dict[str, int]]:
+    """Raw occurrences and distinct nouns under each class; nouns missing
+    from the lexicon support nothing."""
+    support: dict[str, int] = {}
+    distinct: dict[str, int] = {}
+    for n, c in noun_counts.items():
+        if n not in lexicon:
+            continue
+        for cls in lexicon.classes_of(n):
+            support[cls] = support.get(cls, 0) + c
+            distinct[cls] = distinct.get(cls, 0) + 1
+    return support, distinct
+
+
+def class_sums(noun_counts, lexicon, sense_scale: int | None = None) -> dict[str, int]:
+    """Raw class sums, or with ``sense_scale`` the sense-corrected sums
+    multiplied by it (each sense fraction must come out whole)."""
+    sums: dict[str, int] = {}
+    if sense_scale is None:
+        for n, c in noun_counts.items():
+            if n not in lexicon:
+                continue
+            for cls in lexicon.classes_of(n):
+                sums[cls] = sums.get(cls, 0) + c
+    else:
+        for n, c in noun_counts.items():
+            if n not in lexicon:
+                continue
+            unit = c * (sense_scale // len(lexicon.senses(n)))
+            for cls, hits in lexicon.sense_hits(n).items():
+                sums[cls] = sums.get(cls, 0) + unit * hits
+    return sums
 
 
 def score_all_candidates(triples, parents, senses, v, s, threshold, sense_corrected=False):

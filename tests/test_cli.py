@@ -642,9 +642,28 @@ class TestConfigValueRegressions:
         argv = ["extract", "--corpus", str(data_dir / "demo.mrg"),
                 "--tagset", "tags.json", "--triples", "t.tsv"]
         assert _cli(tmp_path, *argv) == (
-            1, "error: tagset key noun_tags must be a list of strings, got 'NN'\n"
+            1, "error: tags.json: tagset key noun_tags must be a list of strings, got 'NN'\n"
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tags.json"]
+
+
+@pytest.mark.parametrize(
+    "name, content, option, message",
+    [
+        ("tags.json", '{"noun_tags": ["NN"], "np_label": ["NP"]}', "--tagset",
+         "unknown tagset keys: np_label"),
+        ("lemmas.tsv", "mice\tnoun\tmouse\n# comment\ngeese\tX\tgoose\n", "--lemmas",
+         "lemma table line 3: bad POS 'X'"),
+    ],
+    ids=["tagset", "lemmas"],
+)
+def test_content_error_names_the_file(data_dir, tmp_path, name, content, option, message):
+    # A well-formed file whose content is wrong used to name only the
+    # input kind, not the file.
+    (tmp_path / name).write_text(content)
+    argv = ["extract", "--corpus", str(data_dir / "demo.mrg"), option, name, "--triples", "t.tsv"]
+    assert _cli(tmp_path, *argv) == (1, f"error: {name}: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
 
 @pytest.mark.parametrize(

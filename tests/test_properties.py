@@ -26,9 +26,16 @@ from selrestr.learner import (
     score_candidates,
     select_disjoint,
 )
-from selrestr.stats import EstimatorKind, ScoreKind, accumulate, log_likelihood_ratio
+from selrestr.stats import (
+    CountsTable,
+    EstimatorKind,
+    ScoreKind,
+    Scorer,
+    accumulate,
+    log_likelihood_ratio,
+)
 from selrestr.taxonomy import load_taxonomy
-from worlds import make_world, taxonomy_text
+from worlds import RELS, make_world, taxonomy_text
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 S0 = SynRel("0")
@@ -192,6 +199,134 @@ class TestCountConservation:
                 for noun, count in scorer.table.nouns_at(s).items()
             )
             assert raw_mass == expected
+
+
+class TestCountsTableMarginals:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.dictionaries(
+            st.tuples(
+                st.sampled_from(["v0", "v1", "v2"]),
+                st.sampled_from(RELS).map(SynRel),
+                st.sampled_from(["n0", "n1", "n2", "n3"]),
+            ),
+            st.integers(min_value=1, max_value=1000),
+            max_size=36,
+        )
+    )
+    def test_marginals_are_sums_of_the_counts(self, counts):
+        table = CountsTable(counts)
+        at_s: dict = {}
+        for_vs: dict = {}
+        noun_total: dict = {}
+        for (v, s, n), c in counts.items():
+            nouns = at_s.setdefault(s, {})
+            nouns[n] = nouns.get(n, 0) + c
+            for_vs.setdefault((v, s), {})[n] = c
+            noun_total[n] = noun_total.get(n, 0) + c
+        assert table.counts == counts
+        assert table.grand_total == sum(counts.values())
+        assert table.noun_total == noun_total
+        assert table.position_total == {s: sum(ns.values()) for s, ns in at_s.items()}
+        assert table.verb_position_total == {vs: sum(ns.values()) for vs, ns in for_vs.items()}
+        for code in RELS:
+            s = SynRel(code)
+            assert table.nouns_at(s) == at_s.get(s, {})
+            assert table.total(s) == sum(at_s.get(s, {}).values())
+            for v in ("v0", "v1", "v2"):
+                assert table.nouns_for(v, s) == for_vs.get((v, s), {})
+                assert table.vs_total(v, s) == sum(for_vs.get((v, s), {}).values())
+
+
+def _group_keys_held(scorer) -> set:
+    """Every (verb, position) that a (verb, position, estimator) key
+    reachable from the scorer's own state names, its table and lexicon
+    left out: the groups whose class sums it keeps."""
+    stack = [value for name, value in vars(scorer).items()
+             if name not in ("table", "lexicon", "taxonomy")]
+    seen, keys = set(), set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (tuple, list)):
+            if len(obj) == 3 and isinstance(obj[1], SynRel) and isinstance(obj[2], EstimatorKind):
+                keys.add(tuple(obj[:2]))
+            stack.extend(obj)
+    return keys
+
+
+class TestGroupSums:
+    def test_worlds_hold_repeats_lexicon_misses_and_many_senses(self):
+        # The worlds below are drawn this way; over a few seeds they hold
+        # nouns seen more than once in a group, nouns missing from the
+        # lexicon and nouns with up to five senses.
+        repeats = misses = most_senses = 0
+        for seed in range(50):
+            _, senses, triples = make_world(
+                random.Random(seed), full_lexicon=False, max_senses=5
+            )
+            repeats += len(triples) > len(set(triples))
+            misses += any(n not in senses for _, _, n in triples)
+            most_senses = max(most_senses, *map(len, senses.values()), 0)
+        assert repeats and misses and most_senses == 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds)
+    def test_one_walk_equals_the_reference_loops(self, seed):
+        parents, senses, triples = make_world(
+            random.Random(seed), full_lexicon=False, max_senses=5
+        )
+        scorer = build_world(parents, senses, triples)
+        table, lexicon, scale = scorer.table, scorer.lexicon, scorer.sense_scale
+        for v, s in table.verb_positions():
+            nouns = table.nouns_for(v, s)
+            support, distinct = oracle.support_and_distinct(nouns, lexicon)
+            raw = scorer.group_sums(v, s, EstimatorKind.RAW)
+            assert raw.support == support
+            assert dict(raw.distinct) == distinct
+            assert raw.joint is raw.support
+            sense = scorer.group_sums(v, s, EstimatorKind.SENSE_CORRECTED)
+            assert sense.support == support
+            assert dict(sense.distinct) == distinct
+            assert sense.joint == oracle.class_sums(nouns, lexicon, scale)
+        # the position and whole-table sums every score divides by
+        for est, est_scale in ((EstimatorKind.RAW, None), (EstimatorKind.SENSE_CORRECTED, scale)):
+            unit = 1 if est_scale is None else Fraction(1, scale)
+            at_all = oracle.class_sums(table.noun_total, lexicon, est_scale)
+            for c in parents:
+                assert scorer.global_class_count(c, est) == at_all.get(c, 0) * unit
+            for s in table.positions:
+                at_s = oracle.class_sums(table.nouns_at(s), lexicon, est_scale)
+                for c in parents:
+                    assert scorer.position_class_count(s, c, est) == at_s.get(c, 0) * unit
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds)
+    def test_scorer_keeps_the_sums_of_one_group(self, seed):
+        rng = random.Random(seed)
+        parents, senses, triples = make_world(rng, full_lexicon=False, max_senses=5)
+        scorer = build_world(parents, senses, triples)
+        est = rng.choice(list(EstimatorKind))
+        learn_all(scorer, LearnerConfig(threshold=1, estimator=est, min_verb_support=1))
+        assert len(_group_keys_held(scorer)) <= 1
+        # Interleaved queries over every group and both estimators give
+        # what a fresh scorer gives for each group alone.
+        groups = scorer.table.verb_positions()
+        expected = {
+            (v, s, e): dict(Scorer(scorer.table, scorer.lexicon).class_counts(v, s, e))
+            for v, s in groups
+            for e in EstimatorKind
+        }
+        queries = [(v, s, c, e) for v, s in groups for c in sorted(parents) for e in EstimatorKind]
+        rng.shuffle(queries)
+        for v, s, c, e in queries[:300]:
+            assert scorer.class_count(v, s, c, e) == expected[v, s, e].get(c, 0)
+            assert len(_group_keys_held(scorer)) <= 1
 
 
 class TestScoreAgreement:

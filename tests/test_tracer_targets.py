@@ -17,6 +17,7 @@ import selrestr
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 RUNNER = TRACER.with_name("run.py")
+SELFTEST = TRACER.with_name("selftest.py")
 SRC_DIR = str(Path(selrestr.__file__).resolve().parent.parent)
 
 
@@ -95,3 +96,15 @@ def test_benchmark_setup_code_runs(data_dir):
         env=dict(os.environ, PYTHONPATH=SRC_DIR), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark's own check at a tiny input size: every workload runs
+    # traced and untraced, every metric is emitted and no command fails
+    # its output checks (such as disjoint classes that meet the support
+    # threshold), so a change that breaks a run fails the suite too.
+    proc = subprocess.run(
+        [sys.executable, str(SELFTEST)],
+        cwd=SELFTEST.parent.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
