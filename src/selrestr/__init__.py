@@ -13,8 +13,6 @@ from .evaluate import (
     diagnostic_summary,
     evaluate_gold,
     fulfills,
-    precision,
-    recall,
 )
 from .extract import (
     LemmaTable,
@@ -64,7 +62,5 @@ __all__ = [
     "lemmatize",
     "load_taxonomy",
     "parse_bracketed",
-    "precision",
-    "recall",
     "select_disjoint",
 ]

@@ -6,8 +6,9 @@ object whose keys are the option names with underscores.  Explicit flags
 win over the file.  Each value, from the file or a flag, is checked
 against its option's kind: a path must be a non-empty JSON string, an
 integer a JSON integer, a switch true or false, and a choice one of its
-values.  An input that cannot be decoded or parsed as a whole (UTF-8,
-JSON, bracketed trees) gives an error that names the file.
+values.  An input that cannot be decoded or parsed (UTF-8, JSON, trees,
+TSV lines) gives an error that names the file; two outputs that name one
+file are refused before anything is written.
 
 Outputs carry no timestamps, and learned-restriction files embed the
 SHA-256 of the bytes each input was parsed from, so identical inputs give
@@ -29,7 +30,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, TextIO
+from typing import Callable, Iterator, TextIO, TypeVar
 
 from .evaluate import evaluate_gold, percentage, read_gold, read_labels
 from .extract import (
@@ -47,10 +48,11 @@ from .extract import (
 )
 from .learner import LearnerConfig, learn_all, read_header, read_restrictions, write_restrictions
 from .stats import EstimatorKind, ScoreKind, Scorer, accumulate, read_counts
-from .taxonomy import SenseLexicon, load_taxonomy
-from .trees import TreeSyntaxError, read_trees
+from .taxonomy import SenseLexicon, parse_lexicon, parse_taxonomy
+from .trees import read_trees
 
 TOOL_VERSION = "0.1.0"
+T = TypeVar("T")
 
 # -- options -------------------------------------------------------------
 # One table per subcommand; each row is (name, kind, required, help).  The
@@ -107,9 +109,7 @@ def _options(args: argparse.Namespace) -> dict:
     table = {row[0]: row for row in OPTIONS[args.command]}
     config = {}
     if args.config is not None:
-        text = _read(args.config)
-        with _input(args.config):
-            config = json.loads(text)
+        config = _parsed(args.config, json.loads)
         if not isinstance(config, dict):
             raise ExtractionError(f"config {args.config}: top level must be a JSON object")
         unknown = set(config) - set(table)
@@ -136,15 +136,13 @@ def _options(args: argparse.Namespace) -> dict:
 
 @contextmanager
 def _input(path: str) -> Iterator[None]:
-    """Re-raise a decoding, JSON, bracketing or content error in reading
-    ``path`` as one that names the file.  JSON nested too deep for the
-    decoder's recursion counts as malformed.  An error raised inside must
-    not name the file already, as ``_read``'s do."""
+    """Re-raise an error in reading or parsing ``path`` as one that names
+    the file: any ``ValueError`` (decoding, JSON, brackets, TSV lines), or
+    JSON nested too deep for the decoder.  An error raised inside must not
+    name the file already, as ``_read``'s do."""
     try:
         yield
-    except (
-        UnicodeDecodeError, json.JSONDecodeError, TreeSyntaxError, RecursionError, ExtractionError
-    ) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ExtractionError(f"{path}: {exc}") from None
 
 
@@ -163,12 +161,22 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
 
 
+def _parsed(path: str, parse: Callable[[str], T]) -> T:
+    """``parse`` applied to the file's text; an error names the file once."""
+    text = _read(path)
+    with _input(path):
+        return parse(text)
+
+
 def load_taxonomy_files(taxonomy_path: str, lexicon_path: str) -> tuple[SenseLexicon, str, str]:
     """The lexicon over its taxonomy, with the SHA-256 of each file's bytes
     as parsed."""
     taxonomy_text, taxonomy_sha256 = _read_hashed(taxonomy_path)
     lexicon_text, lexicon_sha256 = _read_hashed(lexicon_path)
-    _, lexicon = load_taxonomy(taxonomy_text, lexicon_text)
+    with _input(taxonomy_path):
+        taxonomy = parse_taxonomy(taxonomy_text)
+    with _input(lexicon_path):
+        lexicon = parse_lexicon(lexicon_text, taxonomy)
     return lexicon, taxonomy_sha256, lexicon_sha256
 
 
@@ -178,7 +186,14 @@ def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], None]]]) -> None:
 
     No output is replaced until every one is complete, so a failed write
     leaves no partial or half-updated output behind.  An error names the
-    output path, as opening that path directly would."""
+    output path, as opening that path directly would.  Two outputs that
+    resolve to one file are refused first: the second would replace the first."""
+    seen: set[str] = set()
+    for path, _ in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ExtractionError(f"{path}: two outputs name the same file")
+        seen.add(real)
     temps: list[str] = []
     path = None
     try:
@@ -246,11 +261,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
     cfg = LearnerConfig(**{k: v for k, v in opts.items() if k in fields})
 
     lexicon, *digests = load_taxonomy_files(opts["taxonomy"], opts["lexicon"])
-    text, input_sha256 = _read_hashed(opts.get("counts") or opts["triples"])
-    if "counts" in opts:
-        table = read_counts(text)
-    else:
-        table = accumulate(read_triples(text))
+    input_path = opts.get("counts") or opts["triples"]
+    text, input_sha256 = _read_hashed(input_path)
+    with _input(input_path):
+        table = read_counts(text) if "counts" in opts else accumulate(read_triples(text))
     del text  # not needed while learning
 
     restrictions = learn_all(Scorer(table, lexicon), cfg)
@@ -282,11 +296,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ExtractionError(
                 f"restrictions file {opts['srs']}: {key} does not match --{option} {opts[option]}"
             )
-    gold = read_gold(_read(opts["gold"]))
-    restrictions = read_restrictions(srs_text)
+    gold = _parsed(opts["gold"], read_gold)
+    with _input(opts["srs"]):
+        restrictions = read_restrictions(srs_text)
     labels = None
     if "labels" in opts:
-        labels = read_labels(_read(opts["labels"]))
+        labels = _parsed(opts["labels"], read_labels)
     report = evaluate_gold(gold, restrictions, lexicon, labels)
     json_format = opts.get("format", "text") == "json"
     sys.stdout.write(report.render_json() if json_format else report.render_text())
@@ -295,10 +310,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     opts = _options(args)
-    restrictions = read_restrictions(_read(opts["srs"]))
+    restrictions = _parsed(opts["srs"], read_restrictions)
     label_of = {}
     if "labels" in opts:
-        for verb, rel, class_id, label, _count in read_labels(_read(opts["labels"])):
+        for verb, rel, class_id, label, _count in _parsed(opts["labels"], read_labels):
             label_of[verb, rel, class_id] = label.value
     rows = [("verb", "rel", "class", "score", "nouns", "support", "label")]
     for sr in restrictions:

@@ -125,25 +125,6 @@ def _ratios(
     )
 
 
-def precision(
-    triples: Iterable[TripleRecord],
-    srs: Sequence[SelectionalRestriction],
-    lexicon: SenseLexicon,
-) -> Fraction | None:
-    """Fulfilled / triples whose position has restrictions; None if no
-    triple sits at a restricted position."""
-    return _ratios(triples, srs, lexicon)[0]
-
-
-def recall(
-    triples: Iterable[TripleRecord],
-    srs: Sequence[SelectionalRestriction],
-    lexicon: SenseLexicon,
-) -> Fraction | None:
-    """Fulfilled / all non-discarded triples; None if there are none."""
-    return _ratios(triples, srs, lexicon)[1]
-
-
 _CANONICAL_ORDER = (
     DiagnosticLabel.OK,
     DiagnosticLabel.UP_ABS,

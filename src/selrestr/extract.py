@@ -68,18 +68,6 @@ class SynRel(str):
     def code(self) -> str:
         return str.__str__(self)
 
-    @property
-    def is_subject(self) -> bool:
-        return self == SUBJECT_CODE
-
-    @property
-    def is_object(self) -> bool:
-        return self == OBJECT_CODE
-
-    @property
-    def is_prep(self) -> bool:
-        return self not in (SUBJECT_CODE, OBJECT_CODE)
-
     def __repr__(self) -> str:
         return f"SynRel(code={self.code!r})"
 

@@ -6,15 +6,16 @@ sense classes fall under the class, either whole occurrences (raw) or
 occurrences weighted by the fraction of the noun's senses under the
 class (sense-corrected).
 
-Three scoring functions rank candidate classes for a (verb, position):
+Three scoring functions (``ScoreKind``) rank candidate classes for a
+(verb, position):
 
-  assoc          P(c|v,s) * log2 [ P(v,c|s) / (P(v|s) P(c|s)) ]
-  assoc_pair_mi  P(c|v,s) * log2 [ P(v,s,c) / (P(v,s) P(c)) ], with the
-                 probabilities estimated over the whole triple space
-  g2             signed Dunning log-likelihood ratio of the 2x2 table
-                 (this verb vs. the rest) x (in class vs. out) at the
-                 position, natural log, positive when the verb and the
-                 class co-occur more than expected
+  assoc   P(c|v,s) * log2 [ P(v,c|s) / (P(v|s) P(c|s)) ]
+  pairmi  P(c|v,s) * log2 [ P(v,s,c) / (P(v,s) P(c)) ], with the
+          probabilities estimated over the whole triple space
+  g2      signed Dunning log-likelihood ratio of the 2x2 table
+          (this verb vs. the rest) x (in class vs. out) at the
+          position, natural log, positive when the verb and the
+          class co-occur more than expected
 
 Class sums are kept as integers: raw sums count whole occurrences, and
 sense-corrected sums are scaled by the least common multiple of the
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
-from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -91,21 +91,6 @@ class CountsTable:
                 self.noun_total[n] = self.noun_total.get(n, 0) + c
         self.grand_total: int = sum(self.position_total.values())
 
-    @property
-    def verbs(self) -> set[str]:
-        return {v for v, _ in self.verb_position_total}
-
-    @property
-    def nouns(self) -> set[str]:
-        return set(self.noun_total)
-
-    @property
-    def positions(self) -> set[SynRel]:
-        return set(self.position_total)
-
-    def count(self, v: str, s: SynRel, n: str) -> int:
-        return self.counts.get((v, s, n), 0)
-
     def total(self, s: SynRel) -> int:
         return self.position_total.get(s, 0)
 
@@ -153,20 +138,6 @@ def read_counts(text: str) -> CountsTable:
         key = (verb, rel, noun)
         counts[key] = counts.get(key, 0) + count
     return CountsTable(counts)
-
-
-def write_counts(table: CountsTable, f) -> None:
-    for (v, s, n), c in sorted(table.counts.items(), key=lambda kv: (kv[0][0], kv[0][1].code, kv[0][2])):
-        f.write(f"{v}\t{s.code}\t{n}\t{c}\n")
-
-
-class CondProbs(NamedTuple):
-    """The four estimates behind the association score, as exact rationals."""
-
-    c_given_vs: Fraction
-    v_given_s: Fraction
-    c_given_s: Fraction
-    vc_given_s: Fraction
 
 
 def log_likelihood_ratio(k11, k12, k21, k22, scale: int = 1) -> float:
@@ -218,11 +189,10 @@ class Scorer:
     sums count an occurrence of a noun with k senses, j of them under the
     class, as ``sense_scale * j / k``; ``sense_scale`` is the least common
     multiple of the sense counts of the table's nouns, so every such weight
-    is whole.  Scores divide the scale back out in correctly rounded int/int
-    divisions, so they equal bit for bit the scores computed from exact
-    rational counts; ``cond_probs`` keeps those rationals for assoc as the
-    reference.  The public count accessors return unscaled values
-    (``Fraction`` for the sense-corrected estimator).
+    is whole, and a sense-corrected sum ``k`` stands for the rational
+    ``k / sense_scale``.  Scores divide the scale back out in correctly
+    rounded int/int divisions, so they equal bit for bit the scores computed
+    from exact rational counts; the exact reference is ``tests/oracle.py``.
 
     One walk of the nouns of a (verb, position), ``group_sums``, yields the
     raw support and distinct-noun counts that candidate generation reads
@@ -230,9 +200,8 @@ class Scorer:
     walked is kept, so memory is bounded by one group however many groups
     are visited; the learner visits each group once.  The sums of a whole
     position and of the whole table, which every group's scores divide by,
-    are kept per estimator.  ``scores`` scores a list of classes of one
-    group with the group's totals taken once, and the per-class methods
-    call it with a single class, so each scorer has one formula.
+    are kept per estimator.  ``scores`` is the one way to score: it scores
+    a list of classes of one group with the group's totals taken once.
     """
 
     def __init__(self, table: CountsTable, lexicon: SenseLexicon):
@@ -245,8 +214,6 @@ class Scorer:
         self._group: tuple[tuple[str, SynRel, EstimatorKind], GroupSums] | None = None
         self._position_class_sums: dict[tuple[SynRel, EstimatorKind], dict[str, int]] = {}
         self._global_class_sums: dict[EstimatorKind, dict[str, int]] = {}
-
-    # -- class-level counts ---------------------------------------------
 
     def _scale(self, est: EstimatorKind) -> int:
         return 1 if est is EstimatorKind.RAW else self.sense_scale
@@ -305,45 +272,6 @@ class Scorer:
             cached = self._class_sums(self.table.noun_total, est)
             self._global_class_sums[est] = cached
         return cached
-
-    def _unscaled(self, value: int, est: EstimatorKind):
-        return value if est is EstimatorKind.RAW else Fraction(value, self.sense_scale)
-
-    def class_counts(self, v: str, s: SynRel, est: EstimatorKind) -> Mapping:
-        """All classes supported by (v, s) with their (possibly weighted) counts."""
-        sums = self.group_sums(v, s, est).joint
-        if est is EstimatorKind.RAW:
-            return sums
-        return {cls: Fraction(k, self.sense_scale) for cls, k in sums.items()}
-
-    def class_count(self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW):
-        """Occurrences of nouns of class ``c`` with (v, s); 0 if unsupported."""
-        return self._unscaled(self.group_sums(v, s, est).joint.get(c, 0), est)
-
-    def position_class_count(self, s: SynRel, c: str, est: EstimatorKind):
-        """Class occurrences at position ``s`` across all verbs."""
-        return self._unscaled(self._position_sums(s, est).get(c, 0), est)
-
-    def global_class_count(self, c: str, est: EstimatorKind):
-        return self._unscaled(self._global_sums(est).get(c, 0), est)
-
-    # -- probabilities and scores ---------------------------------------
-
-    def cond_probs(
-        self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW
-    ) -> CondProbs:
-        """P(c|v,s), P(v|s), P(c|s) and P(v,c|s) for the given events.
-
-        The exact-rational reference for the association score."""
-        total, vs = self._position_totals(v, s)
-        joint = self.class_count(v, s, c, est)
-        at_position = self.position_class_count(s, c, est)
-        return CondProbs(
-            c_given_vs=Fraction(joint) / vs,
-            v_given_s=Fraction(vs, total),
-            c_given_s=Fraction(at_position) / total,
-            vc_given_s=Fraction(joint) / total,
-        )
 
     def _position_totals(self, v: str, s: SynRel) -> tuple[int, int]:
         """Occurrences at position ``s`` and of verb ``v`` there, both nonzero."""
@@ -419,31 +347,6 @@ class Scorer:
             k21 = at_position.get(c, 0) - k11
             out.append(log_likelihood_ratio(k11, row - k11, k21, n - row - k21, scale))
         return out
-
-    def score(
-        self, kind: ScoreKind, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW
-    ) -> float:
-        return self.scores(kind, v, s, (c,), est)[0]
-
-    def assoc_components(
-        self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW
-    ) -> tuple[float, float]:
-        """(P(c|v,s), conditional mutual information) whose product is assoc."""
-        return self._assoc_terms(v, s, (c,), est)[0]
-
-    def assoc(self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW) -> float:
-        return self.score(ScoreKind.ASSOC, v, s, c, est)
-
-    def assoc_pair_mi(
-        self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW
-    ) -> float:
-        """Association with the verb-position pair treated as one event,
-        estimated over the whole triple space rather than per position."""
-        return self.score(ScoreKind.ASSOC_PAIR_MI, v, s, c, est)
-
-    def g2(self, v: str, s: SynRel, c: str, est: EstimatorKind = EstimatorKind.RAW) -> float:
-        """Signed log-likelihood ratio of class-vs-verb at the position."""
-        return self.score(ScoreKind.LOG_LIKELIHOOD_RATIO, v, s, c, est)
 
 
 def _supported(joint: Mapping[str, int], v: str, s: SynRel, c: str) -> int:

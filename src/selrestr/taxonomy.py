@@ -20,8 +20,6 @@ memoized on the taxonomy.  Lines follow the shared rule of
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .tsv import rows
 
 
@@ -164,15 +162,6 @@ class SenseLexicon:
     def noun_in_class(self, noun: str, class_id: str) -> bool:
         """True iff some sense of the noun lies at or below ``class_id``."""
         return class_id in self.classes_of(noun)
-
-    def sense_fraction(self, noun: str, class_id: str) -> Fraction:
-        """Fraction of the noun's senses whose hypernym closure contains the class."""
-        return self.class_weights(noun).get(class_id, Fraction(0))
-
-    def class_weights(self, noun: str) -> dict[str, Fraction]:
-        """Map each covering class to #senses-under-it / #senses."""
-        k = len(self.senses(noun))
-        return {c: Fraction(hits, k) for c, hits in self.sense_hits(noun).items()}
 
     def sense_hits(self, noun: str) -> dict[str, int]:
         """Map each covering class to #senses-under-it, memoized."""

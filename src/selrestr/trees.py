@@ -49,28 +49,6 @@ class ParseTree(_Node):
     def is_leaf(self) -> bool:
         return self.token is not None
 
-    def leaves(self) -> list["ParseTree"]:
-        out: list[ParseTree] = []
-        stack = [self]
-        while stack:
-            tree = stack.pop()
-            if tree.token is not None:
-                out.append(tree)
-            else:
-                stack.extend(reversed(tree.children))
-        return out
-
-    def subtrees(self):
-        """All nodes in preorder, this one included."""
-        stack = [self]
-        while stack:
-            tree = stack.pop()
-            yield tree
-            stack.extend(reversed(tree.children))
-
-    def tokens(self) -> list[str]:
-        return [leaf.token for leaf in self.leaves()]
-
     def __str__(self) -> str:
         parts: list[str] = []
         # Items are nodes still to print, or the ")" closing a constituent.
@@ -88,14 +66,6 @@ class ParseTree(_Node):
                     stack.append(child)
                     stack.append(" ")
         return "".join(parts)
-
-
-def leaf(label: str, token: str) -> ParseTree:
-    return ParseTree(label, token=token)
-
-
-def node(label: str, *children: ParseTree) -> ParseTree:
-    return ParseTree(label, children=tuple(children))
 
 
 # Alternatives, tried in order: a whole leaf "(TAG token)" (groups 1 and 2),

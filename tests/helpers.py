@@ -1,9 +1,40 @@
-"""Checks and writers that only the tests use, over package objects."""
+"""Builders, checks and writers that only the tests use, over package objects."""
 
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Iterable, Iterator
+
+from selrestr.stats import EstimatorKind, ScoreKind, Scorer
+from selrestr.trees import ParseTree
+
+
+def leaf(label: str, token: str) -> ParseTree:
+    return ParseTree(label, token=token)
+
+
+def node(label: str, *children: ParseTree) -> ParseTree:
+    return ParseTree(label, children=tuple(children))
+
+
+def subtrees(tree: ParseTree) -> Iterator[ParseTree]:
+    """All nodes in preorder, ``tree`` included; iterative, so deep trees work."""
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(reversed(t.children))
+
+
+def tokens(tree: ParseTree) -> list[str]:
+    return [t.token for t in subtrees(tree) if t.is_leaf]
+
+
+def score(
+    scorer: Scorer, kind: ScoreKind, v, s, c: str, est: EstimatorKind = EstimatorKind.RAW
+) -> float:
+    """The score of one class, through ``Scorer.scores``."""
+    return scorer.scores(kind, v, s, (c,), est)[0]
 
 
 def check_partial_order(taxonomy, classes: Iterable[str] | None = None) -> bool:

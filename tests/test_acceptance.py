@@ -18,6 +18,7 @@ from io import StringIO
 
 import oracle
 from conftest import TOY_PARENTS, TOY_SENSES, TOY_TRIPLES, build_world
+from helpers import score
 from worlds import lexicon_text, make_world, taxonomy_text
 
 from selrestr.evaluate import diagnostic_summary, evaluate_gold, read_gold, read_labels
@@ -40,12 +41,13 @@ from selrestr.learner import (
     score_candidates,
     select_disjoint,
 )
-from selrestr.stats import EstimatorKind, Scorer, accumulate, log_likelihood_ratio
+from selrestr.stats import EstimatorKind, ScoreKind, Scorer, accumulate, log_likelihood_ratio
 from selrestr.taxonomy import load_taxonomy
 from selrestr.trees import read_trees
 
 RAW = EstimatorKind.RAW
 SENSE = EstimatorKind.SENSE_CORRECTED
+ASSOC = ScoreKind.ASSOC
 
 
 def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
@@ -95,13 +97,13 @@ def test_criterion_2_toy_corpus_association_oracle(toy_scorer, capsys):
     s0 = SynRel("0")
     problems = []
     for cls, want in (("animal", 0.415037), ("dog", 0.276692)):
-        got = toy_scorer.assoc("drink", s0, cls)
+        got = score(toy_scorer, ASSOC, "drink", s0, cls)
         ref = oracle.assoc(TOY_TRIPLES, TOY_PARENTS, TOY_SENSES, "drink", "0", cls)
         if abs(got - want) > 1e-6:
             problems.append(f"assoc(drink, 0, {cls}) = {got!r}, want {want} +- 1e-6")
         if abs(got - ref) > 1e-12:
             problems.append(f"assoc(drink, 0, {cls}) = {got!r} vs enumerator {ref!r}")
-    top = toy_scorer.assoc("drink", s0, "entity")
+    top = score(toy_scorer, ASSOC, "drink", s0, "entity")
     if top != 0.0:
         problems.append(f"assoc(drink, 0, entity) = {top!r}, want exactly 0.0")
 
@@ -160,7 +162,7 @@ def test_criterion_4_probability_model_properties(capsys):
         vs_counts = Counter((v, s) for v, s, _ in triples)
         if table.grand_total != len(triples):
             problems.append(f"{tag}: grand total {table.grand_total} != {len(triples)}")
-        if {p.code for p in table.positions} != set(pos_counts):
+        if {p.code for p in table.position_total} != set(pos_counts):
             problems.append(f"{tag}: position set mismatch")
         for code, n in pos_counts.items():
             if table.total(SynRel(code)) != n:
@@ -173,10 +175,11 @@ def test_criterion_4_probability_model_properties(capsys):
         groups = sorted(table.verb_positions(), key=lambda vs: -table.vs_total(*vs))[:2]
         for v, s in groups:
             for est in (RAW, SENSE):
+                joint = model.group_sums(v, s, est).joint
                 for child, ps in parents.items():
-                    child_n = model.class_count(v, s, child, est)
+                    child_n = joint.get(child, 0)
                     for parent in ps:
-                        if model.class_count(v, s, parent, est) < child_n:
+                        if joint.get(parent, 0) < child_n:
                             problems.append(
                                 f"{tag}: count({parent}) < count({child})"
                                 f" at ({v}, {s.code}, {est.value})"
@@ -184,11 +187,14 @@ def test_criterion_4_probability_model_properties(capsys):
 
         # sense classes are leaves, so they partition sense-corrected mass
         leaves = sorted(c for c in parents if c.startswith("l"))
-        for s in table.positions:
-            mass = sum(
-                (model.position_class_count(s, leaf, SENSE) for leaf in leaves),
-                Fraction(0),
+        for s in table.position_total:
+            scaled = sum(
+                model.group_sums(v, at, SENSE).joint.get(leaf, 0)
+                for v, at in table.verb_positions()
+                if at == s
+                for leaf in leaves
             )
+            mass = Fraction(scaled, model.sense_scale)
             if mass != table.total(s):
                 problems.append(f"{tag}: leaf mass {mass} != {table.total(s)} at {s.code}")
 
@@ -201,8 +207,8 @@ def test_criterion_4_probability_model_properties(capsys):
             model.lexicon,
         )
         for v, s in solo.table.verb_positions():
-            for cls in solo.class_counts(v, s, RAW):
-                a = solo.assoc(v, s, cls)
+            classes = list(solo.group_sums(v, s, RAW).joint)
+            for cls, a in zip(classes, solo.scores(ASSOC, v, s, classes)):
                 if a != 0.0:
                     problems.append(
                         f"{tag}: single-verb assoc({v}, {s.code}, {cls}) = {a!r}"
@@ -212,11 +218,11 @@ def test_criterion_4_probability_model_properties(capsys):
         pick = random.Random(seed + 7_000_000)
         for est, corrected in ((RAW, False), (SENSE, True)):
             v, s = pick.choice(table.verb_positions())
-            supported = sorted(model.class_counts(v, s, est))
+            supported = sorted(model.group_sums(v, s, est).joint)
             if not supported:
                 continue
             cls = pick.choice(supported)
-            got = model.assoc(v, s, cls, est)
+            got = score(model, ASSOC, v, s, cls, est)
             ref = oracle.assoc(triples, parents, senses, v, s.code, cls, corrected)
             enum_checks += 1
             if ref is None or abs(got - ref) > 1e-12 * max(abs(got), abs(ref), 1.0):

@@ -15,7 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import selrestr
 from selrestr import cli
@@ -135,6 +135,20 @@ class TestExtractCommand:
         capsys.readouterr()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.tsv", "t.tsv.discards"]
         assert triples.read_text(encoding="utf-8").startswith("seek\t0\t")
+
+    @pytest.mark.parametrize("discards", ["out.tsv", "./out.tsv"])
+    def test_two_outputs_naming_one_file_exit_1(
+        self, data_dir, tmp_path, monkeypatch, capsys, discards
+    ):
+        # The discards used to replace the triples silently, with status 0.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.tsv").write_text("old\n", encoding="utf-8")
+        argv = ["extract", "--corpus", str(data_dir / "demo.mrg"),
+                "--triples", "out.tsv", "--discards", discards]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {discards}: two outputs name the same file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv"]
+        assert (tmp_path / "out.tsv").read_text(encoding="utf-8") == "old\n"
 
     def test_deep_tree_extracts_without_traceback(self, tmp_path):
         depth = 5000
@@ -487,7 +501,7 @@ class TestEvalCommand:
         srs.write_text(TOY_BODY + "drink\t0\tdog\tnan\t1\t2\n")
         assert run(self.eval_argv(data_dir, "--srs", str(srs))) == 1
         assert capsys.readouterr().err == (
-            "error: restrictions line 4: score must be finite, got 'nan'\n"
+            f"error: {srs}: restrictions line 4: score must be finite, got 'nan'\n"
         )
 
     def test_missing_required(self, capsys):
@@ -667,6 +681,49 @@ def test_content_error_names_the_file(data_dir, tmp_path, name, content, option,
 
 
 @pytest.mark.parametrize(
+    "command, option, kind, fields",
+    [
+        ("learn", "--counts", "counts", "4"),
+        ("learn", "--triples", "triples", "3"),
+        ("learn", "--taxonomy", "taxonomy", "2"),
+        ("learn", "--lexicon", "lexicon", "2"),
+        ("eval", "--gold", "gold", "3 or 5"),
+        ("eval", "--srs", "restrictions", "6"),
+        ("eval", "--labels", "labels", "4 or 5"),
+        ("report", "--srs", "restrictions", "6"),
+        ("report", "--labels", "labels", "4 or 5"),
+    ],
+)
+def test_line_error_names_the_file(
+    data_dir, tmp_path, monkeypatch, capsys, command, option, kind, fields
+):
+    # A bad line of a TSV input used to name only the kind of input.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.tsv").write_text("# header\nx\n", encoding="utf-8")
+    toy = {
+        "counts": "toy_counts.tsv", "taxonomy": "toy_taxonomy.tsv", "lexicon": "toy_lexicon.tsv",
+        "gold": "toy_gold.tsv", "srs": "toy_srs.tsv",
+    }
+    given = {
+        "learn": ["counts", "taxonomy", "lexicon"],
+        "eval": ["gold", "srs", "taxonomy", "lexicon"],
+        "report": ["srs"],
+    }[command]
+    opts = {"--" + name: str(data_dir / toy[name]) for name in given}
+    if command == "learn":
+        opts["--out"] = "out.tsv"
+    if option == "--triples":
+        del opts["--counts"]
+    opts[option] = "bad.tsv"
+    argv = [command, *(arg for pair in opts.items() for arg in pair)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: bad.tsv: {kind} line 2: expected {fields} fields, got 1\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.tsv"]
+
+
+@pytest.mark.parametrize(
     "command, config, message",
     [
         ("extract", {"tagset": 5}, "option tagset must be a path string, got 5"),
@@ -801,4 +858,90 @@ def test_fuzz_config_gives_a_status_never_a_traceback(data_dir, tmp_path, comman
                 assert err.getvalue().startswith("error: "), err.getvalue()
                 assert after == before
 
+    check()
+
+
+# Path values for the argv fuzz: every input of FUZZ_FILES, an output name
+# that two outputs can share (also spelt with "./"), a file that does not
+# exist, a directory and a path under a missing directory.
+PATH_POOL = [*FUZZ_FILES, "tags.json", "out.tsv", "./out.tsv", "missing.tsv", ".", "nodir/x.tsv"]
+# The file each input option reads when it is given its own kind of file;
+# every other path option is an output, whose own name is "out.tsv".
+OWN_FILE = {"corpus": "corpus.mrg", "lemmas": "lemmas.tsv", "tagset": "tags.json",
+            "counts": "counts.tsv", "taxonomy": "taxonomy.tsv", "lexicon": "lexicon.tsv",
+            "gold": "gold.tsv", "srs": "srs.tsv", "labels": "labels.tsv"}
+
+
+def _flag_uses(name, kind):
+    """The argv tokens of one use of option ``name``."""
+    flag = "--" + name.replace("_", "-")
+    if kind == cli.BOOL:
+        return st.sampled_from([[flag], ["--no-" + flag[2:]]])
+    if kind == cli.INT:
+        values = st.integers(min_value=-1, max_value=3).map(str)
+    elif kind == cli.PATH:
+        # About half the draws are the option's own file, so that runs get
+        # past their inputs and two outputs often share "out.tsv".
+        values = st.just(OWN_FILE.get(name, "out.tsv")) | st.sampled_from(PATH_POOL)
+    else:
+        values = st.sampled_from([*kind, "bogus"])
+    return values.map(lambda value: [flag, value])
+
+
+@st.composite
+def fuzz_argv(draw, command):
+    """Each of the command's flags left out, given once or repeated, in any
+    order, and sometimes one unknown flag."""
+    uses = []
+    for name, kind, _, _ in cli.OPTIONS[command]:
+        for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+            uses.append(draw(_flag_uses(name, kind)))
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        uses.append(draw(st.sampled_from([["--bogus"], ["--bogus", "out.tsv"]])))
+    return [command, *(token for use in draw(st.permutations(uses)) for token in use)]
+
+
+def _last_value(argv, flag):
+    return [value for token, value in zip(argv, argv[1:]) if token == flag][-1]
+
+
+@pytest.mark.parametrize("command", list(FUZZ_FLAGS))
+def test_fuzz_argv_gives_a_status_never_a_traceback(data_dir, tmp_path, command):
+    @settings(max_examples=60, deadline=None)
+    @given(argv=fuzz_argv(command))
+    def check(argv):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+            root = Path(work)
+            for name, source in FUZZ_FILES.items():
+                (root / name).write_bytes((data_dir / source).read_bytes())
+            (root / "tags.json").write_text('{"noun_tags": ["NN", "NNS"]}')
+            before = _snapshot(root)
+            out, err = io.StringIO(), io.StringIO()
+            cwd = os.getcwd()
+            os.chdir(root)
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    try:
+                        status = run(argv)
+                    except SystemExit as exc:  # argparse's usage errors
+                        status = exc.code
+            finally:
+                os.chdir(cwd)
+            after = _snapshot(root)
+            assert status in (0, 1, 2), (argv, status)
+            assert not [p for p in after if p.name.endswith(".tmp")], after
+            if status:
+                assert "error: " in err.getvalue(), (argv, err.getvalue())
+            if status == 1:
+                assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+                assert after == before, argv
+            if command == "extract" and status == 0:
+                kept = int(out.getvalue().split("kept")[1].split()[0])
+                triples = (root / _last_value(argv, "--triples")).read_text(encoding="utf-8")
+                assert len(triples.splitlines()) == kept, argv
+
+    if command == "extract":
+        # Both outputs in one file: the discards used to replace the triples.
+        check = example(argv=["extract", "--corpus", "corpus.mrg", "--triples", "out.tsv",
+                              "--discards", "./out.tsv"])(check)
     check()

@@ -1,0 +1,34 @@
+"""The README's library example runs, and the package exports what it lists."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import selrestr
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def library_example() -> str:
+    """The ```python block of the README's "Library use" section."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library use", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs():
+    proc = subprocess.run(
+        [sys.executable, "-c", library_example()],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    # one "verb rel class score" line per learned restriction
+    lines = proc.stdout.splitlines()
+    assert lines and all(len(line.split()) == 4 for line in lines), proc.stdout
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in selrestr.__all__ if not hasattr(selrestr, name)]
+    assert not missing
+    assert len(set(selrestr.__all__)) == len(selrestr.__all__)

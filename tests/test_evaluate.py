@@ -21,10 +21,8 @@ from selrestr.evaluate import (
     fulfills,
     occurrence_count,
     percentage,
-    precision,
     read_gold,
     read_labels,
-    recall,
     render_diagnostics,
 )
 from selrestr.extract import ExtractionError, SynRel, TripleRecord
@@ -106,6 +104,12 @@ class TestFulfills:
             fulfills(bad, [ANIMAL_SR], toy_lexicon)
 
 
+def ratios(triples, lexicon):
+    """(precision, recall) of ``ANIMAL_SR`` over ``triples`` taken as gold."""
+    report = evaluate_gold([GoldTriple(t) for t in triples], [ANIMAL_SR], lexicon)
+    return report.precision, report.recall
+
+
 class TestRatios:
     TRIPLES = [
         TripleRecord("drink", S0, "dog"),
@@ -114,31 +118,27 @@ class TestRatios:
     ]
 
     def test_precision_counts_restricted_positions_only(self, toy_lexicon):
-        assert precision(self.TRIPLES, [ANIMAL_SR], toy_lexicon) == Fraction(1, 2)
+        assert ratios(self.TRIPLES, toy_lexicon)[0] == Fraction(1, 2)
 
     def test_recall_counts_everything(self, toy_lexicon):
-        assert recall(self.TRIPLES, [ANIMAL_SR], toy_lexicon) == Fraction(1, 3)
+        assert ratios(self.TRIPLES, toy_lexicon)[1] == Fraction(1, 3)
 
     def test_precision_can_exceed_recall(self, toy_lexicon):
-        p = precision(self.TRIPLES, [ANIMAL_SR], toy_lexicon)
-        r = recall(self.TRIPLES, [ANIMAL_SR], toy_lexicon)
+        p, r = ratios(self.TRIPLES, toy_lexicon)
         assert p > r
 
     def test_no_restricted_positions_gives_none(self, toy_lexicon):
         only_obj = [TripleRecord("drink", S1, "water")]
-        assert precision(only_obj, [ANIMAL_SR], toy_lexicon) is None
-        assert recall(only_obj, [ANIMAL_SR], toy_lexicon) == Fraction(0)
+        assert ratios(only_obj, toy_lexicon) == (None, Fraction(0))
 
     def test_empty_pool_gives_none(self, toy_lexicon):
-        assert precision([], [ANIMAL_SR], toy_lexicon) is None
-        assert recall([], [ANIMAL_SR], toy_lexicon) is None
+        assert ratios([], toy_lexicon) == (None, None)
 
     def test_discards_are_ignored_not_fatal(self, toy_lexicon):
         noisy = self.TRIPLES + [
             TripleRecord("drink", S0, "He", discard_reason="NonNounHead")
         ]
-        assert precision(noisy, [ANIMAL_SR], toy_lexicon) == Fraction(1, 2)
-        assert recall(noisy, [ANIMAL_SR], toy_lexicon) == Fraction(1, 3)
+        assert ratios(noisy, toy_lexicon) == (Fraction(1, 2), Fraction(1, 3))
 
 
 class TestDiagnosticSummary:

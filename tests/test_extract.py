@@ -26,18 +26,19 @@ from selrestr.extract import (
     write_discards,
     write_triples,
 )
-from selrestr.trees import leaf, node, parse_bracketed
+from helpers import leaf, node
+from selrestr.trees import parse_bracketed
 
 
 class TestSynRel:
     def test_subject_and_object_codes(self):
-        assert SUBJECT.code == "0" and SUBJECT.is_subject
-        assert OBJECT.code == "1" and OBJECT.is_object
-        assert not SUBJECT.is_prep and not OBJECT.is_prep
+        assert SUBJECT.code == "0" and SUBJECT == SynRel("0")
+        assert OBJECT.code == "1" and OBJECT == SynRel("1")
+        assert SUBJECT != OBJECT
 
     def test_prep_code(self):
         rel = SynRel("with")
-        assert rel.is_prep
+        assert rel not in (SUBJECT, OBJECT)
         assert str(rel) == "with"
 
     def test_prep_constructor_lowercases(self):

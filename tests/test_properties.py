@@ -109,9 +109,6 @@ class TestSynRelProperties:
         assert rel.code == code and type(rel.code) is str
         assert str(rel) == code and f"{rel}" == code
         assert repr(rel) == f"SynRel(code={code!r})"
-        assert rel.is_subject == (code == "0")
-        assert rel.is_object == (code == "1")
-        assert rel.is_prep == (code not in ("0", "1"))
 
     @given(codes=st.lists(relation_codes.filter(_valid_code), min_size=1, max_size=6))
     def test_equality_ordering_and_hash_follow_the_code(self, codes):
@@ -153,6 +150,16 @@ class TestTaxonomyProperties:
             assert tax.related(a, b) == oracle.related(parents, a, b)
 
 
+def _leaf_mass(scorer, s, leaves, est) -> int:
+    """The estimator's sums of the leaf classes over every group at ``s``."""
+    return sum(
+        scorer.group_sums(v, s, est).joint.get(c, 0)
+        for v, at in scorer.table.verb_positions()
+        if at == s
+        for c in leaves
+    )
+
+
 class TestCountConservation:
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds)
@@ -160,11 +167,10 @@ class TestCountConservation:
         _, _, triples = make_world(random.Random(seed))
         table = accumulate(TripleRecord(v, SynRel(s), n) for v, s, n in triples)
         assert table.grand_total == len(triples)
-        assert sum(table.total(s) for s in table.positions) == table.grand_total
-        for s in table.positions:
-            assert sum(
-                table.vs_total(v, s) for v in table.verbs
-            ) == table.total(s)
+        verbs = {v for v, _ in table.verb_position_total}
+        assert sum(table.total(s) for s in table.position_total) == table.grand_total
+        for s in table.position_total:
+            assert sum(table.vs_total(v, s) for v in verbs) == table.total(s)
             assert sum(table.nouns_at(s).values()) == table.total(s)
 
     @settings(max_examples=40, deadline=None)
@@ -173,14 +179,9 @@ class TestCountConservation:
         parents, senses, triples = make_world(random.Random(seed), full_lexicon=True)
         scorer = build_world(parents, senses, triples)
         leaves = leaf_classes(parents)
-        for s in scorer.table.positions:
-            mass = sum(
-                Fraction(
-                    scorer.position_class_count(
-                        s, c, EstimatorKind.SENSE_CORRECTED
-                    )
-                )
-                for c in leaves
+        for s in scorer.table.position_total:
+            mass = Fraction(
+                _leaf_mass(scorer, s, leaves, EstimatorKind.SENSE_CORRECTED), scorer.sense_scale
             )
             assert mass == scorer.table.total(s)
 
@@ -190,10 +191,8 @@ class TestCountConservation:
         parents, senses, triples = make_world(random.Random(seed), full_lexicon=True)
         scorer = build_world(parents, senses, triples)
         leaves = leaf_classes(parents)
-        for s in scorer.table.positions:
-            raw_mass = sum(
-                scorer.position_class_count(s, c, EstimatorKind.RAW) for c in leaves
-            )
+        for s in scorer.table.position_total:
+            raw_mass = _leaf_mass(scorer, s, leaves, EstimatorKind.RAW)
             expected = sum(
                 count * len(senses[noun])
                 for noun, count in scorer.table.nouns_at(s).items()
@@ -294,16 +293,8 @@ class TestGroupSums:
             assert sense.support == support
             assert dict(sense.distinct) == distinct
             assert sense.joint == oracle.class_sums(nouns, lexicon, scale)
-        # the position and whole-table sums every score divides by
-        for est, est_scale in ((EstimatorKind.RAW, None), (EstimatorKind.SENSE_CORRECTED, scale)):
-            unit = 1 if est_scale is None else Fraction(1, scale)
-            at_all = oracle.class_sums(table.noun_total, lexicon, est_scale)
-            for c in parents:
-                assert scorer.global_class_count(c, est) == at_all.get(c, 0) * unit
-            for s in table.positions:
-                at_s = oracle.class_sums(table.nouns_at(s), lexicon, est_scale)
-                for c in parents:
-                    assert scorer.position_class_count(s, c, est) == at_s.get(c, 0) * unit
+        # The position and whole-table sums that every score divides by are
+        # checked through the scores in TestScoreAgreement.
 
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds)
@@ -318,14 +309,14 @@ class TestGroupSums:
         # what a fresh scorer gives for each group alone.
         groups = scorer.table.verb_positions()
         expected = {
-            (v, s, e): dict(Scorer(scorer.table, scorer.lexicon).class_counts(v, s, e))
+            (v, s, e): dict(Scorer(scorer.table, scorer.lexicon).group_sums(v, s, e).joint)
             for v, s in groups
             for e in EstimatorKind
         }
         queries = [(v, s, c, e) for v, s in groups for c in sorted(parents) for e in EstimatorKind]
         rng.shuffle(queries)
         for v, s, c, e in queries[:300]:
-            assert scorer.class_count(v, s, c, e) == expected[v, s, e].get(c, 0)
+            assert scorer.group_sums(v, s, e).joint.get(c, 0) == expected[v, s, e].get(c, 0)
             assert len(_group_keys_held(scorer)) <= 1
 
 
@@ -338,15 +329,14 @@ class TestScoreAgreement:
         )
         scorer = build_world(parents, senses, triples)
         for v, s in scorer.table.verb_positions():
-            for cls in scorer.class_counts(v, s, EstimatorKind.RAW):
-                mine = scorer.assoc(v, s, cls)
-                ref = oracle.assoc(triples, parents, senses, v, s.code, cls)
-                assert ref is not None
-                assert mine == ref
-                probs = scorer.cond_probs(v, s, cls)
-                assert tuple(probs) == oracle.cond_probs(
-                    triples, parents, senses, v, s.code, cls
-                )
+            joint = scorer.group_sums(v, s, EstimatorKind.RAW).joint
+            classes = sorted(joint)
+            world = (triples, parents, senses, v, s.code)
+            for cls in classes:
+                assert joint[cls] == oracle.class_count(*world, cls)
+            refs = [oracle.assoc(*world, cls) for cls in classes]
+            assert None not in refs
+            assert scorer.scores(ScoreKind.ASSOC, v, s, classes) == refs
 
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds)
@@ -361,25 +351,24 @@ class TestScoreAgreement:
         scorer = build_world(parents, senses, triples)
         for est in EstimatorKind:
             sense = est is EstimatorKind.SENSE_CORRECTED
+            scale = scorer.sense_scale if sense else 1
             for v, s in scorer.table.verb_positions():
-                for cls in scorer.class_counts(v, s, est):
+                joint = scorer.group_sums(v, s, est).joint
+                classes = sorted(joint)
+                assoc = scorer.scores(ScoreKind.ASSOC, v, s, classes, est)
+                pair_mi = scorer.scores(ScoreKind.ASSOC_PAIR_MI, v, s, classes, est)
+                g2 = scorer.scores(ScoreKind.LOG_LIKELIHOOD_RATIO, v, s, classes, est)
+                for k, cls in enumerate(classes):
                     world = (triples, parents, senses, v, s.code, cls, sense)
-                    assoc = scorer.score(ScoreKind.ASSOC, v, s, cls, est)
-                    p = scorer.cond_probs(v, s, cls, est)
-                    assert tuple(p) == oracle.cond_probs(*world)
-                    assert assoc == float(p.c_given_vs) * math.log2(
-                        p.vc_given_s / (p.v_given_s * p.c_given_s)
-                    )
-                    assert assoc == oracle.assoc(*world)
-                    pair_mi = scorer.score(ScoreKind.ASSOC_PAIR_MI, v, s, cls, est)
-                    assert pair_mi == oracle.pair_mi(*world)
+                    assert Fraction(joint[cls], scale) == oracle.class_count(*world)
+                    assert assoc[k] == oracle.assoc(*world)
+                    assert pair_mi[k] == oracle.pair_mi(*world)
                     # The G2 float formula applied to the exact rational cells
                     # is the reference; oracle.g2 takes one logarithm of the
                     # exact cell ratio instead, so it agrees to rounding only.
                     cells = oracle.g2_table(*world)
-                    g2 = scorer.score(ScoreKind.LOG_LIKELIHOOD_RATIO, v, s, cls, est)
-                    assert g2 == log_likelihood_ratio(*cells)
-                    assert math.isclose(g2, oracle.g2(*cells), rel_tol=1e-12, abs_tol=1e-12)
+                    assert g2[k] == log_likelihood_ratio(*cells)
+                    assert math.isclose(g2[k], oracle.g2(*cells), rel_tol=1e-12, abs_tol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds)
@@ -388,9 +377,9 @@ class TestScoreAgreement:
         merged = [("v0", s, n) for _, s, n in triples]
         scorer = build_world(parents, senses, merged)
         for _, s in scorer.table.verb_positions():
-            for cls in scorer.class_counts("v0", s, EstimatorKind.RAW):
-                # P(c | v0, s) == P(c | s) when v0 is the only verb
-                assert scorer.assoc("v0", s, cls) == 0.0
+            classes = list(scorer.group_sums("v0", s, EstimatorKind.RAW).joint)
+            # P(c | v0, s) == P(c | s) when v0 is the only verb
+            assert scorer.scores(ScoreKind.ASSOC, "v0", s, classes) == [0.0] * len(classes)
 
 
 class TestSelectionProperties:

@@ -5,14 +5,14 @@ probability is checkable by hand; the expected floats below were frozen
 from the brute-force reference in oracle.py.
 """
 
-import io
 import math
 from fractions import Fraction
 
 import pytest
 
+import oracle
 from conftest import TOY_PARENTS, TOY_SENSES, TOY_TRIPLES, build_world
-from helpers import lexicon_misses
+from helpers import lexicon_misses, score
 from selrestr.extract import SUBJECT, ExtractionError, SynRel, TripleRecord
 from selrestr.stats import (
     CountsTable,
@@ -24,11 +24,15 @@ from selrestr.stats import (
     accumulate,
     log_likelihood_ratio,
     read_counts,
-    write_counts,
 )
 
 S0 = SynRel("0")
 S1 = SynRel("1")
+RAW = EstimatorKind.RAW
+SENSE = EstimatorKind.SENSE_CORRECTED
+ASSOC = ScoreKind.ASSOC
+PAIR_MI = ScoreKind.ASSOC_PAIR_MI
+G2 = ScoreKind.LOG_LIKELIHOOD_RATIO
 
 
 class TestCountsTable:
@@ -45,17 +49,16 @@ class TestCountsTable:
     def test_toy_noun_marginals(self, toy_scorer):
         t = toy_scorer.table
         assert t.noun_total == {"dog": 2, "cat": 1, "water": 3, "man": 1}
-        assert t.count("drink", S0, "dog") == 2
-        assert t.count("drink", S0, "water") == 0
+        assert t.counts[("drink", S0, "dog")] == 2
+        assert ("drink", S0, "water") not in t.counts
 
     def test_toy_groupings(self, toy_scorer):
         t = toy_scorer.table
         assert dict(t.nouns_for("drink", S0)) == {"dog": 2, "cat": 1}
         assert dict(t.nouns_for("missing", S0)) == {}
         assert dict(t.nouns_at(S1)) == {"water": 3}
-        assert t.verbs == {"drink", "sleep"}
-        assert t.nouns == {"dog", "cat", "water", "man"}
-        assert t.positions == {S0, S1}
+        assert {v for v, _ in t.verb_position_total} == {"drink", "sleep"}
+        assert set(t.position_total) == {S0, S1}
 
     def test_verb_positions_sorted(self, toy_scorer):
         assert toy_scorer.table.verb_positions() == [
@@ -79,7 +82,7 @@ class TestAccumulate:
     def test_aggregates_duplicates(self):
         recs = [TripleRecord("drink", S0, "dog") for _ in range(3)]
         t = accumulate(recs)
-        assert t.count("drink", S0, "dog") == 3
+        assert t.counts == {("drink", S0, "dog"): 3}
 
     def test_rejects_discards(self):
         bad = TripleRecord("drink", S0, "He", discard_reason="NonNounHead")
@@ -90,12 +93,12 @@ class TestAccumulate:
 class TestCountsFiles:
     def test_read_counts(self):
         t = read_counts("drink\t0\tdog\t2\nsleep\t0\tman\t1\n")
-        assert t.count("drink", S0, "dog") == 2
+        assert t.counts[("drink", S0, "dog")] == 2
         assert t.grand_total == 3
 
     def test_read_counts_sums_repeated_keys(self):
         t = read_counts("drink\t0\tdog\t2\ndrink\t0\tdog\t5\n")
-        assert t.count("drink", S0, "dog") == 7
+        assert t.counts == {("drink", S0, "dog"): 7}
 
     def test_read_counts_field_count(self):
         with pytest.raises(ExtractionError, match="line 1: expected 4 fields"):
@@ -123,14 +126,6 @@ class TestCountsFiles:
         with pytest.raises(ExtractionError, match="counts line 1"):
             read_counts("drink\tSUBJ\tdog\t1\n")
 
-    def test_write_counts_sorted_round_trip(self, toy_scorer):
-        buf = io.StringIO()
-        write_counts(toy_scorer.table, buf)
-        text = buf.getvalue()
-        assert text.splitlines() == sorted(text.splitlines())
-        again = read_counts(text)
-        assert again.counts == toy_scorer.table.counts
-
 
 class TestLexiconMisses:
     def test_misses(self, toy_scorer):
@@ -141,73 +136,86 @@ class TestLexiconMisses:
         assert lexicon_misses(extra, toy_scorer.lexicon) == {"xyzzy"}
 
 
+def toy_probs(v, s, c):
+    """The reference (P(c|v,s), P(v|s), P(c|s), P(v,c|s)) of the toy world."""
+    return oracle.cond_probs(TOY_TRIPLES, TOY_PARENTS, TOY_SENSES, v, s, c)
+
+
+def assoc_of(p):
+    """Selectional association from its four probabilities."""
+    c_given_vs, v_given_s, c_given_s, vc_given_s = p
+    return float(c_given_vs) * math.log2(vc_given_s / (v_given_s * c_given_s))
+
+
 class TestCondProbs:
+    """The probabilities behind assoc, pinned by hand on the reference, and
+    the scorer's class sums and score that they imply."""
+
     def test_drink_subject_animal(self, toy_scorer):
-        p = toy_scorer.cond_probs("drink", S0, "animal")
-        assert p.c_given_vs == Fraction(1)
-        assert p.v_given_s == Fraction(3, 4)
-        assert p.c_given_s == Fraction(3, 4)
-        assert p.vc_given_s == Fraction(3, 4)
+        p = toy_probs("drink", "0", "animal")
+        assert p == (Fraction(1), Fraction(3, 4), Fraction(3, 4), Fraction(3, 4))
+        joint = toy_scorer.group_sums("drink", S0, RAW).joint["animal"]
+        assert Fraction(joint, toy_scorer.table.vs_total("drink", S0)) == p[0]
+        assert Fraction(joint, toy_scorer.table.total(S0)) == p[3]
+        assert score(toy_scorer, ASSOC, "drink", S0, "animal") == assoc_of(p)
 
     def test_drink_subject_dog(self, toy_scorer):
-        p = toy_scorer.cond_probs("drink", S0, "dog")
+        p = toy_probs("drink", "0", "dog")
         assert p == (Fraction(2, 3), Fraction(3, 4), Fraction(1, 2), Fraction(1, 2))
+        assert toy_scorer.group_sums("drink", S0, RAW).joint["dog"] == 2
+        assert score(toy_scorer, ASSOC, "drink", S0, "dog") == assoc_of(p)
 
     def test_unsupported_class_is_zero_joint(self, toy_scorer):
-        p = toy_scorer.cond_probs("drink", S0, "liquid")
-        assert p.c_given_vs == 0
-        assert p.vc_given_s == 0
+        p = toy_probs("drink", "0", "liquid")
+        assert p[0] == 0
+        assert p[3] == 0
+        assert "liquid" not in toy_scorer.group_sums("drink", S0, RAW).joint
 
     def test_unknown_position_raises(self, toy_scorer):
         with pytest.raises(ZeroDenominatorError, match="position 'with'"):
-            toy_scorer.cond_probs("drink", SynRel("with"), "animal")
+            toy_scorer.scores(ASSOC, "drink", SynRel("with"), ["animal"])
 
     def test_unknown_verb_raises(self, toy_scorer):
         with pytest.raises(ZeroDenominatorError, match="verb 'eat'"):
-            toy_scorer.cond_probs("eat", S0, "animal")
+            toy_scorer.scores(ASSOC, "eat", S0, ["animal"])
 
 
 class TestAssoc:
     def test_frozen_values(self, toy_scorer):
-        assert toy_scorer.assoc("drink", S0, "animal") == pytest.approx(
-            0.41503749927884376, rel=1e-12
+        assert toy_scorer.scores(ASSOC, "drink", S0, ["animal", "dog", "cat"]) == pytest.approx(
+            [0.41503749927884376, 0.2766916661858958, 0.1383458330929479], rel=1e-12
         )
-        assert toy_scorer.assoc("drink", S0, "dog") == pytest.approx(
-            0.2766916661858958, rel=1e-12
-        )
-        assert toy_scorer.assoc("drink", S0, "cat") == pytest.approx(
-            0.1383458330929479, rel=1e-12
-        )
-        assert toy_scorer.assoc("sleep", S0, "man") == pytest.approx(2.0, rel=1e-12)
+        assert score(toy_scorer, ASSOC, "sleep", S0, "man") == pytest.approx(2.0, rel=1e-12)
 
     def test_universal_class_scores_exactly_zero(self, toy_scorer):
         # every subject noun is an entity, so the class carries no information
-        assert toy_scorer.assoc("drink", S0, "entity") == 0.0
+        assert score(toy_scorer, ASSOC, "drink", S0, "entity") == 0.0
 
     def test_zero_support_raises(self, toy_scorer):
         with pytest.raises(UnsupportedClassError, match="'liquid'"):
-            toy_scorer.assoc("drink", S0, "liquid")
+            score(toy_scorer, ASSOC, "drink", S0, "liquid")
 
     def test_components_multiply(self, toy_scorer):
-        w, mi = toy_scorer.assoc_components("drink", S0, "dog")
+        # (P(c|v,s), conditional mutual information), whose product is assoc
+        ((w, mi),) = toy_scorer._assoc_terms("drink", S0, ["dog"], RAW)
         assert w == pytest.approx(2 / 3)
-        assert w * mi == toy_scorer.assoc("drink", S0, "dog")
+        assert w * mi == score(toy_scorer, ASSOC, "drink", S0, "dog")
 
 
 class TestPairMi:
     def test_frozen_value(self, toy_scorer):
-        assert toy_scorer.assoc_pair_mi("drink", S0, "animal") == pytest.approx(
+        assert score(toy_scorer, PAIR_MI, "drink", S0, "animal") == pytest.approx(
             1.222392421336448, rel=1e-12
         )
 
     def test_zero_support_raises(self, toy_scorer):
         with pytest.raises(UnsupportedClassError):
-            toy_scorer.assoc_pair_mi("drink", S0, "person")
+            score(toy_scorer, PAIR_MI, "drink", S0, "person")
 
     def test_empty_table_raises(self, toy_scorer):
         empty = Scorer(CountsTable({}), toy_scorer.lexicon)
         with pytest.raises(ZeroDenominatorError, match="empty counts table"):
-            empty.assoc_pair_mi("drink", S0, "animal")
+            score(empty, PAIR_MI, "drink", S0, "animal")
 
 
 class TestLogLikelihoodRatio:
@@ -246,35 +254,37 @@ class TestLogLikelihoodRatio:
 
 class TestScorerG2:
     def test_frozen_values(self, toy_scorer):
-        assert toy_scorer.g2("drink", S0, "dog") == pytest.approx(
+        assert score(toy_scorer, G2, "drink", S0, "dog") == pytest.approx(
             1.7260924347106852, rel=1e-12
         )
-        assert toy_scorer.g2("drink", S0, "animal") == pytest.approx(
+        assert score(toy_scorer, G2, "drink", S0, "animal") == pytest.approx(
             4.498681156950466, rel=1e-12
         )
-        assert toy_scorer.g2("sleep", S0, "man") == pytest.approx(
+        assert score(toy_scorer, G2, "sleep", S0, "man") == pytest.approx(
             4.498681156950466, rel=1e-12
         )
 
     def test_universal_class_is_zero(self, toy_scorer):
         # entity covers the whole position: one column margin collapses
-        assert toy_scorer.g2("drink", S0, "entity") == 0.0
+        assert score(toy_scorer, G2, "drink", S0, "entity") == 0.0
 
     def test_unknown_position_raises(self, toy_scorer):
         with pytest.raises(ZeroDenominatorError):
-            toy_scorer.g2("drink", SynRel("with"), "animal")
+            score(toy_scorer, G2, "drink", SynRel("with"), "animal")
 
 
 class TestScoreDispatch:
     def test_kinds_route_to_functions(self, toy_scorer):
-        args = ("drink", S0, "animal")
-        assert toy_scorer.score(ScoreKind.ASSOC, *args) == toy_scorer.assoc(*args)
-        assert toy_scorer.score(ScoreKind.ASSOC_PAIR_MI, *args) == (
-            toy_scorer.assoc_pair_mi(*args)
-        )
-        assert toy_scorer.score(ScoreKind.LOG_LIKELIHOOD_RATIO, *args) == (
-            toy_scorer.g2(*args)
-        )
+        # Each kind gives its own measure, for a list of classes in one call.
+        classes = ["animal", "dog", "entity"]
+        world = (TOY_TRIPLES, TOY_PARENTS, TOY_SENSES, "drink", "0")
+        expected = {
+            ASSOC: [oracle.assoc(*world, c) for c in classes],
+            PAIR_MI: [oracle.pair_mi(*world, c) for c in classes],
+            G2: [log_likelihood_ratio(*oracle.g2_table(*world, c)) for c in classes],
+        }
+        for kind, want in expected.items():
+            assert toy_scorer.scores(kind, "drink", S0, classes) == want
 
     def test_estimator_kind_values(self):
         assert EstimatorKind("raw") is EstimatorKind.RAW
@@ -299,39 +309,44 @@ def ambig_scorer():
     return build_world(AMBIG_PARENTS, AMBIG_SENSES, AMBIG_TRIPLES)
 
 
+def unscaled(scorer, v, s, est):
+    """The estimator's class sums of (v, s) as the rationals they stand for."""
+    scale = scorer.sense_scale if est is SENSE else 1
+    return {c: Fraction(k, scale) for c, k in scorer.group_sums(v, s, est).joint.items()}
+
+
 class TestSenseCorrected:
     """Ambiguous nouns split their occurrences across their sense classes."""
 
     def test_raw_counts_whole_occurrences(self, ambig_scorer):
-        raw = EstimatorKind.RAW
-        assert ambig_scorer.class_count("lift", S1, "animal", raw) == 3
-        assert ambig_scorer.class_count("lift", S1, "machine", raw) == 2
-        assert ambig_scorer.class_count("lift", S1, "entity", raw) == 3
+        joint = ambig_scorer.group_sums("lift", S1, RAW).joint
+        assert joint == {"animal": 3, "machine": 2, "entity": 3}
 
     def test_sense_corrected_counts_are_fractions(self, ambig_scorer):
-        sense = EstimatorKind.SENSE_CORRECTED
-        assert ambig_scorer.class_count("lift", S1, "animal", sense) == Fraction(2)
-        assert ambig_scorer.class_count("lift", S1, "machine", sense) == Fraction(1)
+        sums = unscaled(ambig_scorer, "lift", S1, SENSE)
         # both crane senses sit under entity, so no mass is lost there
-        assert ambig_scorer.class_count("lift", S1, "entity", sense) == Fraction(3)
+        assert sums == {"animal": 2, "machine": 1, "entity": 3}
+        for c, k in sums.items():
+            assert k == oracle.class_count(
+                AMBIG_TRIPLES, AMBIG_PARENTS, AMBIG_SENSES, "lift", "1", c, True
+            )
 
     def test_sense_corrected_cond_probs(self, ambig_scorer):
-        p = ambig_scorer.cond_probs("lift", S1, "machine", EstimatorKind.SENSE_CORRECTED)
-        assert p.c_given_vs == Fraction(1, 3)
-        assert p.c_given_s == Fraction(1, 3)
+        world = (AMBIG_TRIPLES, AMBIG_PARENTS, AMBIG_SENSES, "lift", "1", "machine", True)
+        p = oracle.cond_probs(*world)
+        assert p[0] == Fraction(1, 3)
+        assert p[2] == Fraction(1, 3)
+        assert score(ambig_scorer, ASSOC, "lift", S1, "machine", SENSE) == assoc_of(p)
 
     def test_sibling_counts_sum_to_raw(self, ambig_scorer):
-        sense = EstimatorKind.SENSE_CORRECTED
-        total = ambig_scorer.class_count("lift", S1, "animal", sense) + ambig_scorer.class_count(
-            "lift", S1, "machine", sense
-        )
-        assert total == ambig_scorer.class_count("lift", S1, "entity", sense)
+        joint = ambig_scorer.group_sums("lift", S1, SENSE).joint
+        assert joint["animal"] + joint["machine"] == joint["entity"]
 
     def test_support_ignores_unknown_nouns(self):
         probe = build_world(
             AMBIG_PARENTS, AMBIG_SENSES, AMBIG_TRIPLES + [("lift", "1", "mystery")]
         )
-        assert probe.class_count("lift", S1, "entity") == 3
+        assert probe.group_sums("lift", S1, RAW).joint["entity"] == 3
         # but the raw totals still include the unknown noun
         assert probe.table.vs_total("lift", S1) == 4
 
@@ -368,42 +383,29 @@ class TestSenseScale:
         assert build_world(TOY_PARENTS, TOY_SENSES, TOY_TRIPLES).sense_scale == 1
 
     def test_counts_are_unscaled_fractions(self, wide):
-        sense = EstimatorKind.SENSE_CORRECTED
+        see = unscaled(wide, "see", S1, SENSE)
+        hear = unscaled(wide, "hear", S1, SENSE)
         # left holds s1, s3: 2 * 1/3 + 1 * 2/4 + 3 * 2/5
-        assert wide.class_count("see", S1, "left", sense) == Fraction(2, 3) + Fraction(
-            1, 2
-        ) + Fraction(6, 5)
-        assert wide.position_class_count(S1, "top", sense) == 9
-        assert wide.global_class_count("s4", sense) == Fraction(3, 5) + 1
-        assert wide.class_counts("see", S1, sense)["s0"] == Fraction(2, 3) + Fraction(
-            1, 4
-        ) + Fraction(3, 5)
+        assert see["left"] == Fraction(2, 3) + Fraction(1, 2) + Fraction(6, 5)
+        assert see["s0"] == Fraction(2, 3) + Fraction(1, 4) + Fraction(3, 5)
+        # every triple is an object, so the position sums are the table's
+        assert see["top"] + hear["top"] == 9
+        assert see["s4"] + hear["s4"] == Fraction(3, 5) + 1
 
     @pytest.mark.parametrize("kind", list(ScoreKind))
     def test_scores_equal_fraction_path(self, wide, kind):
-        sense = EstimatorKind.SENSE_CORRECTED
-        grand = wide.table.grand_total
-        total = wide.table.total(S1)
         for v in ("see", "hear"):
-            vs = wide.table.vs_total(v, S1)
-            for cls in wide.class_counts(v, S1, sense):
-                joint = wide.class_count(v, S1, cls, sense)
-                if kind is ScoreKind.ASSOC:
-                    p = wide.cond_probs(v, S1, cls, sense)
-                    ref = float(p.c_given_vs) * math.log2(
-                        p.vc_given_s / (p.v_given_s * p.c_given_s)
-                    )
-                elif kind is ScoreKind.ASSOC_PAIR_MI:
-                    p_c = Fraction(wide.global_class_count(cls, sense)) / grand
-                    ref = float(joint / vs) * math.log2(
-                        (joint / grand) / (Fraction(vs, grand) * p_c)
-                    )
+            classes = sorted(wide.group_sums(v, S1, SENSE).joint)
+            got = wide.scores(kind, v, S1, classes, SENSE)
+            for cls, value in zip(classes, got):
+                world = (WIDE_TRIPLES, WIDE_PARENTS, WIDE_SENSES, v, "1", cls, True)
+                if kind is ASSOC:
+                    ref = oracle.assoc(*world)
+                elif kind is PAIR_MI:
+                    ref = oracle.pair_mi(*world)
                 else:
-                    at_s = wide.position_class_count(S1, cls, sense)
-                    ref = log_likelihood_ratio(
-                        joint, vs - joint, at_s - joint, total - vs - at_s + joint
-                    )
-                assert wide.score(kind, v, S1, cls, sense) == ref
+                    ref = log_likelihood_ratio(*oracle.g2_table(*world))
+                assert value == ref
 
 
 class TestToyTriplesFixtureAgreement:

@@ -139,19 +139,15 @@ class TestSenseLexicon:
         assert "cat" not in lex
 
     def test_sense_fraction_split(self, lex):
-        from fractions import Fraction
-
-        assert lex.sense_fraction("bank", "animal") == Fraction(1, 2)
-        assert lex.sense_fraction("bank", "entity") == Fraction(1)
-        assert lex.sense_fraction("bank", "dog") == Fraction(0)
+        # the fraction of a noun's senses under a class is hits / senses
+        assert len(lex.senses("bank")) == 2
+        hits = lex.sense_hits("bank")
+        assert (hits["animal"], hits["entity"], hits.get("dog", 0)) == (1, 2, 0)
 
     def test_monosemous_weight_is_one(self, lex):
-        from fractions import Fraction
-
-        assert lex.sense_fraction("dog", "animal") == Fraction(1)
+        assert len(lex.senses("dog")) == 1
+        assert lex.sense_hits("dog")["animal"] == 1
 
     def test_class_weights_sum_over_leaf_senses(self, lex):
-        from fractions import Fraction
-
-        w = lex.class_weights("bank")
-        assert w["animal"] + w["liquid"] == Fraction(1)
+        hits = lex.sense_hits("bank")
+        assert hits["animal"] + hits["liquid"] == len(lex.senses("bank"))

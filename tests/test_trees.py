@@ -2,7 +2,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
-from selrestr.trees import ParseTree, TreeSyntaxError, leaf, node, parse_bracketed
+from helpers import leaf, node, subtrees, tokens
+from selrestr.trees import ParseTree, TreeSyntaxError, parse_bracketed
 
 
 SIMPLE = "(S (NP (NN dog)) (VP (VBZ barks)))"
@@ -13,7 +14,7 @@ class TestParse:
         trees = parse_bracketed(SIMPLE)
         assert len(trees) == 1
         assert trees[0].label == "S"
-        assert trees[0].tokens() == ["dog", "barks"]
+        assert tokens(trees[0]) == ["dog", "barks"]
 
     def test_two_concatenated_trees(self):
         trees = parse_bracketed(SIMPLE + "\n" + SIMPLE)
@@ -33,12 +34,12 @@ class TestParse:
 
     def test_nested_depth(self):
         (tree,) = parse_bracketed("(A (B (C (D x))))")
-        labels = [t.label for t in tree.subtrees()]
+        labels = [t.label for t in subtrees(tree)]
         assert labels == ["A", "B", "C", "D"]
 
     def test_leaves_in_order(self):
         (tree,) = parse_bracketed("(S (NP (DT the) (NN dog)) (VP (VBZ barks)))")
-        assert [l.token for l in tree.leaves()] == ["the", "dog", "barks"]
+        assert tokens(tree) == ["the", "dog", "barks"]
 
 
     def test_label_after_children_quirk(self):
@@ -65,9 +66,9 @@ class TestDeepTrees:
         text = self.deep_text()
         (tree,) = parse_bracketed(text)
         assert str(tree) == text
-        assert tree.tokens() == ["dog", "barks"]
-        assert [l.label for l in tree.leaves()] == ["NN", "VBZ"]
-        labels = [t.label for t in tree.subtrees()]
+        assert tokens(tree) == ["dog", "barks"]
+        assert [t.label for t in subtrees(tree) if t.is_leaf] == ["NN", "VBZ"]
+        labels = [t.label for t in subtrees(tree)]
         assert labels == ["S"] + ["NP"] * self.DEPTH + ["NN", "VP", "VBZ"]
 
 
@@ -161,7 +162,7 @@ class TestAgainstReference:
         assert got == _outcome(oracle.parse_bracketed, oracle.OracleSyntaxError, text)
         if got[0] == "trees":
             for tree in got[1]:
-                assert all(type(t) is ParseTree for t in tree.subtrees())
+                assert all(type(t) is ParseTree for t in subtrees(tree))
                 assert parse_bracketed(str(tree)) == [tree]
 
 
