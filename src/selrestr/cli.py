@@ -6,9 +6,11 @@ object whose keys are the option names with underscores.  Explicit flags
 win over the file.  Each value, from the file or a flag, is checked
 against its option's kind: a path must be a non-empty JSON string, an
 integer a JSON integer, a switch true or false, and a choice one of its
-values.  An input that cannot be decoded or parsed (UTF-8, JSON, trees,
-TSV lines) gives an error that names the file; two outputs that name one
-file are refused before anything is written.
+values.  Every input but the corpus is read by ``_load``, which decodes
+it, hashes its bytes and names the file in any error in decoding or
+parsing it (UTF-8, JSON, TSV lines); the corpus's tree errors name it too.
+An output that names an input of the run, or another output, is refused
+before anything is written.
 
 Outputs carry no timestamps, and learned-restriction files embed the
 SHA-256 of the bytes each input was parsed from, so identical inputs give
@@ -109,7 +111,7 @@ def _options(args: argparse.Namespace) -> dict:
     table = {row[0]: row for row in OPTIONS[args.command]}
     config = {}
     if args.config is not None:
-        config = _parsed(args.config, json.loads)
+        config, _ = _load(args.config, json.loads)
         if not isinstance(config, dict):
             raise ExtractionError(f"config {args.config}: top level must be a JSON object")
         unknown = set(config) - set(table)
@@ -138,62 +140,53 @@ def _options(args: argparse.Namespace) -> dict:
 def _input(path: str) -> Iterator[None]:
     """Re-raise an error in reading or parsing ``path`` as one that names
     the file: any ``ValueError`` (decoding, JSON, brackets, TSV lines), or
-    JSON nested too deep for the decoder.  An error raised inside must not
-    name the file already, as ``_read``'s do."""
+    JSON nested too deep for the decoder."""
     try:
         yield
     except (ValueError, RecursionError) as exc:
         raise ExtractionError(f"{path}: {exc}") from None
 
 
-def _read_hashed(path: str) -> tuple[str, str]:
-    """The file's UTF-8 text and the SHA-256 of the very bytes decoded.
+def _load(path: str, parse: Callable[[str], T]) -> tuple[T, str]:
+    """``parse`` applied to the file's UTF-8 text, and the SHA-256 of the
+    very bytes decoded.  An error in decoding or parsing names the file.
 
     The readers split lines with ``str.splitlines``, so CR and CRLF line
     ends need no newline translation."""
     data = Path(path).read_bytes()
     with _input(path):
-        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
-
-
-def _read(path: str) -> str:
-    with _input(path):
-        return Path(path).read_text(encoding="utf-8")
-
-
-def _parsed(path: str, parse: Callable[[str], T]) -> T:
-    """``parse`` applied to the file's text; an error names the file once."""
-    text = _read(path)
-    with _input(path):
-        return parse(text)
+        text, sha256 = data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+        del data  # not needed while parsing
+        return parse(text), sha256
 
 
 def load_taxonomy_files(taxonomy_path: str, lexicon_path: str) -> tuple[SenseLexicon, str, str]:
     """The lexicon over its taxonomy, with the SHA-256 of each file's bytes
     as parsed."""
-    taxonomy_text, taxonomy_sha256 = _read_hashed(taxonomy_path)
-    lexicon_text, lexicon_sha256 = _read_hashed(lexicon_path)
-    with _input(taxonomy_path):
-        taxonomy = parse_taxonomy(taxonomy_text)
-    with _input(lexicon_path):
-        lexicon = parse_lexicon(lexicon_text, taxonomy)
+    taxonomy, taxonomy_sha256 = _load(taxonomy_path, parse_taxonomy)
+    lexicon, lexicon_sha256 = _load(lexicon_path, lambda text: parse_lexicon(text, taxonomy))
     return lexicon, taxonomy_sha256, lexicon_sha256
 
 
-def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], None]]]) -> None:
+def _write_outputs(
+    outputs: list[tuple[str, Callable[[TextIO], None]]], inputs: list[str | None]
+) -> None:
     """Write each (path, writer) pair to a new file beside its path, then
     move all of them into place with ``os.replace``.
 
-    No output is replaced until every one is complete, so a failed write
-    leaves no partial or half-updated output behind.  An error names the
-    output path, as opening that path directly would.  Two outputs that
-    resolve to one file are refused first: the second would replace the first."""
-    seen: set[str] = set()
+    An output that resolves to one of the run's ``inputs`` (None for one
+    not given), or to another output, is refused first: it would replace
+    that file.  No output is replaced until every one is complete, so a
+    failed write leaves no partial or half-updated output behind.  An
+    error names the output path, as opening that path directly would."""
+    claimed = {
+        os.path.realpath(p): "an output names an input file" for p in inputs if p is not None
+    }
     for path, _ in outputs:
         real = os.path.realpath(path)
-        if real in seen:
-            raise ExtractionError(f"{path}: two outputs name the same file")
-        seen.add(real)
+        if real in claimed:
+            raise ExtractionError(f"{path}: {claimed[real]}")
+        claimed[real] = "two outputs name the same file"
     temps: list[str] = []
     path = None
     try:
@@ -221,14 +214,11 @@ def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], None]]]) -> None:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     opts = _options(args)
-    lemmas = EMPTY_LEMMA_TABLE
+    lemmas, tags = EMPTY_LEMMA_TABLE, PENN
     if "lemmas" in opts:
-        with _input(opts["lemmas"]):
-            lemmas = LemmaTable.from_file(opts["lemmas"])
-    tags = PENN
+        lemmas, _ = _load(opts["lemmas"], LemmaTable.from_text)
     if "tagset" in opts:
-        with _input(opts["tagset"]):
-            tags = TagSet.from_file(opts["tagset"])
+        tags, _ = _load(opts["tagset"], TagSet.from_json)
     with _input(opts["corpus"]):
         records = extract_corpus(read_trees(opts["corpus"]), lemmas, tags)
     kept = [r for r in records if r.kept]
@@ -239,7 +229,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
         [
             (triples_path, lambda f: write_triples(kept, f)),
             (discards_path, lambda f: write_discards(discards, f)),
-        ]
+        ],
+        [args.config, opts["corpus"], opts.get("lemmas"), opts.get("tagset")],
     )
 
     raw = len(records)
@@ -262,10 +253,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
     lexicon, *digests = load_taxonomy_files(opts["taxonomy"], opts["lexicon"])
     input_path = opts.get("counts") or opts["triples"]
-    text, input_sha256 = _read_hashed(input_path)
-    with _input(input_path):
-        table = read_counts(text) if "counts" in opts else accumulate(read_triples(text))
-    del text  # not needed while learning
+    parse = read_counts if "counts" in opts else lambda text: accumulate(read_triples(text))
+    table, input_sha256 = _load(input_path, parse)
 
     restrictions = learn_all(Scorer(table, lexicon), cfg)
     header = {
@@ -279,7 +268,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "taxonomy_sha256": digests[0],
         "lexicon_sha256": digests[1],
     }
-    _write_outputs([(opts["out"], lambda f: write_restrictions(restrictions, f, header))])
+    _write_outputs(
+        [(opts["out"], lambda f: write_restrictions(restrictions, f, header))],
+        [args.config, input_path, opts["taxonomy"], opts["lexicon"]],
+    )
     positions = {(sr.verb, sr.rel) for sr in restrictions}
     print(f"{len(restrictions)} restrictions across {len(positions)} verb positions")
     return 0
@@ -288,20 +280,17 @@ def cmd_learn(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     opts = _options(args)
     lexicon, *digests = load_taxonomy_files(opts["taxonomy"], opts["lexicon"])
-    srs_text = _read(opts["srs"])
-    header = read_header(srs_text)
+    (header, restrictions), _ = _load(
+        opts["srs"], lambda text: (read_header(text), read_restrictions(text))
+    )
     for option, digest in zip(("taxonomy", "lexicon"), digests):
         key = f"{option}_sha256"
         if key in header and header[key] != digest:
             raise ExtractionError(
                 f"restrictions file {opts['srs']}: {key} does not match --{option} {opts[option]}"
             )
-    gold = _parsed(opts["gold"], read_gold)
-    with _input(opts["srs"]):
-        restrictions = read_restrictions(srs_text)
-    labels = None
-    if "labels" in opts:
-        labels = _parsed(opts["labels"], read_labels)
+    gold, _ = _load(opts["gold"], read_gold)
+    labels = _load(opts["labels"], read_labels)[0] if "labels" in opts else None
     report = evaluate_gold(gold, restrictions, lexicon, labels)
     json_format = opts.get("format", "text") == "json"
     sys.stdout.write(report.render_json() if json_format else report.render_text())
@@ -310,10 +299,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     opts = _options(args)
-    restrictions = _parsed(opts["srs"], read_restrictions)
+    restrictions, _ = _load(opts["srs"], read_restrictions)
     label_of = {}
     if "labels" in opts:
-        for verb, rel, class_id, label, _count in _parsed(opts["labels"], read_labels):
+        for verb, rel, class_id, label, _count in _load(opts["labels"], read_labels)[0]:
             label_of[verb, rel, class_id] = label.value
     rows = [("verb", "rel", "class", "score", "nouns", "support", "label")]
     for sr in restrictions:

@@ -22,7 +22,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .extract import ExtractionError, SynRel, TripleRecord
+from .extract import ExtractionError, SynRel, TripleRecord, triple_fields
 from .learner import SelectionalRestriction
 from .taxonomy import SenseLexicon
 from .tsv import rows
@@ -182,29 +182,19 @@ def diagnostic_summary(
 def read_gold(text: str) -> list[GoldTriple]:
     """Gold file: verb, rel, noun, then optionally the correct sense
     class ("-" if unknown) and an extraction status token."""
-    out: list[GoldTriple] = []
-    for lineno, fields in rows(text, "gold", (3, 5), ExtractionError):
-        verb, rel_code, noun = fields[:3]
-        if not verb or not noun:
-            raise ExtractionError(f"gold line {lineno}: empty verb or noun")
-        try:
-            record = TripleRecord(verb, SynRel(rel_code), noun)
-        except ValueError as exc:
-            raise ExtractionError(f"gold line {lineno}: {exc}") from None
-        sense: str | None = None
-        error: str | None = None
-        if len(fields) == 5:
-            if not fields[3]:
-                raise ExtractionError(f"gold line {lineno}: empty sense class (use - for unknown)")
-            sense = None if fields[3] == "-" else fields[3]
-            if fields[4] not in _GOLD_STATUS:
-                raise ExtractionError(
-                    f"gold line {lineno}: bad status {fields[4]!r},"
-                    f" expected one of {', '.join(_GOLD_STATUS)}"
-                )
-            error = None if fields[4] == "ok" else fields[4]
-        out.append(GoldTriple(record, sense, error))
-    return out
+    return rows(text, "gold", (3, 5), ExtractionError, _gold_row)
+
+
+def _gold_row(lineno: int, fields: list[str]) -> GoldTriple:
+    record = TripleRecord(*triple_fields(lineno, fields))
+    if len(fields) == 3:
+        return GoldTriple(record)
+    sense, status = fields[3], fields[4]
+    if not sense:
+        raise ValueError("empty sense class (use - for unknown)")
+    if status not in _GOLD_STATUS:
+        raise ValueError(f"bad status {status!r}, expected one of {', '.join(_GOLD_STATUS)}")
+    return GoldTriple(record, None if sense == "-" else sense, None if status == "ok" else status)
 
 
 _LABEL_BY_NAME = {label.value: label for label in DiagnosticLabel}
@@ -215,41 +205,28 @@ def read_labels(text: str) -> list[LabelRow]:
 
     Without the count column, occurrences are recounted from the gold
     triples at evaluation time."""
-    out: list[LabelRow] = []
     seen: set[tuple[str, SynRel, str]] = set()
-    for lineno, fields in rows(text, "labels", (4, 5), ExtractionError):
-        verb, rel_code, class_id = fields[:3]
-        if not verb or not class_id:
-            raise ExtractionError(f"labels line {lineno}: empty verb or class")
+
+    def label_row(lineno: int, fields: list[str]) -> LabelRow:
+        key = triple_fields(lineno, fields, "class")
         label = _LABEL_BY_NAME.get(fields[3])
         if label is None:
-            raise ExtractionError(
-                f"labels line {lineno}: unknown label {fields[3]!r},"
-                f" expected one of {', '.join(_LABEL_BY_NAME)}"
+            raise ValueError(
+                f"unknown label {fields[3]!r}, expected one of {', '.join(_LABEL_BY_NAME)}"
             )
-        try:
-            rel = SynRel(rel_code)
-        except ValueError as exc:
-            raise ExtractionError(f"labels line {lineno}: {exc}") from None
-        key = (verb, rel, class_id)
         if key in seen:
-            raise ExtractionError(
-                f"labels line {lineno}: duplicate label for"
-                f" ({verb}, {rel.code}, {class_id})"
-            )
+            raise ValueError(f"duplicate label for ({key[0]}, {key[1].code}, {key[2]})")
         seen.add(key)
         count: int | None = None
         if len(fields) == 5:
-            try:
-                count = int(fields[4])
-            except ValueError:
-                raise ExtractionError(
-                    f"labels line {lineno}: bad occurrence count {fields[4]!r}"
-                ) from None
+            if not fields[4].removeprefix("-").isdecimal():
+                raise ValueError(f"bad occurrence count {fields[4]!r}")
+            count = int(fields[4])
             if count < 0:
-                raise ExtractionError(f"labels line {lineno}: negative occurrence count")
-        out.append((verb, rel, class_id, label, count))
-    return out
+                raise ValueError("negative occurrence count")
+        return (*key, label, count)
+
+    return rows(text, "labels", (4, 5), ExtractionError, label_row)
 
 
 def occurrence_count(

@@ -16,7 +16,8 @@ accounted for.
 
 Records are named tuples, and a relation is a validated ``str``
 subclass, so the dict lookups keyed by relations downstream hash and
-compare in C.  The tree walk is iterative over constituents only, and
+compare in C; ``relation`` keeps one per code for the extractor and
+every reader.  The tree walk is iterative over constituents only, and
 lemmas are memoized per ``LemmaTable``.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, NamedTuple
 
 from .trees import ParseTree
@@ -60,10 +62,6 @@ class SynRel(str):
             raise ValueError(f"bad relation code {code!r}")
         return str.__new__(cls, code)
 
-    @classmethod
-    def prep(cls, preposition: str) -> "SynRel":
-        return cls(preposition.lower())
-
     @property
     def code(self) -> str:
         return str.__str__(self)
@@ -74,6 +72,30 @@ class SynRel(str):
 
 SUBJECT = SynRel(SUBJECT_CODE)
 OBJECT = SynRel(OBJECT_CODE)
+
+# The one relation of each code seen, shared by every record and reader.
+_RELATIONS: dict[str, SynRel] = {SUBJECT_CODE: SUBJECT, OBJECT_CODE: OBJECT}
+
+
+def relation(code: str) -> SynRel:
+    """The shared ``SynRel`` of ``code``; a bad code raises ``ValueError``."""
+    rel = _RELATIONS.get(code)
+    if rel is None:
+        rel = _RELATIONS[code] = SynRel(code)
+    return rel
+
+
+def triple_fields(
+    lineno: int, fields: list[str], name: str = "noun"
+) -> tuple[str, SynRel, str]:
+    """(verb, relation, name) from the first three fields of a TSV line:
+    neither the verb nor the name may be empty, and the second field
+    must be a relation code.  It takes the arguments of a ``tsv.rows``
+    parse, so a reader of three fields can pass it as one."""
+    verb, code, value = fields[0], fields[1], fields[2]
+    if not verb or not value:
+        raise ValueError(f"empty verb or {name}")
+    return verb, _RELATIONS.get(code) or relation(code), value
 
 
 class TripleRecord(NamedTuple):
@@ -117,11 +139,6 @@ class TagSet:
                 raise ExtractionError(f"tagset key {name} must be a list of strings, got {tags!r}")
         return cls(**{name: frozenset(tags) for name, tags in data.items()})
 
-    @classmethod
-    def from_file(cls, path) -> "TagSet":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json(f.read())
-
 
 PENN = TagSet()
 
@@ -145,19 +162,17 @@ class LemmaTable:
 
     @classmethod
     def from_text(cls, text: str) -> "LemmaTable":
-        entries: dict[tuple[str, str], str] = {}
-        for lineno, (form, pos, lemma) in rows(text, "lemma table", (3,), ExtractionError):
-            if pos not in (NOUN, VERB):
-                raise ExtractionError(f"lemma table line {lineno}: bad POS {pos!r}")
-            if not lemma:
-                raise ExtractionError(f"lemma table line {lineno}: empty lemma")
-            entries[form.lower(), pos] = lemma
-        return cls(entries)
+        """A ``form<TAB>noun|verb<TAB>lemma`` table; a later line wins."""
+        return cls(dict(rows(text, "lemma table", (3,), ExtractionError, _lemma_entry)))
 
-    @classmethod
-    def from_file(cls, path) -> "LemmaTable":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_text(f.read())
+
+def _lemma_entry(lineno: int, fields: list[str]) -> tuple[tuple[str, str], str]:
+    form, pos, lemma = fields
+    if pos not in (NOUN, VERB):
+        raise ValueError(f"bad POS {pos!r}")
+    if not lemma:
+        raise ValueError("empty lemma")
+    return (form, pos), lemma
 
 
 EMPTY_LEMMA_TABLE = LemmaTable()
@@ -249,10 +264,6 @@ def _verb_leaf(vp: ParseTree, tags: TagSet) -> ParseTree | None:
     return None
 
 
-# Relation of each preposition token seen, shared by all records.
-_PREP_RELS: dict[str, SynRel] = {}
-
-
 def extract_triples(
     tree: ParseTree,
     lemmas: LemmaTable = EMPTY_LEMMA_TABLE,
@@ -322,10 +333,7 @@ def extract_triples(
             pp_np = _first(child.children, tags.np_labels)
             if prep is None or pp_np is None:
                 continue
-            rel = _PREP_RELS.get(prep.token)
-            if rel is None:
-                rel = _PREP_RELS[prep.token] = SynRel.prep(prep.token)
-            emit(rel, pp_np)
+            emit(relation(prep.token.lower()), pp_np)
     return records
 
 
@@ -363,19 +371,13 @@ def write_discards(records: Iterable[TripleRecord], f) -> None:
 
 
 def read_triples(text: str) -> list[TripleRecord]:
-    """Parse a triples file; each line becomes a kept record.
+    """Parse a triples file; each line becomes a kept record, numbered
+    from 0 in file order."""
+    index = count().__next__
 
-    Records share one ``SynRel`` per distinct relation code."""
-    records: list[TripleRecord] = []
-    rels: dict[str, SynRel] = {}
-    for lineno, (verb, rel_code, noun) in rows(text, "triples", (3,), ExtractionError):
-        if not verb or not noun:
-            raise ExtractionError(f"triples line {lineno}: empty verb or noun")
-        rel = rels.get(rel_code)
-        if rel is None:
-            try:
-                rel = rels[rel_code] = SynRel(rel_code)
-            except ValueError as exc:
-                raise ExtractionError(f"triples line {lineno}: {exc}") from None
-        records.append(TripleRecord(verb, rel, noun, len(records)))
-    return records
+    def record(lineno: int, fields: list[str]) -> TripleRecord:
+        verb, rel, noun = triple_fields(lineno, fields)
+        # Checked fields: skip TripleRecord's Python-level __new__.
+        return tuple.__new__(TripleRecord, (verb, rel, noun, index(), None))
+
+    return rows(text, "triples", (3,), ExtractionError, record)

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .extract import ExtractionError, SynRel
+from .extract import ExtractionError, SynRel, triple_fields
 from .stats import EstimatorKind, ScoreKind, Scorer
 from .taxonomy import Taxonomy
 from .tsv import rows
@@ -193,27 +193,15 @@ def read_header(text: str) -> dict[str, str]:
 
 
 def read_restrictions(text: str) -> list[SelectionalRestriction]:
-    out: list[SelectionalRestriction] = []
-    for lineno, fields in rows(text, "restrictions", (6,), ExtractionError):
-        verb, rel_code, class_id, score_text, n_nouns_text, support_text = fields
-        if not verb or not class_id:
-            raise ExtractionError(f"restrictions line {lineno}: empty verb or class")
-        try:
-            sr = SelectionalRestriction(
-                verb,
-                SynRel(rel_code),
-                class_id,
-                float(score_text),
-                int(n_nouns_text),
-                int(support_text),
-            )
-        except ValueError as exc:
-            raise ExtractionError(f"restrictions line {lineno}: {exc}") from None
-        if not math.isfinite(sr.score):
-            raise ExtractionError(
-                f"restrictions line {lineno}: score must be finite, got {score_text!r}"
-            )
-        if sr.n_nouns < 0 or sr.support < 0:
-            raise ExtractionError(f"restrictions line {lineno}: nouns and support must be >= 0")
-        out.append(sr)
-    return out
+    return rows(text, "restrictions", (6,), ExtractionError, _restriction_row)
+
+
+def _restriction_row(lineno: int, fields: list[str]) -> SelectionalRestriction:
+    verb, rel, class_id = triple_fields(lineno, fields, "class")
+    score = float(fields[3])
+    n_nouns, support = int(fields[4]), int(fields[5])
+    if not math.isfinite(score):
+        raise ValueError(f"score must be finite, got {fields[3]!r}")
+    if n_nouns < 0 or support < 0:
+        raise ValueError("nouns and support must be >= 0")
+    return SelectionalRestriction(verb, rel, class_id, score, n_nouns, support)

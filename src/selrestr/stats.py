@@ -34,7 +34,7 @@ from enum import Enum
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .extract import ExtractionError, SynRel, TripleRecord
+from .extract import ExtractionError, SynRel, TripleRecord, triple_fields
 from .taxonomy import SenseLexicon
 from .tsv import rows
 
@@ -120,23 +120,18 @@ def accumulate(triples: Iterable[TripleRecord]) -> CountsTable:
 
 
 def read_counts(text: str) -> CountsTable:
-    """Parse a pre-aggregated ``verb<TAB>rel<TAB>noun<TAB>count`` file."""
+    """Parse a pre-aggregated ``verb<TAB>rel<TAB>noun<TAB>count`` file;
+    the counts of a repeated key add up."""
     counts: dict[tuple[str, SynRel, str], int] = {}
-    rels: dict[str, SynRel] = {}
-    for lineno, (verb, rel_code, noun, count_text) in rows(text, "counts", (4,), ExtractionError):
-        if not verb or not noun:
-            raise ExtractionError(f"counts line {lineno}: empty verb or noun")
-        try:
-            rel = rels.get(rel_code)
-            if rel is None:
-                rel = rels[rel_code] = SynRel(rel_code)
-            count = int(count_text)
-        except ValueError as exc:
-            raise ExtractionError(f"counts line {lineno}: {exc}") from None
+
+    def add(lineno: int, fields: list[str]) -> None:
+        key = triple_fields(lineno, fields)
+        count = int(fields[3])
         if count < 1:
-            raise ExtractionError(f"counts line {lineno}: count must be >= 1")
-        key = (verb, rel, noun)
+            raise ValueError("count must be >= 1")
         counts[key] = counts.get(key, 0) + count
+
+    rows(text, "counts", (4,), ExtractionError, add)
     return CountsTable(counts)
 
 
@@ -212,8 +207,7 @@ class Scorer:
             *{len(lexicon.senses(n)) for n in table.noun_total if n in lexicon}
         )
         self._group: tuple[tuple[str, SynRel, EstimatorKind], GroupSums] | None = None
-        self._position_class_sums: dict[tuple[SynRel, EstimatorKind], dict[str, int]] = {}
-        self._global_class_sums: dict[EstimatorKind, dict[str, int]] = {}
+        self._class_sums_at: dict[tuple[SynRel | None, EstimatorKind], dict[str, int]] = {}
 
     def _scale(self, est: EstimatorKind) -> int:
         return 1 if est is EstimatorKind.RAW else self.sense_scale
@@ -244,12 +238,6 @@ class Scorer:
                 sums[cls] = sums.get(cls, 0) + unit * hits
         return sums
 
-    def _class_sums(self, noun_counts: Mapping[str, int], est: EstimatorKind) -> dict[str, int]:
-        """The estimator's sums alone, for a whole position or table."""
-        if est is EstimatorKind.RAW:
-            return self._walk(noun_counts, est).support
-        return self._sense_sums((n, c) for n, c in noun_counts.items() if n in self.lexicon)
-
     def group_sums(self, v: str, s: SynRel, est: EstimatorKind) -> GroupSums:
         """The class sums of the nouns seen with (v, s); a new group
         replaces the one kept."""
@@ -258,30 +246,19 @@ class Scorer:
             self._group = (key, self._walk(self.table.nouns_for(v, s), est))
         return self._group[1]
 
-    def _position_sums(self, s: SynRel, est: EstimatorKind) -> dict[str, int]:
-        key = (s, est)
-        cached = self._position_class_sums.get(key)
+    def _class_sums(self, at: SynRel | None, est: EstimatorKind) -> dict[str, int]:
+        """The estimator's sums over position ``at``, or over the whole
+        table when ``at`` is None, kept once computed."""
+        key = (at, est)
+        cached = self._class_sums_at.get(key)
         if cached is None:
-            cached = self._class_sums(self.table.nouns_at(s), est)
-            self._position_class_sums[key] = cached
+            nouns = self.table.noun_total if at is None else self.table.nouns_at(at)
+            if est is EstimatorKind.RAW:
+                cached = self._walk(nouns, est).support
+            else:
+                cached = self._sense_sums((n, c) for n, c in nouns.items() if n in self.lexicon)
+            self._class_sums_at[key] = cached
         return cached
-
-    def _global_sums(self, est: EstimatorKind) -> dict[str, int]:
-        cached = self._global_class_sums.get(est)
-        if cached is None:
-            cached = self._class_sums(self.table.noun_total, est)
-            self._global_class_sums[est] = cached
-        return cached
-
-    def _position_totals(self, v: str, s: SynRel) -> tuple[int, int]:
-        """Occurrences at position ``s`` and of verb ``v`` there, both nonzero."""
-        total = self.table.total(s)
-        if total == 0:
-            raise ZeroDenominatorError(f"no observations at position {s.code!r}")
-        vs = self.table.vs_total(v, s)
-        if vs == 0:
-            raise ZeroDenominatorError(f"no observations of verb {v!r} at position {s.code!r}")
-        return total, vs
 
     def scores(
         self,
@@ -293,42 +270,40 @@ class Scorer:
     ) -> list[float]:
         """The scores of ``classes`` for (v, s), in order.  Under assoc and
         pairmi every class must have support with (v, s)."""
-        if kind is ScoreKind.ASSOC:
-            return [weight * mi for weight, mi in self._assoc_terms(v, s, classes, est)]
-        if kind is ScoreKind.ASSOC_PAIR_MI:
-            return self._pair_mi_scores(v, s, classes, est)
-        return self._g2_scores(v, s, classes, est)
+        if kind is ScoreKind.LOG_LIKELIHOOD_RATIO:
+            return self._g2_scores(v, s, classes, est)
+        at = s if kind is ScoreKind.ASSOC else None
+        return [weight * mi for weight, mi in self._mi_terms(v, s, classes, est, at)]
 
-    def _assoc_terms(
-        self, v: str, s: SynRel, classes: Sequence[str], est: EstimatorKind
+    def _mi_terms(
+        self, v: str, s: SynRel, classes: Sequence[str], est: EstimatorKind, at: SynRel | None
     ) -> list[tuple[float, float]]:
-        total, vs = self._position_totals(v, s)
+        """(P(c|v,s), MI) for each class, whose product is its score.  The
+        MI is log2 [ P(v,c|s) / (P(v|s) P(c|s)) ] over position ``at`` for
+        assoc, and log2 [ P(v,s,c) / (P(v,s) P(c)) ] over the whole table
+        (``at`` None) for pairmi: both are log2 (k N / (vs C[c])) with N
+        and C the total and class sums of the space."""
+        table = self.table
+        vs = table.vs_total(v, s)
+        if at is None:
+            total = table.grand_total
+            if total == 0:
+                raise ZeroDenominatorError("empty counts table")
+        else:
+            total = table.total(at)
+            if total == 0:
+                raise ZeroDenominatorError(f"no observations at position {s.code!r}")
+            if vs == 0:
+                raise ZeroDenominatorError(f"no observations of verb {v!r} at position {s.code!r}")
         joint = self.group_sums(v, s, est).joint
-        at_position = self._position_sums(s, est)
+        in_space = self._class_sums(at, est)
         weight_denominator = vs * self._scale(est)
         terms = []
         for c in classes:
             k = _supported(joint, v, s, c)
-            # P(v,c|s) / (P(v|s) P(c|s)); the scale of k and at_position cancels.
-            terms.append((k / weight_denominator, math.log2(k * total / (vs * at_position[c]))))
+            # The scale of k and in_space cancels.
+            terms.append((k / weight_denominator, math.log2(k * total / (vs * in_space[c]))))
         return terms
-
-    def _pair_mi_scores(
-        self, v: str, s: SynRel, classes: Sequence[str], est: EstimatorKind
-    ) -> list[float]:
-        grand = self.table.grand_total
-        if grand == 0:
-            raise ZeroDenominatorError("empty counts table")
-        joint = self.group_sums(v, s, est).joint
-        vs = self.table.vs_total(v, s)
-        weight_denominator = vs * self._scale(est)
-        at_all = self._global_sums(est)
-        out = []
-        for c in classes:
-            k = _supported(joint, v, s, c)
-            # P(v,s,c) / (P(v,s) P(c)); the scale of k and at_all cancels.
-            out.append(k / weight_denominator * math.log2(k * grand / (vs * at_all[c])))
-        return out
 
     def _g2_scores(
         self, v: str, s: SynRel, classes: Sequence[str], est: EstimatorKind
@@ -338,7 +313,7 @@ class Scorer:
             raise ZeroDenominatorError(f"no observations at position {s.code!r}")
         scale = self._scale(est)
         joint = self.group_sums(v, s, est).joint
-        at_position = self._position_sums(s, est)
+        at_position = self._class_sums(s, est)
         row = self.table.vs_total(v, s) * scale  # this verb, in class or not
         n = total * scale
         out = []

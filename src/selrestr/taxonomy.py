@@ -14,8 +14,10 @@ File formats (UTF-8, tab-separated, ``#`` starts a comment line):
 
 Both structures are read-only once loaded; hypernym closures are
 memoized on the taxonomy.  Lines follow the shared rule of
-``selrestr.tsv``, and an error in a line names ``taxonomy line N`` or
-``lexicon line N``.
+``selrestr.tsv``, whose ``rows`` adds ``taxonomy line N`` or ``lexicon
+line N`` to an error in a line.  A parent that no line defines is found
+only after every line is read, and that error names the line of the
+class that names it.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ class TaxonomyError(ValueError):
     """Malformed taxonomy or lexicon input, or a query for an unknown name."""
 
 
-def _check_class_id(token: str, where: str) -> str:
+def _check_class_id(token: str) -> str:
     if not token:
-        raise TaxonomyError(f"{where}: empty class id")
+        raise TaxonomyError("empty class id")
     if any(ch.isspace() for ch in token):
-        raise TaxonomyError(f"{where}: class id {token!r} contains whitespace")
+        raise TaxonomyError(f"class id {token!r} contains whitespace")
     return token
 
 
@@ -179,19 +181,22 @@ class SenseLexicon:
 def parse_taxonomy(text: str) -> Taxonomy:
     parents: dict[str, set[str]] = {}
     lines: dict[str, int] = {}
-    for lineno, (class_text, parent_text) in rows(text, "taxonomy", (2,), TaxonomyError):
-        where = f"taxonomy line {lineno}"
-        class_id = _check_class_id(class_text, where)
+
+    def entry(lineno: int, fields: list[str]) -> None:
+        class_id = _check_class_id(fields[0])
         if class_id in parents:
             raise TaxonomyError(
-                f"{where}: duplicate class {class_id!r} (first seen on line {lines[class_id]})"
+                f"duplicate class {class_id!r} (first seen on line {lines[class_id]})"
             )
         lines[class_id] = lineno
-        if parent_text == "-":
-            parent_set: set[str] = set()
-        else:
-            parent_set = {_check_class_id(p, where) for p in parent_text.split(",")}
-        parents[class_id] = parent_set
+        parent_text = fields[1]
+        parents[class_id] = (
+            set() if parent_text == "-" else {_check_class_id(p) for p in parent_text.split(",")}
+        )
+
+    rows(text, "taxonomy", (2,), TaxonomyError, entry)
+    # A class may name a parent that a later line defines, so unknown
+    # parents are known only once every line is read.
     for child, ps in parents.items():
         for p in ps:
             if p not in parents:
@@ -204,22 +209,25 @@ def parse_taxonomy(text: str) -> Taxonomy:
 def parse_lexicon(text: str, taxonomy: Taxonomy) -> SenseLexicon:
     senses: dict[str, frozenset[str]] = {}
     lines: dict[str, int] = {}
-    for lineno, (noun, sense_text) in rows(text, "lexicon", (2,), TaxonomyError):
-        where = f"lexicon line {lineno}"
+
+    def entry(lineno: int, fields: list[str]) -> None:
+        noun, sense_text = fields
         if not noun or any(ch.isspace() for ch in noun):
-            raise TaxonomyError(f"{where}: bad noun lemma {noun!r}")
+            raise TaxonomyError(f"bad noun lemma {noun!r}")
         if noun in senses:
             raise TaxonomyError(
-                f"{where}: duplicate lexicon entry for {noun!r} (first seen on line {lines[noun]})"
+                f"duplicate lexicon entry for {noun!r} (first seen on line {lines[noun]})"
             )
         lines[noun] = lineno
         if not sense_text:
-            raise TaxonomyError(f"{where}: empty sense list for noun {noun!r}")
-        sense_set = frozenset(_check_class_id(c, where) for c in sense_text.split(","))
+            raise TaxonomyError(f"empty sense list for noun {noun!r}")
+        sense_set = frozenset(_check_class_id(c) for c in sense_text.split(","))
         for c in sense_set:
             if c not in taxonomy:
-                raise TaxonomyError(f"{where}: noun {noun!r} names unknown class {c!r}")
+                raise TaxonomyError(f"noun {noun!r} names unknown class {c!r}")
         senses[noun] = sense_set
+
+    rows(text, "lexicon", (2,), TaxonomyError, entry)
     return SenseLexicon(taxonomy, senses)
 
 

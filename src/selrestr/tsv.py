@@ -5,26 +5,43 @@ Unicode line breaks) and are numbered from 1 over all of them.  Spaces
 are stripped from both ends of a line but tabs are kept, so a leading or
 trailing tab is an empty field.  Blank and whitespace-only lines and
 lines starting with ``#`` are skipped; every other line is split on tabs.
+
+``rows`` is the only place that names a line in an error: a reader's
+``parse`` raises a plain ``ValueError`` about the fields it was given,
+and ``rows`` adds ``<kind> line N: `` to it once.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 
 def rows(
-    text: str, kind: str, arities: tuple[int, ...], error: type[ValueError]
-) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for each data line of ``text``.
+    text: str,
+    kind: str,
+    arities: tuple[int, ...],
+    error: type[ValueError],
+    parse: Callable[[int, list[str]], T],
+) -> list[T]:
+    """``parse(line number, fields)`` of each data line of ``text``, in order.
 
-    A line whose field count is not in ``arities`` raises ``error`` with
-    the message ``<kind> line N: expected K fields, got M``."""
+    A line whose field count is not in ``arities``, or whose ``parse``
+    raises ``ValueError``, raises ``error`` with the message
+    ``<kind> line N: <message>``, as in ``expected K fields, got M``."""
     expected = " or ".join(map(str, arities))
+    out: list[T] = []
+    append = out.append
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip(" ")
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) not in arities:
-            raise error(f"{kind} line {lineno}: expected {expected} fields, got {len(fields)}")
-        yield lineno, fields
+        try:
+            if len(fields) not in arities:
+                raise ValueError(f"expected {expected} fields, got {len(fields)}")
+            append(parse(lineno, fields))
+        except ValueError as exc:
+            raise error(f"{kind} line {lineno}: {exc}") from None
+    return out

@@ -59,7 +59,7 @@ def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_demo_corpus_restrictions(data_dir, capsys):
     start = time.perf_counter()
     trees = read_trees(data_dir / "demo.mrg")
-    lemmas = LemmaTable.from_file(data_dir / "demo_lemmas.tsv")
+    lemmas = LemmaTable.from_text((data_dir / "demo_lemmas.tsv").read_text(encoding="utf-8"))
     records = [r for r in extract_corpus(trees, lemmas) if r.kept]
     taxonomy, lexicon = load_taxonomy(
         (data_dir / "demo_taxonomy.tsv").read_text(encoding="utf-8"),
@@ -300,7 +300,8 @@ def test_criterion_6_extraction_conservation(data_dir, test_data_dir, capsys):
     tallies = {}
     for corpus, lemma_file in (("mini", "mini_lemmas.tsv"), ("demo", "demo_lemmas.tsv")):
         trees = read_trees(data_dir / f"{corpus}.mrg")
-        records = extract_corpus(trees, LemmaTable.from_file(data_dir / lemma_file))
+        table = LemmaTable.from_text((data_dir / lemma_file).read_text(encoding="utf-8"))
+        records = extract_corpus(trees, table)
         kept = sum(1 for r in records if r.kept)
         heads = sum(1 for r in records if r.discard_reason == NON_NOUN_HEAD)
         lemmas = sum(1 for r in records if r.discard_reason == LEMMA_FAILURE)

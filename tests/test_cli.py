@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 import selrestr
 from selrestr import cli
 from selrestr.cli import run
+from test_tsv import texts
 
 SRC_DIR = str(Path(selrestr.__file__).resolve().parent.parent)
 
@@ -149,6 +151,29 @@ class TestExtractCommand:
         assert capsys.readouterr().err == f"error: {discards}: two outputs name the same file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv"]
         assert (tmp_path / "out.tsv").read_text(encoding="utf-8") == "old\n"
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--triples", "corpus.mrg"], "corpus.mrg"),
+            (["--triples", "t.tsv", "--discards", "./corpus.mrg"], "./corpus.mrg"),
+            (["--lemmas", "lemmas.tsv", "--triples", "lemmas.tsv"], "lemmas.tsv"),
+            (["--config", "cfg.json", "--triples", "cfg.json"], "cfg.json"),
+        ],
+        ids=["triples-corpus", "discards-corpus", "triples-lemmas", "triples-config"],
+    )
+    def test_output_naming_an_input_exits_1(
+        self, data_dir, tmp_path, monkeypatch, capsys, flags, named
+    ):
+        # The output used to replace the input it names, with status 0.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "corpus.mrg").write_bytes((data_dir / "demo.mrg").read_bytes())
+        (tmp_path / "lemmas.tsv").write_bytes((data_dir / "demo_lemmas.tsv").read_bytes())
+        (tmp_path / "cfg.json").write_text('{"corpus": "corpus.mrg"}', encoding="utf-8")
+        before = _snapshot(tmp_path)
+        assert run(["extract", "--corpus", "corpus.mrg", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {named}: an output names an input file\n"
+        assert _snapshot(tmp_path) == before
 
     def test_deep_tree_extracts_without_traceback(self, tmp_path):
         depth = 5000
@@ -336,6 +361,20 @@ class TestLearnCommand:
             ]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("option", ["--counts", "--taxonomy", "--lexicon"])
+    def test_out_naming_an_input_exits_1(self, data_dir, tmp_path, monkeypatch, capsys, option):
+        # learn --counts c.tsv --out c.tsv used to replace its counts, with status 0.
+        monkeypatch.chdir(tmp_path)
+        for name in ("counts", "taxonomy", "lexicon"):
+            (tmp_path / f"{name}.tsv").write_bytes((data_dir / f"toy_{name}.tsv").read_bytes())
+        before = _snapshot(tmp_path)
+        named = option[2:] + ".tsv"
+        argv = ["learn", "--counts", "counts.tsv", "--taxonomy", "taxonomy.tsv",
+                "--lexicon", "lexicon.tsv", "--threshold", "1", "--out", named]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {named}: an output names an input file\n"
+        assert _snapshot(tmp_path) == before
 
     def test_out_is_a_directory(self, data_dir, tmp_path, capsys):
         (tmp_path / "srs").mkdir()
@@ -905,6 +944,19 @@ def _last_value(argv, flag):
     return [value for token, value in zip(argv, argv[1:]) if token == flag][-1]
 
 
+# The options that name an output; every other path option names an input.
+OUTPUT_OPTIONS = {"extract": ("triples", "discards"), "learn": ("out",)}
+
+
+def _read_paths(command, argv):
+    """The files that a run of ``argv`` reads: the last value of each
+    input option given."""
+    names = [name for name, kind, _, _ in cli.OPTIONS[command]
+             if kind == cli.PATH and name not in OUTPUT_OPTIONS.get(command, ())]
+    flags = ["--" + name.replace("_", "-") for name in names] + ["--config"]
+    return [Path(_last_value(argv, flag)) for flag in flags if flag in argv[:-1]]
+
+
 @pytest.mark.parametrize("command", list(FUZZ_FLAGS))
 def test_fuzz_argv_gives_a_status_never_a_traceback(data_dir, tmp_path, command):
     @settings(max_examples=60, deadline=None)
@@ -935,13 +987,150 @@ def test_fuzz_argv_gives_a_status_never_a_traceback(data_dir, tmp_path, command)
             if status == 1:
                 assert err.getvalue().startswith("error: "), (argv, err.getvalue())
                 assert after == before, argv
+            if status == 0:
+                for path in _read_paths(command, argv):
+                    assert path not in before or after[path] == before[path], (argv, path)
             if command == "extract" and status == 0:
                 kept = int(out.getvalue().split("kept")[1].split()[0])
                 triples = (root / _last_value(argv, "--triples")).read_text(encoding="utf-8")
                 assert len(triples.splitlines()) == kept, argv
 
     if command == "extract":
-        # Both outputs in one file: the discards used to replace the triples.
+        # Both outputs in one file: the discards used to replace the triples;
+        # and the triples used to replace the corpus they came from.
         check = example(argv=["extract", "--corpus", "corpus.mrg", "--triples", "out.tsv",
                               "--discards", "./out.tsv"])(check)
+        check = example(argv=["extract", "--corpus", "corpus.mrg",
+                              "--triples", "corpus.mrg"])(check)
+    if command == "learn":
+        # The restrictions used to replace the counts they were learned from.
+        check = example(argv=["learn", *(t for pair in FUZZ_FLAGS["learn"][:3] for t in pair),
+                              "--out", "counts.tsv"])(check)
+    check()
+
+
+# -- fuzzing file contents ---------------------------------------------------
+
+# One valid run per command with every input it can take.  Each case below
+# replaces one input with generated contents and keeps the others valid.
+CONTENT_ARGV = {
+    "extract": ["extract", "--corpus", "corpus.mrg", "--lemmas", "lemmas.tsv",
+                "--tagset", "tags.json", "--triples", "out.tsv", "--config", "cfg.json"],
+    "learn": ["learn", "--counts", "counts.tsv", "--taxonomy", "taxonomy.tsv",
+              "--lexicon", "lexicon.tsv", "--threshold", "1", "--min-verb-support", "1",
+              "--out", "out.tsv", "--config", "cfg.json"],
+    "learn-triples": ["learn", "--triples", "triples.tsv", "--taxonomy", "taxonomy.tsv",
+                      "--lexicon", "lexicon.tsv", "--threshold", "1", "--min-verb-support", "1",
+                      "--out", "out.tsv"],
+    "eval": ["eval", "--gold", "gold.tsv", "--srs", "srs.tsv", "--taxonomy", "taxonomy.tsv",
+             "--lexicon", "lexicon.tsv", "--labels", "labels.tsv", "--config", "cfg.json"],
+    "report": ["report", "--srs", "srs.tsv", "--labels", "labels.tsv"],
+}
+TOY_TRIPLES = "drink\t0\tdog\ndrink\t0\tdog\ndrink\t0\tcat\ndrink\t1\twater\nsleep\t0\tman\n"
+# TSV inputs: the reader's kind, which its line errors name, and its field counts.
+TSV_KINDS = {
+    "lemmas.tsv": ("lemma table", (3,)), "counts.tsv": ("counts", (4,)),
+    "triples.tsv": ("triples", (3,)), "taxonomy.tsv": ("taxonomy", (2,)),
+    "lexicon.tsv": ("lexicon", (2,)), "gold.tsv": ("gold", (3, 5)),
+    "srs.tsv": ("restrictions", (6,)), "labels.tsv": ("labels", (4, 5)),
+}
+CONTENT_CASES = [
+    ("extract", "corpus.mrg"), ("extract", "lemmas.tsv"), ("extract", "tags.json"),
+    ("extract", "cfg.json"), ("learn", "counts.tsv"), ("learn", "taxonomy.tsv"),
+    ("learn", "lexicon.tsv"), ("learn", "cfg.json"), ("learn-triples", "triples.tsv"),
+    ("eval", "gold.tsv"), ("eval", "srs.tsv"), ("eval", "taxonomy.tsv"),
+    ("eval", "labels.tsv"), ("report", "srs.tsv"), ("report", "labels.tsv"),
+]
+
+BRACKET_TOKENS = ["(", ")", "(S", "(SINV", "(NP", "(VP", "(PP", "(NN", "(NNS", "(VBZ", "(IN",
+                  "(DT", "dog", "Cats", "barks", "with", "the", "42", "x y", "\n", "\t"]
+TAGSET_KEYS = ["noun_tags", "verb_tags", "prep_tags", "clause_labels", "np_labels",
+               "vp_labels", "pp_labels", "np_label"]
+
+
+def _spliced(valid, generated):
+    """Generated text alone, or put in among the lines of the valid file."""
+    lines = valid.splitlines(keepends=True)
+    return generated | st.tuples(
+        generated, st.integers(min_value=0, max_value=len(lines))
+    ).map(lambda t: "".join(lines[: t[1]]) + t[0] + "\n" + "".join(lines[t[1]:]))
+
+
+def _contents(name, valid, command):
+    """Bytes for file ``name`` of a ``command`` run: mostly UTF-8 text of
+    its format, sometimes any bytes at all."""
+    if name in TSV_KINDS:
+        text = _spliced(valid, texts(TSV_KINDS[name][1]))
+    elif name == "corpus.mrg":
+        text = _spliced(valid, st.lists(st.sampled_from(BRACKET_TOKENS), max_size=30).map(" ".join))
+    else:
+        keys = TAGSET_KEYS if name == "tags.json" else [
+            *(n for n, *_ in cli.OPTIONS[command]), "unknown_key"]
+        objects = st.dictionaries(st.sampled_from(keys), json_value, max_size=3)
+        lists = st.dictionaries(st.sampled_from(keys), st.lists(st.sampled_from(["NN", "S", ""])))
+        text = st.one_of(objects, lists, json_value).map(json.dumps) | st.text(max_size=12)
+    return text.map(lambda t: t.encode("utf-8")) | st.binary(max_size=12)
+
+
+@pytest.mark.parametrize("command, name", CONTENT_CASES, ids=[f"{c}-{n}" for c, n in CONTENT_CASES])
+def test_fuzz_contents_gives_a_status_and_names_the_file(data_dir, tmp_path, command, name):
+    """Generated contents of one input file through ``cli.run``: status 0,
+    1 or 2 and never a traceback; a failed run changes no file; exit 1
+    prints one ``error: <that file>: `` line, which for a TSV input names
+    ``<kind> line N`` with N inside the file.  Two errors are not about
+    the file's own lines: a taxonomy cycle, and a lexicon line naming a
+    class that the generated taxonomy lacks.  A ``--config`` object
+    whose values are wrong names the option instead of the file; only
+    text that is not JSON must name it.  Bytes that are not UTF-8 name
+    the file and the decoder's error."""
+    valid = {**{n: (data_dir / src).read_bytes() for n, src in FUZZ_FILES.items()},
+             "tags.json": b'{"noun_tags": ["NN", "NNS"]}', "cfg.json": b"{}",
+             "triples.tsv": TOY_TRIPLES.encode()}
+
+    @settings(max_examples=40, deadline=None)
+    @given(content=_contents(name, valid[name].decode("utf-8"), CONTENT_ARGV[command][0]))
+    def check(content):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+            root = Path(work)
+            for file, data in valid.items():
+                (root / file).write_bytes(content if file == name else data)
+            before = _snapshot(root)
+            out, err = io.StringIO(), io.StringIO()
+            cwd = os.getcwd()
+            os.chdir(root)
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    status = run(CONTENT_ARGV[command])
+            finally:
+                os.chdir(cwd)
+            after = _snapshot(root)
+            message = err.getvalue()
+            assert status in (0, 1, 2), status
+            if status:
+                assert after == before
+                assert message.startswith("error: ") and message.count("\n") == 1, message
+            if status != 1:
+                return
+            if name == "cfg.json":
+                try:
+                    json.loads(content)
+                except (ValueError, RecursionError):
+                    assert message.startswith("error: cfg.json: "), message
+                return
+            if name == "taxonomy.tsv" and message.startswith("error: lexicon.tsv: lexicon line "):
+                return
+            assert message.startswith(f"error: {name}: "), message
+            try:
+                text = content.decode("utf-8")
+            except UnicodeDecodeError:
+                assert "'utf-8' codec can't decode" in message, message
+                return
+            if name in TSV_KINDS:
+                if name == "taxonomy.tsv" and "cycle detected among classes: " in message:
+                    return
+                kind = TSV_KINDS[name][0]
+                m = re.match(rf"error: {re.escape(name)}: {kind} line (\d+): ", message)
+                assert m, message
+                assert 1 <= int(m.group(1)) <= len(text.splitlines()), message
+
     check()

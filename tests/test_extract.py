@@ -23,6 +23,7 @@ from selrestr.extract import (
     lemmatize,
     np_head,
     read_triples,
+    relation,
     write_discards,
     write_triples,
 )
@@ -41,9 +42,12 @@ class TestSynRel:
         assert rel not in (SUBJECT, OBJECT)
         assert str(rel) == "with"
 
-    def test_prep_constructor_lowercases(self):
-        assert SynRel.prep("On").code == "on"
-        assert SynRel.prep("TO").code == "to"
+    def test_prepositions_are_lowercased_and_shared(self):
+        # One SynRel per code serves the extractor and every reader.
+        (tree,) = parse_bracketed("(S (NP (NN dog)) (VP (VBZ sleeps) (PP (IN On) (NP (NN mat)))))")
+        (_, on) = extract_triples(tree)
+        assert on.rel.code == "on" and on.rel is relation("on")
+        assert read_triples("sleep\ton\tmat\n")[0].rel is on.rel
 
     @pytest.mark.parametrize("bad", ["With", "", "o n", "in\t", "IN"])
     def test_bad_codes_rejected(self, bad):
@@ -91,10 +95,11 @@ class TestTagSet:
             TagSet.from_json(text)
         assert str(err.value).startswith(message)
 
-    def test_from_file(self, tmp_path):
+    def test_from_json_of_file_text(self, tmp_path):
         p = tmp_path / "tags.json"
         p.write_text('{"pp_labels": ["PP", "PP-LOC"]}', encoding="utf-8")
-        assert TagSet.from_file(p).pp_labels == frozenset({"PP", "PP-LOC"})
+        tags = TagSet.from_json(p.read_text(encoding="utf-8"))
+        assert tags.pp_labels == frozenset({"PP", "PP-LOC"})
 
 
 class TestLemmaTable:
@@ -390,7 +395,7 @@ class TestBundledTreebank:
     def test_matches_hand_derived_files(self, data_dir, test_data_dir):
         from selrestr.trees import read_trees
 
-        table = LemmaTable.from_file(data_dir / "mini_lemmas.tsv")
+        table = LemmaTable.from_text((data_dir / "mini_lemmas.tsv").read_text(encoding="utf-8"))
         recs = extract_corpus(read_trees(data_dir / "mini.mrg"), table)
         kept = io.StringIO()
         write_triples([r for r in recs if r.kept], kept)

@@ -197,7 +197,7 @@ class TestAssoc:
 
     def test_components_multiply(self, toy_scorer):
         # (P(c|v,s), conditional mutual information), whose product is assoc
-        ((w, mi),) = toy_scorer._assoc_terms("drink", S0, ["dog"], RAW)
+        ((w, mi),) = toy_scorer._mi_terms("drink", S0, ["dog"], RAW, S0)
         assert w == pytest.approx(2 / 3)
         assert w * mi == score(toy_scorer, ASSOC, "drink", S0, "dog")
 

@@ -2,7 +2,9 @@
 
 Each reader goes through ``selrestr.tsv.rows``: spaces and CR are
 stripped from the ends of a line, tabs are kept, blank and ``#`` lines
-are skipped, and an error in a line names ``<kind> line N``.  The fuzz
+are skipped, and an error in a line names ``<kind> line N``, a prefix
+that only ``rows`` adds, so each reader's field errors are pinned here
+byte for byte.  The fuzz
 tests feed each reader text built from the characters these files are
 made of and require a result or the reader's own ``ValueError``
 subclass, never another exception; a result may hold no empty name or
@@ -88,6 +90,24 @@ BAD_FIELDS = [
     ("gold-empty-sense", "gold", "eat\t1\tdog\t\tok", "empty sense class (use - for unknown)"),
     ("labels-empty-verb", "labels", "\teat\tanimal\tOk", "empty verb or class"),
     ("labels-empty-class", "labels", "eat\t1\t\tOk\t2", "empty verb or class"),
+    ("triples-bad-relation", "triples", "eat\tX\tdog", "bad relation code 'X'"),
+    ("counts-bad-relation", "counts", "eat\tX\tdog\t2", "bad relation code 'X'"),
+    ("gold-bad-relation", "gold", "eat\tX\tdog", "bad relation code 'X'"),
+    ("labels-bad-relation", "labels", "eat\tX\tanimal\tOk", "bad relation code 'X'"),
+    ("restrictions-bad-relation", "restrictions", "eat\tX\tanimal\t0.5\t2\t3",
+     "bad relation code 'X'"),
+    ("counts-non-numeric", "counts", "eat\t1\tdog\ttwo",
+     "invalid literal for int() with base 10: 'two'"),
+    ("counts-zero", "counts", "eat\t1\tdog\t0", "count must be >= 1"),
+    ("labels-non-numeric", "labels", "eat\t1\tdog\tOk\tmany", "bad occurrence count 'many'"),
+    ("labels-signed-count", "labels", "eat\t1\tdog\tOk\t+5", "bad occurrence count '+5'"),
+    ("labels-negative-count", "labels", "eat\t1\tdog\tOk\t-5", "negative occurrence count"),
+    ("restrictions-non-numeric-score", "restrictions", "eat\t1\tanimal\thigh\t2\t3",
+     "could not convert string to float: 'high'"),
+    ("restrictions-non-numeric-nouns", "restrictions", "eat\t1\tanimal\t0.5\tx\t3",
+     "invalid literal for int() with base 10: 'x'"),
+    ("restrictions-non-numeric-support", "restrictions", "eat\t1\tanimal\t0.5\t2\t3.0",
+     "invalid literal for int() with base 10: '3.0'"),
 ]
 
 
