@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import errno
 import hashlib
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -44,6 +43,7 @@ from .extract import (
     PENN,
     TagSet,
     extract_corpus,
+    key_names,
     read_triples,
     write_discards,
     write_triples,
@@ -111,13 +111,14 @@ def _options(args: argparse.Namespace) -> dict:
     table = {row[0]: row for row in OPTIONS[args.command]}
     config = {}
     if args.config is not None:
+        import json  # here, not at the top: most runs have no --config
+
         config, _ = _load(args.config, json.loads)
         if not isinstance(config, dict):
             raise ExtractionError(f"config {args.config}: top level must be a JSON object")
         unknown = set(config) - set(table)
         if unknown:
-            keys = ", ".join(sorted(unknown))
-            raise ExtractionError(f"config {args.config}: unknown keys {keys}")
+            raise ExtractionError(f"config {args.config}: unknown keys {key_names(unknown)}")
     flags = {name: getattr(args, name) for name in table if getattr(args, name) is not None}
     for name, value in [*config.items(), *flags.items()]:
         kind = table[name][1]
@@ -248,8 +249,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     if ("triples" in opts) == ("counts" in opts):
         raise ExtractionError("exactly one of --triples and --counts is required")
     # Only the options given: the defaults are LearnerConfig's own.
-    fields = LearnerConfig.__dataclass_fields__
-    cfg = LearnerConfig(**{k: v for k, v in opts.items() if k in fields})
+    cfg = LearnerConfig(**{k: v for k, v in opts.items() if k in LearnerConfig.__slots__})
 
     lexicon, *digests = load_taxonomy_files(opts["taxonomy"], opts["lexicon"])
     input_path = opts.get("counts") or opts["triples"]

@@ -11,29 +11,32 @@ Diagnostic summaries aggregate per-class human judgments (a label file)
 into a table of class counts and noun-occurrence counts per label.
 Occurrence totals may exceed the number of triples because a noun can
 belong to several labeled classes at once.
+
+``decimal``, ``fractions`` and ``json`` are imported by the functions
+that use them: every command imports this module at start-up, and most
+need none of them until the end of a run, or at all.
 """
 
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .extract import ExtractionError, SynRel, TripleRecord, triple_fields
 from .learner import SelectionalRestriction
 from .taxonomy import SenseLexicon
 from .tsv import rows
 
+if TYPE_CHECKING:
+    from decimal import Decimal
+    from fractions import Fraction
+
 PARSER_ERR = "parser_err"
 LEMMA_ERR = "lemma_err"
 _GOLD_STATUS = ("ok", PARSER_ERR, LEMMA_ERR)
 
 
-@dataclass(frozen=True)
-class GoldTriple:
+class GoldTriple(NamedTuple):
     """A held-out triple, optionally annotated with the sense actually
     used in context and with the extraction verdict for its sentence."""
 
@@ -56,8 +59,7 @@ class DiagnosticLabel(enum.Enum):
     NOISE = "Noise"
 
 
-@dataclass(frozen=True)
-class DiagnosticRow:
+class DiagnosticRow(NamedTuple):
     label: str
     classes: int
     class_pct: Decimal
@@ -71,6 +73,8 @@ LabelRow = tuple[str, SynRel, str, DiagnosticLabel, int | None]
 
 def percentage(part: int, whole: int) -> Decimal:
     """part/whole as a percentage with one decimal, ties rounding up."""
+    from decimal import ROUND_HALF_UP, Decimal
+
     if whole == 0:
         return Decimal("0.0")
     return (Decimal(part * 100) / Decimal(whole)).quantize(
@@ -111,6 +115,8 @@ def _ratios(
     checked against its own position's restrictions only.  A triple at a
     position without restrictions is never fulfilled, so one count of
     fulfilled triples serves both numerators."""
+    from fractions import Fraction
+
     by_position: dict[tuple[str, SynRel], list[SelectionalRestriction]] = {}
     for sr in srs:
         by_position.setdefault((sr.verb, sr.rel), []).append(sr)
@@ -249,8 +255,7 @@ def occurrence_count(
 # -- assembled report ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     gold_total: int
     excluded_parser: int
     excluded_lemma: int
@@ -322,6 +327,8 @@ class EvalReport:
         return data
 
     def render_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 

@@ -23,8 +23,6 @@ lemmas are memoized per ``LemmaTable``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, NamedTuple
 
@@ -43,6 +41,13 @@ OBJECT_CODE = "1"
 
 class ExtractionError(ValueError):
     """Malformed extractor input (lemma table or triples file)."""
+
+
+def key_names(keys: Iterable[str]) -> str:
+    """The keys, sorted and comma-separated, for a one-line message: a key
+    with a non-printable character, such as a newline, is given as its
+    ``repr``."""
+    return ", ".join(key if key.isprintable() else repr(key) for key in sorted(keys))
 
 
 class SynRel(str):
@@ -112,8 +117,7 @@ class TripleRecord(NamedTuple):
         return self.discard_reason is None
 
 
-@dataclass(frozen=True)
-class TagSet:
+class TagSet(NamedTuple):
     """Label and tag inventories driving clause detection and head finding."""
 
     noun_tags: frozenset[str] = frozenset({"NN", "NNS", "NNP", "NNPS"})
@@ -128,12 +132,14 @@ class TagSet:
     def from_json(cls, text: str) -> "TagSet":
         """A JSON object mapping some of the field names to lists of
         strings; the other fields keep their Penn defaults."""
+        import json
+
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ExtractionError(f"tagset must be a JSON object, got {data!r}")
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        unknown = set(data) - set(cls._fields)
         if unknown:
-            raise ExtractionError(f"unknown tagset keys: {', '.join(sorted(unknown))}")
+            raise ExtractionError(f"unknown tagset keys: {key_names(unknown)}")
         for name, tags in data.items():
             if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
                 raise ExtractionError(f"tagset key {name} must be a list of strings, got {tags!r}")

@@ -25,8 +25,7 @@ immune to the non-monotone shape of the association score.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .extract import ExtractionError, SynRel, triple_fields
 from .stats import EstimatorKind, ScoreKind, Scorer
@@ -34,7 +33,6 @@ from .taxonomy import Taxonomy
 from .tsv import rows
 
 
-@dataclass
 class LearnerConfig:
     """Knobs for candidate generation and selection.
 
@@ -47,25 +45,36 @@ class LearnerConfig:
     and ``estimator`` may also be given by value, as in ``"g2"``.
     """
 
-    threshold: int = 3
-    scorer: ScoreKind = ScoreKind.ASSOC
-    estimator: EstimatorKind = EstimatorKind.RAW
-    min_verb_support: int = 10
-    keep_nonpositive: bool = True
+    __slots__ = ("threshold", "scorer", "estimator", "min_verb_support", "keep_nonpositive")
 
-    def __post_init__(self):
-        self.scorer = ScoreKind(self.scorer)
-        self.estimator = EstimatorKind(self.estimator)
-        if self.threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {self.threshold}")
-        if self.min_verb_support < 1:
-            raise ValueError(f"min_verb_support must be >= 1, got {self.min_verb_support}")
+    def __init__(
+        self,
+        threshold: int = 3,
+        scorer: ScoreKind | str = ScoreKind.ASSOC,
+        estimator: EstimatorKind | str = EstimatorKind.RAW,
+        min_verb_support: int = 10,
+        keep_nonpositive: bool = True,
+    ):
+        self.scorer = ScoreKind(scorer)
+        self.estimator = EstimatorKind(estimator)
+        if threshold < 1:
+            raise ValueError(f"threshold must be >= 1, got {threshold}")
+        if min_verb_support < 1:
+            raise ValueError(f"min_verb_support must be >= 1, got {min_verb_support}")
+        self.threshold = threshold
+        self.min_verb_support = min_verb_support
+        self.keep_nonpositive = keep_nonpositive
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"LearnerConfig({fields})"
 
 
-@dataclass(frozen=True)
-class SelectionalRestriction:
+class SelectionalRestriction(NamedTuple):
     """A scored (verb, relation, class) with its evidence: a ranked
-    candidate while learning, an acquired constraint once selected."""
+    candidate while learning, an acquired constraint once selected.  It
+    is an immutable named tuple; ``sr._replace(score=...)`` is a copy
+    with another score."""
 
     verb: str
     rel: SynRel

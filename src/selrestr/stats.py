@@ -32,7 +32,7 @@ import math
 from collections import Counter
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .extract import ExtractionError, SynRel, TripleRecord, triple_fields
 from .taxonomy import SenseLexicon
@@ -148,25 +148,42 @@ def log_likelihood_ratio(k11, k12, k21, k22, scale: int = 1) -> float:
     cells = (k11, k12, k21, k22)
     if any(k < 0 for k in cells):
         raise ValueError(f"negative contingency cell in {cells}")
-    r1, r2 = k11 + k12, k21 + k22
-    c1, c2 = k11 + k21, k12 + k22
-    n = r1 + r2
-    if not (r1 and r2 and c1 and c2):
-        return 0.0
+    return _g2_by_row(k11 + k12, sum(cells), scale)(k11, k11 + k21)
+
+
+def _g2_by_row(r1: int, n: int, scale: int) -> Callable[[int, int], float]:
+    """The signed G2 of ``log_likelihood_ratio`` for every table with first
+    row total ``r1`` and grand total ``n``, as a function of its top-left
+    cell and first column total.  The floats that depend on the row alone
+    are taken once, so one (verb, position) pays for them once."""
+    r2 = n - r1
     fn = float(n / scale)
-    g = 0.0
-    for k, row, col in ((k11, r1, c1), (k12, r1, c2), (k21, r2, c1), (k22, r2, c2)):
-        if k > 0:
-            fk = float(k / scale)
-            g += fk * math.log(fk * fn / (float(row / scale) * float(col / scale)))
-    g *= 2.0
-    # The sign test compares k11 with its expectation r1 * c1 / n; a common
-    # scale multiplies both sides by scale**2 and leaves it unchanged.
-    if k11 * n > r1 * c1:
-        return g
-    if k11 * n < r1 * c1:
-        return -g
-    return 0.0
+    fr1, fr2 = float(r1 / scale), float(r2 / scale)
+    log = math.log
+
+    def g2(k11: int, c1: int) -> float:
+        c2 = n - c1
+        if not (r1 and r2 and c1 and c2):
+            return 0.0
+        fc1, fc2 = float(c1 / scale), float(c2 / scale)
+        k21 = c1 - k11
+        g = 0.0
+        cells = ((k11, fr1, fc1), (r1 - k11, fr1, fc2), (k21, fr2, fc1), (r2 - k21, fr2, fc2))
+        for k, fr, fc in cells:
+            if k > 0:
+                fk = float(k / scale)
+                g += fk * log(fk * fn / (fr * fc))
+        g *= 2.0
+        # The sign test compares k11 with its expectation r1 * c1 / n; a
+        # common scale multiplies both sides by scale**2 and leaves it
+        # unchanged.
+        if k11 * n > r1 * c1:
+            return g
+        if k11 * n < r1 * c1:
+            return -g
+        return 0.0
+
+    return g2
 
 
 class GroupSums(NamedTuple):
@@ -314,14 +331,10 @@ class Scorer:
         scale = self._scale(est)
         joint = self.group_sums(v, s, est).joint
         at_position = self._class_sums(s, est)
-        row = self.table.vs_total(v, s) * scale  # this verb, in class or not
-        n = total * scale
-        out = []
-        for c in classes:
-            k11 = joint.get(c, 0)
-            k21 = at_position.get(c, 0) - k11
-            out.append(log_likelihood_ratio(k11, row - k11, k21, n - row - k21, scale))
-        return out
+        # Row: this verb, in class or not; column: the class, any verb.  No
+        # cell is negative, as the group's nouns are some of the position's.
+        g2 = _g2_by_row(self.table.vs_total(v, s) * scale, total * scale, scale)
+        return [g2(joint.get(c, 0), at_position.get(c, 0)) for c in classes]
 
 
 def _supported(joint: Mapping[str, int], v: str, s: SynRel, c: str) -> int:

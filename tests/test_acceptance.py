@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from io import StringIO
@@ -275,7 +274,7 @@ def test_criterion_5_selection_properties(capsys):
             want = [c.class_id for c in chosen]
             # powers of two rescale float scores exactly
             for k in (0.5, 2.0, 8.0):
-                rescaled = [replace(c, score=c.score * k) for c in scored]
+                rescaled = [c._replace(score=c.score * k) for c in scored]
                 got = [c.class_id for c in select_disjoint(rescaled, taxonomy)]
                 if got != want:
                     problems.append(f"{tag}: scaling scores by {k} changed the selection")

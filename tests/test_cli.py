@@ -631,6 +631,50 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
 
+    def test_import_leaves_out_what_only_some_paths_use(self):
+        # dataclasses (with inspect), json, decimal and fractions would cost
+        # every command start-up time; the functions that use them import them.
+        def modules(code):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+                capture_output=True, text=True, timeout=60, check=True,
+                env={**os.environ, "PYTHONPATH": SRC_DIR},
+            )
+            return set(proc.stdout.split())
+
+        added = modules("import selrestr.cli") - modules("pass")
+        assert "selrestr.cli" in added
+        assert not added & {"dataclasses", "inspect", "json", "decimal", "fractions"}
+
+    def test_fresh_interpreter_loads_what_a_path_uses(self, data_dir, tmp_path, monkeypatch):
+        # eval reads --config and writes --format json (json), the label
+        # percentages (decimal) and the ratios (fractions); extract reads a
+        # --tagset file (json).  Each prints what it prints in process,
+        # where the tests have already imported those modules.
+        monkeypatch.chdir(tmp_path)
+        labels = str(data_dir / "toy_labels.tsv")
+        (tmp_path / "cfg.json").write_text(json.dumps({"format": "json", "labels": labels}))
+        (tmp_path / "tags.json").write_text(json.dumps({"pp_labels": ["PP"]}))
+
+        def fresh(argv):
+            proc = subprocess.run(
+                [sys.executable, "-m", "selrestr", *argv],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": SRC_DIR},
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
+            with redirect_stdout(io.StringIO()) as out:
+                assert run(argv) == 0
+            assert proc.stdout == out.getvalue()
+            return proc.stdout
+
+        report = json.loads(fresh(TestEvalCommand().eval_argv(data_dir, "--config", "cfg.json")))
+        assert report["diagnostics"][0]["class_pct"] == "100.0"
+        assert report["precision"]["numerator"] == 1
+        extract_argv = ["extract", "--corpus", str(data_dir / "demo.mrg"),
+                        "--tagset", "tags.json", "--triples", "t.tsv"]
+        assert fresh(extract_argv).startswith("raw extractions  ")
+
 
 # -- option table and input errors ----------------------------------------
 
@@ -716,6 +760,27 @@ def test_content_error_names_the_file(data_dir, tmp_path, name, content, option,
     (tmp_path / name).write_text(content)
     argv = ["extract", "--corpus", str(data_dir / "demo.mrg"), option, name, "--triples", "t.tsv"]
     assert _cli(tmp_path, *argv) == (1, f"error: {name}: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("tags.json", '{"a\\nb": ["NN"], "np_label": []}',
+         "tags.json: unknown tagset keys: 'a\\nb', np_label"),
+        ("cfg.json", '{"thr\\nold": 1}', "config cfg.json: unknown keys 'thr\\nold'"),
+    ],
+    ids=["tagset", "config"],
+)
+def test_key_with_a_control_character_keeps_the_error_on_one_line(
+    data_dir, tmp_path, name, content, message
+):
+    # A newline in an unknown key used to split the error over two lines;
+    # printable keys are still given as they are.
+    (tmp_path / name).write_text(content)
+    option = "--tagset" if name == "tags.json" else "--config"
+    argv = ["extract", "--corpus", str(data_dir / "demo.mrg"), option, name, "--triples", "t.tsv"]
+    assert _cli(tmp_path, *argv) == (1, f"error: {message}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
 

@@ -25,7 +25,7 @@ from selrestr.evaluate import (
     read_labels,
     render_diagnostics,
 )
-from selrestr.extract import ExtractionError, SynRel, TripleRecord
+from selrestr.extract import PENN, ExtractionError, SynRel, TripleRecord
 from selrestr.learner import SelectionalRestriction, read_restrictions
 from selrestr.taxonomy import load_taxonomy
 
@@ -33,6 +33,21 @@ S0 = SynRel("0")
 S1 = SynRel("1")
 
 ANIMAL_SR = SelectionalRestriction("drink", S0, "animal", 0.415037, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (ANIMAL_SR, "score"),
+        (GoldTriple(TripleRecord("drink", S0, "dog")), "correct_sense"),
+        (EvalReport(0, 0, 0, 0, 0, 0, 0, None, None), "precision"),
+        (PENN, "noun_tags"),
+    ],
+    ids=lambda value: type(value).__name__ if not isinstance(value, str) else value,
+)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,6 @@ group pipeline, and the restrictions file format."""
 import io
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -76,6 +75,13 @@ class TestLearnerConfig:
     def test_validation(self, bad):
         with pytest.raises(ValueError, match="must be >= 1"):
             LearnerConfig(**bad)
+
+    def test_kinds_by_value(self):
+        cfg = LearnerConfig(scorer="g2", estimator="sense")
+        assert cfg.scorer is ScoreKind.LOG_LIKELIHOOD_RATIO
+        assert cfg.estimator is EstimatorKind.SENSE_CORRECTED
+        with pytest.raises(ValueError):
+            LearnerConfig(scorer="bogus")
 
 
 class TestCandidateSpace:
@@ -178,7 +184,7 @@ class TestSelectDisjoint:
     def test_positive_scaling_invariance(self, chain_tax):
         base = [_cand("a", 0.2, 1, 4), _cand("x", 0.7, 2, 2), _cand("c", 0.4, 1, 6)]
         ids = [c.class_id for c in select_disjoint(base, chain_tax)]
-        scaled = [replace(c, score=c.score * 37.5) for c in base]
+        scaled = [c._replace(score=c.score * 37.5) for c in base]
         assert [c.class_id for c in select_disjoint(scaled, chain_tax)] == ids
 
     def test_empty_input(self, chain_tax):

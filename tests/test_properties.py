@@ -8,7 +8,6 @@ as the comparison point where one exists.
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -434,7 +433,7 @@ class TestSelectionProperties:
         rng.shuffle(shuffled)
         assert select_disjoint(shuffled, tax) == baseline
         factor = rng.uniform(0.5, 8.0)
-        scaled = [replace(c, score=c.score * factor) for c in cands]
+        scaled = [c._replace(score=c.score * factor) for c in cands]
         assert [c.class_id for c in select_disjoint(scaled, tax)] == [
             c.class_id for c in baseline
         ]

@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from selrestr.taxonomy import (
     TaxonomyError,
+    _check_class_id,
     load_taxonomy,
     parse_lexicon,
     parse_taxonomy,
@@ -14,6 +16,14 @@ from worlds import make_world, taxonomy_text
 
 
 MINIMAL = "entity\t-\nanimal\tentity\n"
+
+WHITESPACE = [chr(i) for i in range(sys.maxunicode + 1) if chr(i).isspace()]
+# The line rule ends a line or a field at the others before any check sees them.
+IN_A_FIELD = [ch for ch in WHITESPACE if ch != "\t" and len(f"a{ch}b".splitlines()) == 1]
+
+
+def code_point(ch):
+    return f"U+{ord(ch):04X}"
 
 
 class TestParsing:
@@ -68,6 +78,37 @@ class TestParsing:
         tax = parse_taxonomy(MINIMAL)
         with pytest.raises(TaxonomyError, match="empty sense list"):
             parse_lexicon("dog\t\n", tax)
+
+    @pytest.mark.parametrize("ch", WHITESPACE, ids=code_point)
+    def test_class_id_check_rejects_every_whitespace_character(self, ch):
+        token = f"a{ch}b"
+        with pytest.raises(TaxonomyError) as err:
+            _check_class_id(token)
+        assert str(err.value) == f"class id {token!r} contains whitespace"
+
+    @pytest.mark.parametrize("ch", IN_A_FIELD, ids=code_point)
+    def test_whitespace_in_a_name_is_rejected_with_its_line(self, ch):
+        bad = f"a{ch}b"
+        tax = parse_taxonomy(MINIMAL)
+        in_class = f"line 2: class id {bad!r} contains whitespace"
+        cases = [
+            (parse_taxonomy, f"entity\t-\n{bad}\tentity\n", "taxonomy " + in_class),
+            (parse_taxonomy, f"entity\t-\nanimal\tentity,{bad}\n", "taxonomy " + in_class),
+            (lambda text: parse_lexicon(text, tax), f"dog\tanimal\n{bad}\tanimal\n",
+             f"lexicon line 2: bad noun lemma {bad!r}"),
+            (lambda text: parse_lexicon(text, tax), f"dog\tanimal\ncat\t{bad}\n",
+             "lexicon " + in_class),
+        ]
+        for parse, text, message in cases:
+            with pytest.raises(TaxonomyError) as err:
+                parse(text)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", ["entity\t-\n\tentity\n", "entity\t-\nanimal\tentity,\n"])
+    def test_empty_class_id(self, text):
+        with pytest.raises(TaxonomyError) as err:
+            parse_taxonomy(text)
+        assert str(err.value) == "taxonomy line 2: empty class id"
 
     def test_duplicate_senses_collapse(self):
         tax = parse_taxonomy(MINIMAL)
