@@ -364,10 +364,15 @@ def evaluate_gold(
     records = [g.record for g in gold if g.extraction_ok]
     diagnostics = None
     if labels is not None:
+        # A label without a count counts the records of its own position.
+        by_position: dict[tuple[str, SynRel], list[TripleRecord]] = {}
+        for t in records:
+            by_position.setdefault((t.verb, t.rel), []).append(t)
         entries = []
         for verb, rel, class_id, label, count in labels:
             if count is None:
-                count = occurrence_count(records, verb, rel, class_id, lexicon)
+                group = by_position.get((verb, rel), ())
+                count = occurrence_count(group, verb, rel, class_id, lexicon)
             entries.append(((verb, rel, class_id), label, count))
         diagnostics = diagnostic_summary(entries)
     sense_annotated = [g for g in gold if g.extraction_ok and g.correct_sense is not None]

@@ -21,9 +21,10 @@ Class sums are kept as integers: raw sums count whole occurrences, and
 sense-corrected sums are scaled by the least common multiple of the
 sense counts of the observed nouns, which makes every sense fraction
 whole.  The scale cancels out of every ratio, and each float is taken
-as a single correctly rounded int/int division, so a score equals the
-one computed with exact rationals up to the final logarithm: equal
-quantities compare equal and independence gives a score of exactly 0.
+as a single correctly rounded int/int division, so every score, G2
+included, equals bit for bit the one computed from exact rationals:
+equal quantities compare equal and independence gives a score of
+exactly 0.
 """
 
 from __future__ import annotations
@@ -154,25 +155,23 @@ def log_likelihood_ratio(k11, k12, k21, k22, scale: int = 1) -> float:
 def _g2_by_row(r1: int, n: int, scale: int) -> Callable[[int, int], float]:
     """The signed G2 of ``log_likelihood_ratio`` for every table with first
     row total ``r1`` and grand total ``n``, as a function of its top-left
-    cell and first column total.  The floats that depend on the row alone
-    are taken once, so one (verb, position) pays for them once."""
+    cell and first column total, so one (verb, position) fixes its row
+    once.  Each cell enters as ``k / scale`` times the log of ``k / E`` =
+    ``k * n / (r * c)``, two correctly rounded int/int quotients: the
+    floats of the exact rationals."""
     r2 = n - r1
-    fn = float(n / scale)
-    fr1, fr2 = float(r1 / scale), float(r2 / scale)
     log = math.log
 
     def g2(k11: int, c1: int) -> float:
         c2 = n - c1
         if not (r1 and r2 and c1 and c2):
             return 0.0
-        fc1, fc2 = float(c1 / scale), float(c2 / scale)
         k21 = c1 - k11
         g = 0.0
-        cells = ((k11, fr1, fc1), (r1 - k11, fr1, fc2), (k21, fr2, fc1), (r2 - k21, fr2, fc2))
-        for k, fr, fc in cells:
+        cells = ((k11, r1, c1), (r1 - k11, r1, c2), (k21, r2, c1), (r2 - k21, r2, c2))
+        for k, r, c in cells:
             if k > 0:
-                fk = float(k / scale)
-                g += fk * log(fk * fn / (fr * fc))
+                g += (k / scale) * log(k * n / (r * c))
         g *= 2.0
         # The sign test compares k11 with its expectation r1 * c1 / n; a
         # common scale multiplies both sides by scale**2 and leaves it
@@ -203,8 +202,9 @@ class Scorer:
     multiple of the sense counts of the table's nouns, so every such weight
     is whole, and a sense-corrected sum ``k`` stands for the rational
     ``k / sense_scale``.  Scores divide the scale back out in correctly
-    rounded int/int divisions, so they equal bit for bit the scores computed
-    from exact rational counts; the exact reference is ``tests/oracle.py``.
+    rounded int/int divisions, so every score, of each scorer and
+    estimator, equals bit for bit the one computed from exact rational
+    counts; the exact reference is ``tests/oracle.py``.
 
     One walk of the nouns of a (verb, position), ``group_sums``, yields the
     raw support and distinct-noun counts that candidate generation reads

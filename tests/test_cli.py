@@ -4,6 +4,7 @@ Every invocation works in tmp_path; goldens for learned restrictions
 were derived by hand from the toy counts before being frozen.
 """
 
+import gc
 import hashlib
 import io
 import json
@@ -674,6 +675,115 @@ class TestEntryPoint:
         extract_argv = ["extract", "--corpus", str(data_dir / "demo.mrg"),
                         "--tagset", "tags.json", "--triples", "t.tsv"]
         assert fresh(extract_argv).startswith("raw extractions  ")
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the collector back as it was, whatever the test did."""
+    was_enabled = gc.isenabled()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def _extract_argv(data_dir, tmp_path, corpus=None):
+    return [
+        "extract",
+        "--corpus", str(corpus or data_dir / "mini.mrg"),
+        "--lemmas", str(data_dir / "mini_lemmas.tsv"),
+        "--triples", str(tmp_path / "triples.tsv"),
+    ]
+
+
+@pytest.mark.usefixtures("collector_state")
+class TestCollectorPause:
+    """``run`` pauses the cyclic collector for the command and gives the
+    caller back the state it found, on every exit."""
+
+    def test_paused_during_the_command_and_enabled_after(
+        self, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        seen = []
+
+        def extract_corpus(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        real = cli.extract_corpus
+        monkeypatch.setattr(cli, "extract_corpus", extract_corpus)
+        gc.enable()
+        assert run(_extract_argv(data_dir, tmp_path)) == 0
+        assert (seen, gc.isenabled()) == ([False], True)
+
+    def test_enabled_after_exit_1_and_exit_2(self, data_dir, tmp_path, capsys):
+        gc.enable()
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("drink\t0\tdog\n")
+        argv = toy_learn_argv(data_dir, tmp_path / "srs.tsv")
+        argv[argv.index("--counts") + 1] = str(bad)
+        assert run(argv) == 1
+        assert gc.isenabled()
+        argv = TestEvalCommand().eval_argv(data_dir, "--gold", str(tmp_path / "nope.tsv"))
+        assert run(argv) == 2
+        assert gc.isenabled()
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"error: {bad}: counts line 1: expected 4 fields, got 3"
+        assert err[1].startswith("error: [Errno 2]")
+
+    def test_disabled_by_the_caller_stays_disabled(self, data_dir, tmp_path, capsys):
+        gc.disable()
+        assert run(_extract_argv(data_dir, tmp_path)) == 0
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_argparse_error_leaves_the_state(self, enabled, capsys):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(SystemExit):
+            run(["extract", "--no-such-flag"])
+        assert gc.isenabled() is enabled
+
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, data_dir, tmp_path, capsys):
+        # What the pause leaves for the collector is a constant: the
+        # pipeline's own data is acyclic and freed by reference counting.
+        # Each command runs on one copy and on 20 copies of its input, the
+        # learn and eval copies with their own verbs, after one warm-up run.
+        def garbage(argv):
+            gc.collect()
+            gc.disable()
+            assert run(argv) == 0
+            return gc.collect()
+
+        def argvs(times):
+            work = tmp_path / str(times)
+            work.mkdir(exist_ok=True)
+            (work / "mini.mrg").write_text((data_dir / "mini.mrg").read_text() * times)
+            for name in ("toy_counts.tsv", "toy_gold.tsv", "toy_labels.tsv"):
+                lines = (data_dir / name).read_text().splitlines(keepends=True)
+                (work / name).write_text(
+                    "".join(f"v{i}{line}" for i in range(times) for line in lines)
+                )
+            taxonomy = [
+                "--taxonomy", str(data_dir / "toy_taxonomy.tsv"),
+                "--lexicon", str(data_dir / "toy_lexicon.tsv"),
+            ]
+            srs = str(work / "srs.tsv")
+            return [
+                _extract_argv(data_dir, work, work / "mini.mrg"),
+                ["learn", "--counts", str(work / "toy_counts.tsv"), *taxonomy,
+                 "--threshold", "1", "--min-verb-support", "1", "--out", srs],
+                ["eval", "--gold", str(work / "toy_gold.tsv"), "--srs", srs, *taxonomy,
+                 "--labels", str(work / "toy_labels.tsv"), "--format", "json"],
+            ]
+
+        for argv in argvs(1):
+            garbage(argv)
+        small = [garbage(argv) for argv in argvs(1)]
+        large = [garbage(argv) for argv in argvs(20)]
+        assert large == small
+        learned = capsys.readouterr().out
+        assert "3 restrictions across 3 verb positions" in learned
+        assert "60 restrictions across 60 verb positions" in learned
 
 
 # -- option table and input errors ----------------------------------------

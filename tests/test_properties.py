@@ -15,7 +15,16 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import build_world
-from selrestr.evaluate import PARSER_ERR, GoldTriple, evaluate_gold
+from selrestr.evaluate import (
+    PARSER_ERR,
+    DiagnosticLabel,
+    GoldTriple,
+    diagnostic_summary,
+    evaluate_gold,
+    occurrence_count,
+    read_gold,
+    read_labels,
+)
 from selrestr.extract import SynRel, TripleRecord
 from selrestr.learner import (
     LearnerConfig,
@@ -362,12 +371,9 @@ class TestScoreAgreement:
                     assert Fraction(joint[cls], scale) == oracle.class_count(*world)
                     assert assoc[k] == oracle.assoc(*world)
                     assert pair_mi[k] == oracle.pair_mi(*world)
-                    # The G2 float formula applied to the exact rational cells
-                    # is the reference; oracle.g2 takes one logarithm of the
-                    # exact cell ratio instead, so it agrees to rounding only.
                     cells = oracle.g2_table(*world)
                     assert g2[k] == log_likelihood_ratio(*cells)
-                    assert math.isclose(g2[k], oracle.g2(*cells), rel_tol=1e-12, abs_tol=1e-12)
+                    assert g2[k] == oracle.g2(*cells)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds)
@@ -528,3 +534,40 @@ class TestEvaluationProperties:
         expected = oracle.eval_ratios(kept, parents, senses, plain_srs)
         assert (report.precision, report.recall) == expected
         assert report.evaluated == len(kept)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds)
+    def test_diagnostics_equal_one_count_per_label_over_all_records(self, seed):
+        # evaluate_gold counts a label without a count over its own
+        # position's records; the reference scans every record per label.
+        rng = random.Random(seed)
+        parents, senses, triples = make_world(rng, full_lexicon=False, max_triples=80)
+        scorer = build_world(parents, senses, triples)
+        lexicon = scorer.lexicon
+        status = ("ok", "ok", "ok", "parser_err", "lemma_err")
+        gold_text = "".join(
+            f"{v}\t{s}\t{n}\t-\t{rng.choice(status)}\n" if rng.random() < 0.5
+            else f"{v}\t{s}\t{n}\n"
+            for v, s, n in triples + [("v9", "0", n) for _, _, n in triples[:3]]
+        )
+        verbs = sorted({v for v, _, _ in triples}) + ["v9"]
+        keys = {
+            (rng.choice(verbs), rng.choice(RELS), rng.choice(sorted(parents)))
+            for _ in range(rng.randint(0, 20))
+        }
+        labels_text = "".join(
+            f"{v}\t{s}\t{c}\t{rng.choice(list(DiagnosticLabel)).value}"
+            + (f"\t{rng.randint(0, 9)}\n" if rng.random() < 0.3 else "\n")
+            for v, s, c in sorted(keys)
+        )
+        gold, labels = read_gold(gold_text), read_labels(labels_text)
+        records = [g.record for g in gold if g.extraction_ok]
+        expected = diagnostic_summary(
+            (
+                (v, s, c),
+                label,
+                occurrence_count(records, v, s, c, lexicon) if count is None else count,
+            )
+            for v, s, c, label, count in labels
+        )
+        assert evaluate_gold(gold, [], lexicon, labels).diagnostics == expected
