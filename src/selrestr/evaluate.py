@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 from .extract import ExtractionError, SynRel, TripleRecord, triple_fields
 from .learner import SelectionalRestriction
 from .taxonomy import SenseLexicon
-from .tsv import rows
+from .tsv import integer, rows
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -100,16 +100,13 @@ def fulfills(
     )
 
 
-def _kept(triples: Iterable[TripleRecord]) -> list[TripleRecord]:
-    return [t for t in triples if t.discard_reason is None]
-
-
 def _ratios(
-    triples: Iterable[TripleRecord],
+    triples: Sequence[TripleRecord],
     srs: Iterable[SelectionalRestriction],
     lexicon: SenseLexicon,
 ) -> tuple[Fraction | None, Fraction | None]:
-    """(precision, recall) over the non-discarded triples.
+    """(precision, recall) over the triples; a discarded one raises, as in
+    ``fulfills``.
 
     The restrictions are grouped by (verb, rel) once, and each triple is
     checked against its own position's restrictions only.  A triple at a
@@ -120,14 +117,13 @@ def _ratios(
     by_position: dict[tuple[str, SynRel], list[SelectionalRestriction]] = {}
     for sr in srs:
         by_position.setdefault((sr.verb, sr.rel), []).append(sr)
-    pool = _kept(triples)
     hits = sum(
-        1 for t in pool if fulfills(t, by_position.get((t.verb, t.rel), ()), lexicon)
+        1 for t in triples if fulfills(t, by_position.get((t.verb, t.rel), ()), lexicon)
     )
-    restricted = sum(1 for t in pool if (t.verb, t.rel) in by_position)
+    restricted = sum(1 for t in triples if (t.verb, t.rel) in by_position)
     return (
         Fraction(hits, restricted) if restricted else None,
-        Fraction(hits, len(pool)) if pool else None,
+        Fraction(hits, len(triples)) if triples else None,
     )
 
 
@@ -225,9 +221,7 @@ def read_labels(text: str) -> list[LabelRow]:
         seen.add(key)
         count: int | None = None
         if len(fields) == 5:
-            if not fields[4].removeprefix("-").isdecimal():
-                raise ValueError(f"bad occurrence count {fields[4]!r}")
-            count = int(fields[4])
+            count = integer(fields[4], "occurrence count")
             if count < 0:
                 raise ValueError("negative occurrence count")
         return (*key, label, count)

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .extract import ExtractionError, SynRel, triple_fields
 from .stats import EstimatorKind, ScoreKind, Scorer
 from .taxonomy import Taxonomy
-from .tsv import rows
+from .tsv import integer, rows
 
 
 class LearnerConfig:
@@ -208,7 +208,7 @@ def read_restrictions(text: str) -> list[SelectionalRestriction]:
 def _restriction_row(lineno: int, fields: list[str]) -> SelectionalRestriction:
     verb, rel, class_id = triple_fields(lineno, fields, "class")
     score = float(fields[3])
-    n_nouns, support = int(fields[4]), int(fields[5])
+    n_nouns, support = integer(fields[4], "nouns count"), integer(fields[5], "support count")
     if not math.isfinite(score):
         raise ValueError(f"score must be finite, got {fields[3]!r}")
     if n_nouns < 0 or support < 0:

@@ -4,7 +4,8 @@ Counts are aggregated per (verb, relation, noun) key with marginals per
 relation position.  Class-level quantities sum over the nouns whose
 sense classes fall under the class, either whole occurrences (raw) or
 occurrences weighted by the fraction of the noun's senses under the
-class (sense-corrected).
+class (sense-corrected).  One walk over the nouns' ``sense_hits``
+tables gives both, for a (verb, position), a position or the whole table.
 
 Three scoring functions (``ScoreKind``) rank candidate classes for a
 (verb, position):
@@ -37,7 +38,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .extract import ExtractionError, SynRel, TripleRecord, triple_fields
 from .taxonomy import SenseLexicon
-from .tsv import rows
+from .tsv import integer, rows
 
 
 class ZeroDenominatorError(ValueError):
@@ -127,7 +128,7 @@ def read_counts(text: str) -> CountsTable:
 
     def add(lineno: int, fields: list[str]) -> None:
         key = triple_fields(lineno, fields)
-        count = int(fields[3])
+        count = integer(fields[3], "count")
         if count < 1:
             raise ValueError("count must be >= 1")
         counts[key] = counts.get(key, 0) + count
@@ -206,14 +207,15 @@ class Scorer:
     estimator, equals bit for bit the one computed from exact rational
     counts; the exact reference is ``tests/oracle.py``.
 
-    One walk of the nouns of a (verb, position), ``group_sums``, yields the
-    raw support and distinct-noun counts that candidate generation reads
-    and the estimator's sums that scoring reads.  Only the last group
-    walked is kept, so memory is bounded by one group however many groups
-    are visited; the learner visits each group once.  The sums of a whole
-    position and of the whole table, which every group's scores divide by,
-    are kept per estimator.  ``scores`` is the one way to score: it scores
-    a list of classes of one group with the group's totals taken once.
+    One walk, ``_walk``, sums noun counts over each noun's ``sense_hits``
+    table into raw support, distinct-noun counts and the estimator's sums.
+    On the nouns of a (verb, position), ``group_sums``, it feeds candidate
+    generation and scoring; only the last group walked is kept, so memory
+    is bounded by one group however many groups are visited.  The same
+    walk over a whole position or the whole table gives the sums every
+    group's scores divide by, kept per estimator.  ``scores`` is the one
+    way to score: it scores a list of classes of one group with the
+    group's totals taken once.
     """
 
     def __init__(self, table: CountsTable, lexicon: SenseLexicon):
@@ -230,30 +232,27 @@ class Scorer:
         return 1 if est is EstimatorKind.RAW else self.sense_scale
 
     def _walk(self, noun_counts: Mapping[str, int], est: EstimatorKind) -> GroupSums:
-        """Class sums over the given noun counts; a noun outside the
-        lexicon supports no class."""
+        """Class sums over the given noun counts, from each noun's
+        ``sense_hits`` table; a noun outside the lexicon supports no class."""
         lexicon = self.lexicon
-        nouns = [(n, c) for n, c in noun_counts.items() if n in lexicon]
-        closures = [lexicon.classes_of(n) for n, _ in nouns]
-        distinct = Counter(chain.from_iterable(closures))
+        nouns = [(n, c, lexicon.sense_hits(n)) for n, c in noun_counts.items() if n in lexicon]
+        distinct = Counter(chain.from_iterable(hits for _, _, hits in nouns))
         # One occurrence per noun so far; a noun seen c times adds c - 1.
         support = dict(distinct)
-        for (_, c), closure in zip(nouns, closures):
+        for _, c, hits in nouns:
             if c > 1:
                 extra = c - 1
-                for cls in closure:
+                for cls in hits:
                     support[cls] += extra
-        joint = support if est is EstimatorKind.RAW else self._sense_sums(nouns)
+        if est is EstimatorKind.RAW:
+            return GroupSums(support, distinct, support)
+        # A noun with k senses, j of them under a class, adds c * scale * j / k.
+        joint = dict.fromkeys(distinct, 0)
+        for n, c, hits in nouns:
+            unit = c * (self.sense_scale // len(lexicon.senses(n)))
+            for cls, j in hits.items():
+                joint[cls] += unit * j
         return GroupSums(support, distinct, joint)
-
-    def _sense_sums(self, nouns: Iterable[tuple[str, int]]) -> dict[str, int]:
-        """Scaled sense-corrected sums over (lexicon noun, count) pairs."""
-        sums: dict[str, int] = {}
-        for n, c in nouns:
-            unit = c * (self.sense_scale // len(self.lexicon.senses(n)))
-            for cls, hits in self.lexicon.sense_hits(n).items():
-                sums[cls] = sums.get(cls, 0) + unit * hits
-        return sums
 
     def group_sums(self, v: str, s: SynRel, est: EstimatorKind) -> GroupSums:
         """The class sums of the nouns seen with (v, s); a new group
@@ -270,11 +269,7 @@ class Scorer:
         cached = self._class_sums_at.get(key)
         if cached is None:
             nouns = self.table.noun_total if at is None else self.table.nouns_at(at)
-            if est is EstimatorKind.RAW:
-                cached = self._walk(nouns, est).support
-            else:
-                cached = self._sense_sums((n, c) for n, c in nouns.items() if n in self.lexicon)
-            self._class_sums_at[key] = cached
+            cached = self._class_sums_at[key] = self._walk(nouns, est).joint
         return cached
 
     def scores(

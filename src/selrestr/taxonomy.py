@@ -12,12 +12,13 @@ File formats (UTF-8, tab-separated, ``#`` starts a comment line):
   taxonomy:  <class_id>\\t<comma-separated parent ids, or "-" for a root>
   lexicon:   <noun_lemma>\\t<comma-separated class_ids>
 
-Both structures are read-only once loaded; hypernym closures are
-memoized on the taxonomy.  Lines follow the shared rule of
-``selrestr.tsv``, whose ``rows`` adds ``taxonomy line N`` or ``lexicon
-line N`` to an error in a line.  A parent that no line defines is found
-only after every line is read, and that error names the line of the
-class that names it.
+Both structures are read-only once loaded.  Hypernym closures are
+memoized on the taxonomy, and each noun's ``sense_hits`` table on the
+lexicon; class membership and every class sum read that one table.
+Lines follow the shared rule of ``selrestr.tsv``, whose ``rows`` adds
+``taxonomy line N`` or ``lexicon line N`` to an error in a line.  A
+parent that no line defines is found only after every line is read, and
+that error names the line of the class that names it.
 """
 
 from __future__ import annotations
@@ -126,12 +127,14 @@ class Taxonomy:
 
 
 class SenseLexicon:
-    """Noun lemma -> sense classes, bound to the taxonomy it was validated against."""
+    """Noun lemma -> sense classes, bound to the taxonomy it was validated against.
+
+    The one per-noun memo is ``sense_hits``; ``noun_in_class`` is a lookup
+    in it."""
 
     def __init__(self, taxonomy: Taxonomy, senses: dict[str, frozenset[str]]):
         self.taxonomy = taxonomy
         self._senses = senses
-        self._class_sets: dict[str, frozenset[str]] = {}
         self._hits: dict[str, dict[str, int]] = {}
 
     @property
@@ -150,32 +153,19 @@ class SenseLexicon:
         except KeyError:
             raise TaxonomyError(f"unknown noun {noun!r}") from None
 
-    def classes_of(self, noun: str) -> frozenset[str]:
-        """Union of the hypernym closures of all the noun's senses."""
-        cached = self._class_sets.get(noun)
-        if cached is not None:
-            return cached
-        closure: set[str] = set()
-        for s in self.senses(noun):
-            closure |= self.taxonomy.hypernym_closure(s)
-        result = frozenset(closure)
-        self._class_sets[noun] = result
-        return result
-
     def noun_in_class(self, noun: str, class_id: str) -> bool:
         """True iff some sense of the noun lies at or below ``class_id``."""
-        return class_id in self.classes_of(noun)
+        return class_id in self.sense_hits(noun)
 
     def sense_hits(self, noun: str) -> dict[str, int]:
-        """Map each covering class to #senses-under-it, memoized."""
-        cached = self._hits.get(noun)
-        if cached is not None:
-            return cached
-        hits: dict[str, int] = {}
-        for s in self.senses(noun):
-            for c in self.taxonomy.hypernym_closure(s):
-                hits[c] = hits.get(c, 0) + 1
-        self._hits[noun] = hits
+        """Each class at or above some sense of the noun, mapped to the
+        number of the noun's senses at or below it; memoized."""
+        hits = self._hits.get(noun)
+        if hits is None:
+            hits = self._hits[noun] = {}
+            for s in self.senses(noun):
+                for c in self.taxonomy.hypernym_closure(s):
+                    hits[c] = hits.get(c, 0) + 1
         return hits
 
 

@@ -8,7 +8,8 @@ lines starting with ``#`` are skipped; every other line is split on tabs.
 
 ``rows`` is the only place that names a line in an error: a reader's
 ``parse`` raises a plain ``ValueError`` about the fields it was given,
-and ``rows`` adds ``<kind> line N: `` to it once.
+and ``rows`` adds ``<kind> line N: `` to it once.  ``integer`` is the one
+rule for a count field: an optional ``-``, then ASCII digits.
 """
 
 from __future__ import annotations
@@ -45,3 +46,12 @@ def rows(
         except ValueError as exc:
             raise error(f"{kind} line {lineno}: {exc}") from None
     return out
+
+
+def integer(field: str, what: str) -> int:
+    """``field`` as an int: an optional ``-``, then ASCII digits, so ``+5``,
+    `` 5`` and ``1_000`` are errors (``bad <what> '<field>'``).  The
+    caller checks the range."""
+    if not (field.isascii() and field.removeprefix("-").isdigit()):
+        raise ValueError(f"bad {what} {field!r}")
+    return int(field)

@@ -4,9 +4,11 @@ Everything here recomputes quantities from first principles over explicit
 triple lists (``(verb, rel_code, noun)`` tuples, one per occurrence) and a
 plain parent map, with no imports from the package under test, so test
 expectations are cross-checked rather than copied.  The class-sum loops
-are the exception: they walk a noun -> count map one noun at a time over
-the package's lexicon object, as the scorer and the learner once did in
-two separate passes, and are the reference for the scorer's single walk.
+take a noun -> count map and the package's lexicon object, as the scorer
+does, but copy out only its parent links (``taxonomy.parents``) and sense
+lists (``senses``) and walk them with this module's own ``closure``, one
+noun at a time: they share no memo with the scorer's single walk that
+they are the reference for.
 """
 
 from __future__ import annotations
@@ -35,6 +37,16 @@ def noun_classes(parents, senses, noun: str) -> set[str]:
     for s in senses[noun]:
         out |= closure(parents, s)
     return out
+
+
+def sense_counts(parents, senses, noun: str) -> dict[str, int]:
+    """Each class at or above a sense of the noun -> how many of the
+    noun's senses lie at or below it."""
+    counts: dict[str, int] = {}
+    for s in senses[noun]:
+        for cls in closure(parents, s):
+            counts[cls] = counts.get(cls, 0) + 1
+    return counts
 
 
 def weight(parents, senses, noun: str, cls: str) -> Fraction:
@@ -145,15 +157,24 @@ def g2(k11, k12, k21, k22) -> float:
 # -- class-sum loops over the package's lexicon ----------------------------
 
 
+def _maps(lexicon):
+    """The lexicon's parent links and sense lists as the plain maps
+    ``closure`` and ``sense_counts`` take."""
+    taxonomy = lexicon.taxonomy
+    parents = {c: taxonomy.parents(c) for c in taxonomy.nodes}
+    return parents, {n: lexicon.senses(n) for n in lexicon.nouns}
+
+
 def support_and_distinct(noun_counts, lexicon) -> tuple[dict[str, int], dict[str, int]]:
     """Raw occurrences and distinct nouns under each class; nouns missing
     from the lexicon support nothing."""
+    parents, senses = _maps(lexicon)
     support: dict[str, int] = {}
     distinct: dict[str, int] = {}
     for n, c in noun_counts.items():
-        if n not in lexicon:
+        if n not in senses:
             continue
-        for cls in lexicon.classes_of(n):
+        for cls in noun_classes(parents, senses, n):
             support[cls] = support.get(cls, 0) + c
             distinct[cls] = distinct.get(cls, 0) + 1
     return support, distinct
@@ -162,19 +183,17 @@ def support_and_distinct(noun_counts, lexicon) -> tuple[dict[str, int], dict[str
 def class_sums(noun_counts, lexicon, sense_scale: int | None = None) -> dict[str, int]:
     """Raw class sums, or with ``sense_scale`` the sense-corrected sums
     multiplied by it (each sense fraction must come out whole)."""
+    parents, senses = _maps(lexicon)
     sums: dict[str, int] = {}
-    if sense_scale is None:
-        for n, c in noun_counts.items():
-            if n not in lexicon:
-                continue
-            for cls in lexicon.classes_of(n):
+    for n, c in noun_counts.items():
+        if n not in senses:
+            continue
+        if sense_scale is None:
+            for cls in noun_classes(parents, senses, n):
                 sums[cls] = sums.get(cls, 0) + c
-    else:
-        for n, c in noun_counts.items():
-            if n not in lexicon:
-                continue
-            unit = c * (sense_scale // len(lexicon.senses(n)))
-            for cls, hits in lexicon.sense_hits(n).items():
+        else:
+            unit = c * (sense_scale // len(senses[n]))
+            for cls, hits in sense_counts(parents, senses, n).items():
                 sums[cls] = sums.get(cls, 0) + unit * hits
     return sums
 

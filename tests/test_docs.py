@@ -1,5 +1,7 @@
-"""The README's library example runs, and the package exports what it lists."""
+"""The README's library example runs, the package exports what it lists,
+and the exact reference in ``tests/oracle.py`` stays apart from the package."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -32,3 +34,16 @@ def test_every_exported_name_resolves():
     missing = [name for name in selrestr.__all__ if not hasattr(selrestr, name)]
     assert not missing
     assert len(set(selrestr.__all__)) == len(selrestr.__all__)
+
+
+def test_oracle_imports_nothing_from_the_package():
+    # The reference recomputes what it checks; a name taken from the
+    # package would let a fault pass the differential tests.
+    modules = []
+    for node in ast.walk(ast.parse((ROOT / "tests" / "oracle.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    assert "fractions" in modules
+    assert [m for m in modules if m.split(".")[0] in ("selrestr", "")] == []

@@ -149,11 +149,14 @@ class TestRatios:
     def test_empty_pool_gives_none(self, toy_lexicon):
         assert ratios([], toy_lexicon) == (None, None)
 
-    def test_discards_are_ignored_not_fatal(self, toy_lexicon):
+    def test_discarded_record_raises(self, toy_lexicon):
+        # The gold reader never builds one; a library caller's discarded
+        # record is an error, not a record left out of some totals only.
         noisy = self.TRIPLES + [
             TripleRecord("drink", S0, "He", discard_reason="NonNounHead")
         ]
-        assert ratios(noisy, toy_lexicon) == (Fraction(1, 2), Fraction(1, 3))
+        with pytest.raises(ValueError, match="cannot evaluate a discarded triple"):
+            ratios(noisy, toy_lexicon)
 
 
 class TestDiagnosticSummary:

@@ -290,6 +290,13 @@ class TestGroupSums:
         )
         scorer = build_world(parents, senses, triples)
         table, lexicon, scale = scorer.table, scorer.lexicon, scorer.sense_scale
+        # The per-noun table every walk reads, against the plain world maps.
+        for n in senses:
+            hits = lexicon.sense_hits(n)
+            assert hits == oracle.sense_counts(parents, senses, n)
+            assert set(hits) == oracle.noun_classes(parents, senses, n)
+            for cls in parents:
+                assert lexicon.noun_in_class(n, cls) == (cls in hits)
         for v, s in table.verb_positions():
             nouns = table.nouns_for(v, s)
             support, distinct = oracle.support_and_distinct(nouns, lexicon)
@@ -301,8 +308,13 @@ class TestGroupSums:
             assert sense.support == support
             assert dict(sense.distinct) == distinct
             assert sense.joint == oracle.class_sums(nouns, lexicon, scale)
-        # The position and whole-table sums that every score divides by are
-        # checked through the scores in TestScoreAgreement.
+        # The position and whole-table sums every score divides by come
+        # from the same walk.
+        spaces = [(at, table.nouns_at(at)) for at in table.position_total]
+        for at, nouns in spaces + [(None, table.noun_total)]:
+            assert scorer._class_sums(at, EstimatorKind.RAW) == oracle.class_sums(nouns, lexicon)
+            sense = scorer._class_sums(at, EstimatorKind.SENSE_CORRECTED)
+            assert sense == oracle.class_sums(nouns, lexicon, scale)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds)

@@ -96,18 +96,29 @@ BAD_FIELDS = [
     ("labels-bad-relation", "labels", "eat\tX\tanimal\tOk", "bad relation code 'X'"),
     ("restrictions-bad-relation", "restrictions", "eat\tX\tanimal\t0.5\t2\t3",
      "bad relation code 'X'"),
-    ("counts-non-numeric", "counts", "eat\t1\tdog\ttwo",
-     "invalid literal for int() with base 10: 'two'"),
+    ("counts-non-numeric", "counts", "eat\t1\tdog\ttwo", "bad count 'two'"),
+    ("counts-underscore", "counts", "eat\t1\tdog\t1_000", "bad count '1_000'"),
+    ("counts-signed", "counts", "eat\t1\tdog\t+5", "bad count '+5'"),
+    ("counts-inner-space", "counts", "eat\t1\tdog\t 5", "bad count ' 5'"),
+    ("counts-non-ascii-digit", "counts", "eat\t1\tdog\t\u0665", "bad count '\u0665'"),
     ("counts-zero", "counts", "eat\t1\tdog\t0", "count must be >= 1"),
     ("labels-non-numeric", "labels", "eat\t1\tdog\tOk\tmany", "bad occurrence count 'many'"),
     ("labels-signed-count", "labels", "eat\t1\tdog\tOk\t+5", "bad occurrence count '+5'"),
     ("labels-negative-count", "labels", "eat\t1\tdog\tOk\t-5", "negative occurrence count"),
+    ("labels-non-ascii-digit", "labels", "eat\t1\tdog\tOk\t\u0665",
+     "bad occurrence count '\u0665'"),
     ("restrictions-non-numeric-score", "restrictions", "eat\t1\tanimal\thigh\t2\t3",
      "could not convert string to float: 'high'"),
     ("restrictions-non-numeric-nouns", "restrictions", "eat\t1\tanimal\t0.5\tx\t3",
-     "invalid literal for int() with base 10: 'x'"),
+     "bad nouns count 'x'"),
     ("restrictions-non-numeric-support", "restrictions", "eat\t1\tanimal\t0.5\t2\t3.0",
-     "invalid literal for int() with base 10: '3.0'"),
+     "bad support count '3.0'"),
+    ("restrictions-underscore-nouns", "restrictions", "eat\t1\tanimal\t0.5\t1_0\t3",
+     "bad nouns count '1_0'"),
+    ("restrictions-signed-support", "restrictions", "eat\t1\tanimal\t0.5\t2\t+3",
+     "bad support count '+3'"),
+    ("restrictions-inner-space", "restrictions", "eat\t1\tanimal\t0.5\t 2\t3",
+     "bad nouns count ' 2'"),
 ]
 
 
