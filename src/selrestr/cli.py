@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, TextIO, TypeVar
 
-from .evaluate import evaluate_gold, percentage, read_gold, read_labels
+from .evaluate import aligned, evaluate_gold, percentage, read_gold, read_labels
 from .extract import (
     EMPTY_LEMMA_TABLE,
     ExtractionError,
@@ -324,11 +324,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                 label_of.get((sr.verb, sr.rel, sr.class_id), "-"),
             )
         )
-    widths = [max(len(row[i]) for row in rows) for i in range(7)]
-    for row in rows:
-        left = [row[i].ljust(widths[i]) for i in (0, 1, 2)]
-        right = [row[i].rjust(widths[i]) for i in (3, 4, 5)]
-        print("  ".join(left + right + [row[6]]).rstrip())
+    for line in aligned(rows, "lllrrrl"):
+        print(line)
     return 0
 
 

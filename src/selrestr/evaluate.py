@@ -50,7 +50,8 @@ class GoldTriple(NamedTuple):
 
 
 class DiagnosticLabel(enum.Enum):
-    """Human verdict on one acquired restriction class."""
+    """Human verdict on one acquired restriction class, declared in the
+    row order of the diagnostic table."""
 
     OK = "Ok"
     UP_ABS = "UpAbs"
@@ -80,6 +81,20 @@ def percentage(part: int, whole: int) -> Decimal:
     return (Decimal(part * 100) / Decimal(whole)).quantize(
         Decimal("0.1"), rounding=ROUND_HALF_UP
     )
+
+
+def aligned(rows: Sequence[Sequence[str]], align: str) -> list[str]:
+    """``rows`` as lines of cells two spaces apart, each column padded to
+    its widest cell on the side ``align`` names for it (``l`` or ``r``),
+    with trailing spaces dropped."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(align))]
+    return [
+        "  ".join(
+            cell.ljust(w) if side == "l" else cell.rjust(w)
+            for cell, w, side in zip(row, widths, align)
+        ).rstrip()
+        for row in rows
+    ]
 
 
 def fulfills(
@@ -127,14 +142,6 @@ def _ratios(
     )
 
 
-_CANONICAL_ORDER = (
-    DiagnosticLabel.OK,
-    DiagnosticLabel.UP_ABS,
-    DiagnosticLabel.DOWN_ABS,
-    DiagnosticLabel.SENSES,
-    DiagnosticLabel.NOISE,
-)
-
 TOTAL_LABEL = "Total"
 
 
@@ -144,8 +151,8 @@ def diagnostic_summary(
     """Aggregate (class key, label, occurrence count) judgments into one
     row per label plus a Total row.  A key may carry only one label."""
     seen: set[object] = set()
-    classes = {label: 0 for label in _CANONICAL_ORDER}
-    occurrences = {label: 0 for label in _CANONICAL_ORDER}
+    classes = dict.fromkeys(DiagnosticLabel, 0)
+    occurrences = dict.fromkeys(DiagnosticLabel, 0)
     for key, label, count in labels:
         if key in seen:
             raise ValueError(f"duplicate diagnostic label for {key!r}")
@@ -164,7 +171,7 @@ def diagnostic_summary(
             occurrences[label],
             percentage(occurrences[label], total_occ),
         )
-        for label in _CANONICAL_ORDER
+        for label in DiagnosticLabel
     ]
     rows.append(
         DiagnosticRow(
@@ -328,23 +335,7 @@ class EvalReport(NamedTuple):
 
 def render_diagnostics(rows: Sequence[DiagnosticRow]) -> list[str]:
     header = ("label", "classes", "class%", "occurrences", "occ%")
-    table = [header] + [
-        (
-            row.label,
-            str(row.classes),
-            str(row.class_pct),
-            str(row.occurrences),
-            str(row.occurrence_pct),
-        )
-        for row in rows
-    ]
-    widths = [max(len(line[i]) for line in table) for i in range(5)]
-    out = []
-    for line in table:
-        cells = [line[0].ljust(widths[0])]
-        cells += [line[i].rjust(widths[i]) for i in range(1, 5)]
-        out.append("  ".join(cells).rstrip())
-    return out
+    return aligned([header] + [tuple(map(str, row)) for row in rows], "lrrrr")
 
 
 def evaluate_gold(

@@ -4,19 +4,21 @@ Counts are aggregated per (verb, relation, noun) key with marginals per
 relation position.  Class-level quantities sum over the nouns whose
 sense classes fall under the class, either whole occurrences (raw) or
 occurrences weighted by the fraction of the noun's senses under the
-class (sense-corrected).  One walk over the nouns' ``sense_hits``
-tables gives both, for a (verb, position), a position or the whole table.
+class (sense-corrected), from each noun's ``sense_hits`` table.
 
 Three scoring functions (``ScoreKind``) rank candidate classes for a
-(verb, position):
+(verb, position).  Each reads four numbers per class: its sum ``k`` with
+(v, s), its sum ``K`` over a space, the group total ``vs`` and the space
+total ``n``.  The space is the position s for assoc and g2 and the whole
+triple table for pairmi.
 
   assoc   P(c|v,s) * log2 [ P(v,c|s) / (P(v|s) P(c|s)) ]
-  pairmi  P(c|v,s) * log2 [ P(v,s,c) / (P(v,s) P(c)) ], with the
-          probabilities estimated over the whole triple space
+  pairmi  P(c|v,s) * log2 [ P(v,s,c) / (P(v,s) P(c)) ]
+          both k / vs * log2 (k n / (vs K)) over their space
   g2      signed Dunning log-likelihood ratio of the 2x2 table
           (this verb vs. the rest) x (in class vs. out) at the
           position, natural log, positive when the verb and the
-          class co-occur more than expected
+          class co-occur more than expected: ``signed_g2(k, K, vs, n)``
 
 Class sums are kept as integers: raw sums count whole occurrences, and
 sense-corrected sums are scaled by the least common multiple of the
@@ -34,7 +36,7 @@ import math
 from collections import Counter
 from enum import Enum
 from itertools import chain
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .extract import ExtractionError, SynRel, TripleRecord, triple_fields
 from .taxonomy import SenseLexicon
@@ -137,53 +139,33 @@ def read_counts(text: str) -> CountsTable:
     return CountsTable(counts)
 
 
-def log_likelihood_ratio(k11, k12, k21, k22, scale: int = 1) -> float:
-    """Signed G2 statistic of a 2x2 contingency table.
+def signed_g2(k11: int, c1: int, r1: int, n: int, scale: int = 1) -> float:
+    """Signed G2 of the 2x2 table with top-left cell ``k11``, first column
+    total ``c1``, first row total ``r1`` and grand total ``n``.
 
     G2 = 2 * sum k_ij ln(k_ij / E_ij) with 0 ln 0 = 0, negated when the
-    top-left cell falls below its expectation; a zero marginal row or
-    column gives 0 by convention.  The cells may be given multiplied by a
-    common integer ``scale``: each count enters the float arithmetic as
-    the correctly rounded quotient ``count / scale``, so the result is the
-    one for the unscaled table.
-    """
-    cells = (k11, k12, k21, k22)
-    if any(k < 0 for k in cells):
-        raise ValueError(f"negative contingency cell in {cells}")
-    return _g2_by_row(k11 + k12, sum(cells), scale)(k11, k11 + k21)
-
-
-def _g2_by_row(r1: int, n: int, scale: int) -> Callable[[int, int], float]:
-    """The signed G2 of ``log_likelihood_ratio`` for every table with first
-    row total ``r1`` and grand total ``n``, as a function of its top-left
-    cell and first column total, so one (verb, position) fixes its row
-    once.  Each cell enters as ``k / scale`` times the log of ``k / E`` =
-    ``k * n / (r * c)``, two correctly rounded int/int quotients: the
-    floats of the exact rationals."""
-    r2 = n - r1
-    log = math.log
-
-    def g2(k11: int, c1: int) -> float:
-        c2 = n - c1
-        if not (r1 and r2 and c1 and c2):
-            return 0.0
-        k21 = c1 - k11
-        g = 0.0
-        cells = ((k11, r1, c1), (r1 - k11, r1, c2), (k21, r2, c1), (r2 - k21, r2, c2))
-        for k, r, c in cells:
-            if k > 0:
-                g += (k / scale) * log(k * n / (r * c))
-        g *= 2.0
-        # The sign test compares k11 with its expectation r1 * c1 / n; a
-        # common scale multiplies both sides by scale**2 and leaves it
-        # unchanged.
-        if k11 * n > r1 * c1:
-            return g
-        if k11 * n < r1 * c1:
-            return -g
+    top-left cell falls below its expectation; a zero row or column total
+    gives 0 by convention.  The counts may be given multiplied by a common
+    integer ``scale``: each cell enters as ``k / scale`` times the log of
+    ``k / E`` = ``k * n / (r * c)``, two correctly rounded int/int
+    quotients, so the result is the float of the exact rationals of the
+    unscaled table."""
+    r2, c2 = n - r1, n - c1
+    if not (r1 and r2 and c1 and c2):
         return 0.0
-
-    return g2
+    k21 = c1 - k11
+    g = 0.0
+    for k, r, c in ((k11, r1, c1), (r1 - k11, r1, c2), (k21, r2, c1), (r2 - k21, r2, c2)):
+        if k > 0:
+            g += (k / scale) * math.log(k * n / (r * c))
+    g *= 2.0
+    # The sign test compares k11 with its expectation r1 * c1 / n; a common
+    # scale multiplies both sides by scale**2 and leaves it unchanged.
+    if k11 * n > r1 * c1:
+        return g
+    if k11 * n < r1 * c1:
+        return -g
+    return 0.0
 
 
 class GroupSums(NamedTuple):
@@ -207,15 +189,15 @@ class Scorer:
     estimator, equals bit for bit the one computed from exact rational
     counts; the exact reference is ``tests/oracle.py``.
 
-    One walk, ``_walk``, sums noun counts over each noun's ``sense_hits``
-    table into raw support, distinct-noun counts and the estimator's sums.
-    On the nouns of a (verb, position), ``group_sums``, it feeds candidate
-    generation and scoring; only the last group walked is kept, so memory
-    is bounded by one group however many groups are visited.  The same
-    walk over a whole position or the whole table gives the sums every
-    group's scores divide by, kept per estimator.  ``scores`` is the one
-    way to score: it scores a list of classes of one group with the
-    group's totals taken once.
+    One walk, ``_walk``, sums a group's noun counts (``group_sums``)
+    into raw support, distinct-noun counts and the estimator's sums; they
+    feed candidate generation and scoring.  Only the last group walked is
+    kept, so memory is bounded by one group however many groups are
+    visited.  The sums of a whole position or of the whole table, which
+    every group's scores divide by, are walked once per estimator and
+    keep only the estimator's sums.  ``scores`` is the one way to score:
+    it checks the totals, reads the group's and the space's sums once,
+    and applies one formula per class.
     """
 
     def __init__(self, table: CountsTable, lexicon: SenseLexicon):
@@ -228,14 +210,16 @@ class Scorer:
         self._group: tuple[tuple[str, SynRel, EstimatorKind], GroupSums] | None = None
         self._class_sums_at: dict[tuple[SynRel | None, EstimatorKind], dict[str, int]] = {}
 
-    def _scale(self, est: EstimatorKind) -> int:
-        return 1 if est is EstimatorKind.RAW else self.sense_scale
+    def _hits(self, noun_counts: Mapping[str, int]) -> list[tuple[str, int, Mapping[str, int]]]:
+        """(noun, count, ``sense_hits``) of each noun in the lexicon; a noun
+        outside it supports no class."""
+        lexicon = self.lexicon
+        return [(n, c, lexicon.sense_hits(n)) for n, c in noun_counts.items() if n in lexicon]
 
     def _walk(self, noun_counts: Mapping[str, int], est: EstimatorKind) -> GroupSums:
-        """Class sums over the given noun counts, from each noun's
-        ``sense_hits`` table; a noun outside the lexicon supports no class."""
-        lexicon = self.lexicon
-        nouns = [(n, c, lexicon.sense_hits(n)) for n, c in noun_counts.items() if n in lexicon]
+        """Raw support, distinct nouns and the estimator's sums over the
+        given noun counts."""
+        nouns = self._hits(noun_counts)
         distinct = Counter(chain.from_iterable(hits for _, _, hits in nouns))
         # One occurrence per noun so far; a noun seen c times adds c - 1.
         support = dict(distinct)
@@ -244,15 +228,22 @@ class Scorer:
                 extra = c - 1
                 for cls in hits:
                     support[cls] += extra
-        if est is EstimatorKind.RAW:
-            return GroupSums(support, distinct, support)
-        # A noun with k senses, j of them under a class, adds c * scale * j / k.
-        joint = dict.fromkeys(distinct, 0)
+        joint = support if est is EstimatorKind.RAW else self._scaled(nouns, distinct)
+        return GroupSums(support, distinct, joint)
+
+    def _scaled(
+        self, nouns: list[tuple[str, int, Mapping[str, int]]], classes: Iterable[str]
+    ) -> dict[str, int]:
+        """The sense-corrected sums of ``_hits`` triples over ``classes``,
+        every class in their ``sense_hits``: a noun seen c times with k
+        senses, j of them under a class, adds c * scale * j / k."""
+        senses, scale = self.lexicon.senses, self.sense_scale
+        joint = dict.fromkeys(classes, 0)
         for n, c, hits in nouns:
-            unit = c * (self.sense_scale // len(lexicon.senses(n)))
+            unit = c * (scale // len(senses(n)))
             for cls, j in hits.items():
                 joint[cls] += unit * j
-        return GroupSums(support, distinct, joint)
+        return joint
 
     def group_sums(self, v: str, s: SynRel, est: EstimatorKind) -> GroupSums:
         """The class sums of the nouns seen with (v, s); a new group
@@ -269,7 +260,12 @@ class Scorer:
         cached = self._class_sums_at.get(key)
         if cached is None:
             nouns = self.table.noun_total if at is None else self.table.nouns_at(at)
-            cached = self._class_sums_at[key] = self._walk(nouns, est).joint
+            if est is EstimatorKind.RAW:
+                cached = self._walk(nouns, est).support
+            else:
+                hits = self._hits(nouns)
+                cached = self._scaled(hits, chain.from_iterable(h for _, _, h in hits))
+            self._class_sums_at[key] = cached
         return cached
 
     def scores(
@@ -282,61 +278,35 @@ class Scorer:
     ) -> list[float]:
         """The scores of ``classes`` for (v, s), in order.  Under assoc and
         pairmi every class must have support with (v, s)."""
-        if kind is ScoreKind.LOG_LIKELIHOOD_RATIO:
-            return self._g2_scores(v, s, classes, est)
-        at = s if kind is ScoreKind.ASSOC else None
-        return [weight * mi for weight, mi in self._mi_terms(v, s, classes, est, at)]
-
-    def _mi_terms(
-        self, v: str, s: SynRel, classes: Sequence[str], est: EstimatorKind, at: SynRel | None
-    ) -> list[tuple[float, float]]:
-        """(P(c|v,s), MI) for each class, whose product is its score.  The
-        MI is log2 [ P(v,c|s) / (P(v|s) P(c|s)) ] over position ``at`` for
-        assoc, and log2 [ P(v,s,c) / (P(v,s) P(c)) ] over the whole table
-        (``at`` None) for pairmi: both are log2 (k N / (vs C[c])) with N
-        and C the total and class sums of the space."""
         table = self.table
+        at = None if kind is ScoreKind.ASSOC_PAIR_MI else s
+        n = table.grand_total if at is None else table.total(at)
         vs = table.vs_total(v, s)
-        if at is None:
-            total = table.grand_total
-            if total == 0:
-                raise ZeroDenominatorError("empty counts table")
-        else:
-            total = table.total(at)
-            if total == 0:
-                raise ZeroDenominatorError(f"no observations at position {s.code!r}")
-            if vs == 0:
-                raise ZeroDenominatorError(f"no observations of verb {v!r} at position {s.code!r}")
+        if n == 0:
+            raise ZeroDenominatorError(
+                "empty counts table" if at is None else f"no observations at position {s.code!r}"
+            )
+        if vs == 0 and kind is ScoreKind.ASSOC:
+            raise ZeroDenominatorError(f"no observations of verb {v!r} at position {s.code!r}")
         joint = self.group_sums(v, s, est).joint
         in_space = self._class_sums(at, est)
-        weight_denominator = vs * self._scale(est)
-        terms = []
+        scale = 1 if est is EstimatorKind.RAW else self.sense_scale
+        if kind is ScoreKind.LOG_LIKELIHOOD_RATIO:
+            # Row: this verb, in class or not; column: the class, any verb.
+            # No cell is negative, as the group's nouns are some of the
+            # position's.
+            return [
+                signed_g2(joint.get(c, 0), in_space.get(c, 0), vs * scale, n * scale, scale)
+                for c in classes
+            ]
+        out = []
         for c in classes:
-            k = _supported(joint, v, s, c)
-            # The scale of k and in_space cancels.
-            terms.append((k / weight_denominator, math.log2(k * total / (vs * in_space[c]))))
-        return terms
-
-    def _g2_scores(
-        self, v: str, s: SynRel, classes: Sequence[str], est: EstimatorKind
-    ) -> list[float]:
-        total = self.table.total(s)
-        if total == 0:
-            raise ZeroDenominatorError(f"no observations at position {s.code!r}")
-        scale = self._scale(est)
-        joint = self.group_sums(v, s, est).joint
-        at_position = self._class_sums(s, est)
-        # Row: this verb, in class or not; column: the class, any verb.  No
-        # cell is negative, as the group's nouns are some of the position's.
-        g2 = _g2_by_row(self.table.vs_total(v, s) * scale, total * scale, scale)
-        return [g2(joint.get(c, 0), at_position.get(c, 0)) for c in classes]
-
-
-def _supported(joint: Mapping[str, int], v: str, s: SynRel, c: str) -> int:
-    """The class sum of ``c`` for (v, s), which must be positive."""
-    k = joint.get(c, 0)
-    if k == 0:
-        raise UnsupportedClassError(
-            f"class {c!r} has no support with verb {v!r} at position {s.code!r}"
-        )
-    return k
+            k = joint.get(c, 0)
+            if k == 0:
+                raise UnsupportedClassError(
+                    f"class {c!r} has no support with verb {v!r} at position {s.code!r}"
+                )
+            # P(c|v,s) * log2 (k n / (vs K)); the scale of k and K cancels
+            # in the log.
+            out.append(k / (vs * scale) * math.log2(k * n / (vs * in_space[c])))
+        return out

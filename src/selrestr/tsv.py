@@ -50,8 +50,12 @@ def rows(
 
 def integer(field: str, what: str) -> int:
     """``field`` as an int: an optional ``-``, then ASCII digits, so ``+5``,
-    `` 5`` and ``1_000`` are errors (``bad <what> '<field>'``).  The
-    caller checks the range."""
+    `` 5`` and ``1_000`` are errors (``bad <what> '<field>'``), and so is
+    a field with more digits than the interpreter converts.  The caller
+    checks the range."""
     if not (field.isascii() and field.removeprefix("-").isdigit()):
         raise ValueError(f"bad {what} {field!r}")
-    return int(field)
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"bad {what}: too many digits") from None

@@ -40,7 +40,7 @@ from selrestr.learner import (
     score_candidates,
     select_disjoint,
 )
-from selrestr.stats import EstimatorKind, ScoreKind, Scorer, accumulate, log_likelihood_ratio
+from selrestr.stats import EstimatorKind, ScoreKind, Scorer, accumulate, signed_g2
 from selrestr.taxonomy import load_taxonomy
 from selrestr.trees import read_trees
 
@@ -125,8 +125,9 @@ def test_criterion_2_toy_corpus_association_oracle(toy_scorer, capsys):
 
 
 def test_criterion_3_likelihood_ratio_oracle(capsys):
-    skewed = log_likelihood_ratio(3, 0, 0, 1)
-    flat = log_likelihood_ratio(1, 1, 1, 1)
+    # the tables [[3, 0], [0, 1]] and [[1, 1], [1, 1]]
+    skewed = signed_g2(3, 3, 3, 4)
+    flat = signed_g2(1, 2, 2, 4)
     ref = oracle.g2(3, 0, 0, 1)
     problems = []
     if abs(skewed - 4.498681) > 1e-5:

@@ -1,5 +1,6 @@
-"""The README's library example runs, the package exports what it lists,
-and the exact reference in ``tests/oracle.py`` stays apart from the package."""
+"""The README's library example runs, the package exports what it lists
+and uses or exports every public name it defines, and the exact
+reference in ``tests/oracle.py`` stays apart from the package."""
 
 import ast
 import os
@@ -47,3 +48,26 @@ def test_oracle_imports_nothing_from_the_package():
             modules.append("." * node.level + (node.module or ""))
     assert "fractions" in modules
     assert [m for m in modules if m.split(".")[0] in ("selrestr", "")] == []
+
+
+def test_every_public_name_is_used_or_exported():
+    # A public function or class that no package code names and that
+    # ``__all__`` does not list exists only for the tests: move it into
+    # tests/ or delete it.
+    defined, named = {}, set()
+    for path in sorted((ROOT / "src" / "selrestr").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unused = {
+        f"{module}:{name}" for name, module in defined.items()
+        if name not in named and name not in selrestr.__all__
+    }
+    assert defined
+    assert not unused

@@ -22,8 +22,8 @@ from selrestr.stats import (
     UnsupportedClassError,
     ZeroDenominatorError,
     accumulate,
-    log_likelihood_ratio,
     read_counts,
+    signed_g2,
 )
 
 S0 = SynRel("0")
@@ -195,12 +195,6 @@ class TestAssoc:
         with pytest.raises(UnsupportedClassError, match="'liquid'"):
             score(toy_scorer, ASSOC, "drink", S0, "liquid")
 
-    def test_components_multiply(self, toy_scorer):
-        # (P(c|v,s), conditional mutual information), whose product is assoc
-        ((w, mi),) = toy_scorer._mi_terms("drink", S0, ["dog"], RAW, S0)
-        assert w == pytest.approx(2 / 3)
-        assert w * mi == score(toy_scorer, ASSOC, "drink", S0, "dog")
-
 
 class TestPairMi:
     def test_frozen_value(self, toy_scorer):
@@ -219,36 +213,31 @@ class TestPairMi:
 
 
 class TestLogLikelihoodRatio:
+    # signed_g2(k11, first column total, first row total, grand total) of
+    # the table [[k11, k12], [k21, k22]]
     def test_frozen_tables(self):
-        assert log_likelihood_ratio(3, 0, 0, 1) == pytest.approx(
-            4.498681156950466, rel=1e-12
-        )
-        assert log_likelihood_ratio(2, 1, 0, 1) == pytest.approx(
-            1.7260924347106852, rel=1e-12
-        )
+        assert signed_g2(3, 3, 3, 4) == pytest.approx(4.498681156950466, rel=1e-12)
+        assert signed_g2(2, 2, 3, 4) == pytest.approx(1.7260924347106852, rel=1e-12)
 
     def test_below_expectation_is_negative(self):
-        assert log_likelihood_ratio(0, 3, 3, 0) == pytest.approx(
-            -8.317766166719343, rel=1e-12
-        )
+        # [[0, 3], [3, 0]]
+        assert signed_g2(0, 3, 3, 6) == pytest.approx(-8.317766166719343, rel=1e-12)
 
     def test_exact_independence_is_zero(self):
-        assert log_likelihood_ratio(1, 1, 1, 1) == 0.0
-        assert log_likelihood_ratio(2, 4, 3, 6) == 0.0
+        assert signed_g2(1, 2, 2, 4) == 0.0
+        # [[2, 4], [3, 6]]
+        assert signed_g2(2, 5, 6, 15) == 0.0
 
     def test_zero_margins_are_zero(self):
-        assert log_likelihood_ratio(5, 0, 0, 0) == 0.0
-        assert log_likelihood_ratio(0, 0, 2, 3) == 0.0
-        assert log_likelihood_ratio(0, 0, 0, 0) == 0.0
-
-    def test_negative_cell_rejected(self):
-        with pytest.raises(ValueError, match="negative contingency cell"):
-            log_likelihood_ratio(1, -1, 2, 3)
+        assert signed_g2(5, 5, 5, 5) == 0.0
+        # [[0, 0], [2, 3]]
+        assert signed_g2(0, 2, 0, 5) == 0.0
+        assert signed_g2(0, 0, 0, 0) == 0.0
 
     def test_symmetry_in_magnitude(self):
         # swapping rows flips which verb is "this one" but not the evidence
-        a = log_likelihood_ratio(3, 0, 0, 1)
-        b = log_likelihood_ratio(0, 1, 3, 0)
+        a = signed_g2(3, 3, 3, 4)
+        b = signed_g2(0, 3, 1, 4)  # [[0, 1], [3, 0]]
         assert a == pytest.approx(-b, rel=1e-12)
 
 
@@ -281,7 +270,7 @@ class TestScoreDispatch:
         expected = {
             ASSOC: [oracle.assoc(*world, c) for c in classes],
             PAIR_MI: [oracle.pair_mi(*world, c) for c in classes],
-            G2: [log_likelihood_ratio(*oracle.g2_table(*world, c)) for c in classes],
+            G2: [oracle.g2(*oracle.g2_table(*world, c)) for c in classes],
         }
         for kind, want in expected.items():
             assert toy_scorer.scores(kind, "drink", S0, classes) == want
@@ -290,6 +279,51 @@ class TestScoreDispatch:
         assert EstimatorKind("raw") is EstimatorKind.RAW
         assert EstimatorKind("sense") is EstimatorKind.SENSE_CORRECTED
         assert ScoreKind("g2") is ScoreKind.LOG_LIKELIHOOD_RATIO
+
+
+POSITION_0 = (ZeroDenominatorError, "no observations at position '0'")
+EMPTY_TABLE = (ZeroDenominatorError, "empty counts table")
+NO_VERB = (ZeroDenominatorError, "no observations of verb 'eat' at position '0'")
+
+
+def unsupported(c, v, s):
+    return (UnsupportedClassError, f"class {c!r} has no support with verb {v!r} at position {s!r}")
+
+
+# situation, scored on the empty table?, verb, position, classes, and the
+# result or (exception, message) of assoc, pairmi and g2, under either
+# estimator
+SCORER_EDGES = [
+    ("empty-table", True, "drink", "0", ["animal"], POSITION_0, EMPTY_TABLE, POSITION_0),
+    ("unseen-position", False, "drink", "with", ["animal"],
+     (ZeroDenominatorError, "no observations at position 'with'"),
+     unsupported("animal", "drink", "with"),
+     (ZeroDenominatorError, "no observations at position 'with'")),
+    ("unseen-verb", False, "eat", "0", ["animal"], NO_VERB, unsupported("animal", "eat", "0"),
+     [0.0]),
+    ("unsupported-class", False, "drink", "0", ["liquid"], unsupported("liquid", "drink", "0"),
+     unsupported("liquid", "drink", "0"), [0.0]),
+    ("no-classes-unseen-verb", False, "eat", "0", [], NO_VERB, [], []),
+    ("no-classes-empty-table", True, "drink", "0", [], POSITION_0, EMPTY_TABLE, POSITION_0),
+]
+
+
+@pytest.mark.parametrize("est", list(EstimatorKind), ids=lambda e: e.value)
+@pytest.mark.parametrize("kind", list(ScoreKind), ids=lambda k: k.value)
+@pytest.mark.parametrize(
+    "on_empty, v, s, classes, wants", [(*c[1:5], c[5:]) for c in SCORER_EDGES],
+    ids=[c[0] for c in SCORER_EDGES],
+)
+def test_scorer_edge_cases(toy_scorer, on_empty, v, s, classes, wants, kind, est):
+    scorer = Scorer(CountsTable({}), toy_scorer.lexicon) if on_empty else toy_scorer
+    want = wants[list(ScoreKind).index(kind)]
+    if isinstance(want, list):
+        assert scorer.scores(kind, v, SynRel(s), classes, est) == want
+        return
+    error, message = want
+    with pytest.raises(ValueError) as err:
+        scorer.scores(kind, v, SynRel(s), classes, est)
+    assert (type(err.value), str(err.value)) == (error, message)
 
 
 AMBIG_PARENTS = {
@@ -404,7 +438,7 @@ class TestSenseScale:
                 elif kind is PAIR_MI:
                     ref = oracle.pair_mi(*world)
                 else:
-                    ref = log_likelihood_ratio(*oracle.g2_table(*world))
+                    ref = oracle.g2(*oracle.g2_table(*world))
                 assert value == ref
 
 

@@ -119,6 +119,13 @@ BAD_FIELDS = [
      "bad support count '+3'"),
     ("restrictions-inner-space", "restrictions", "eat\t1\tanimal\t0.5\t 2\t3",
      "bad nouns count ' 2'"),
+    # more digits than int() converts by default (4,300)
+    ("counts-too-many-digits", "counts", "eat\t1\tdog\t" + "1" * 5000,
+     "bad count: too many digits"),
+    ("restrictions-too-many-digits", "restrictions", "eat\t1\tanimal\t0.5\t2\t" + "9" * 5000,
+     "bad support count: too many digits"),
+    ("labels-too-many-digits", "labels", "eat\t1\tdog\tOk\t-" + "1" * 5000,
+     "bad occurrence count: too many digits"),
 ]
 
 
