@@ -4,7 +4,9 @@ For every clause the extractor finds the main verb and emits one
 co-occurrence triple per complement: the subject noun phrase, the first
 object noun phrase, and each prepositional complement.  The relation is
 coded the way the triples file writes it: ``0`` for subject, ``1`` for
-object, otherwise the preposition itself.
+object, otherwise the preposition itself in lowercase.  A PP whose
+preposition lowercases to ``0`` or ``1`` would be read back as the
+subject or object, so it is skipped, like a PP with no preposition.
 
 Head finding is deliberately simple.  The head of an NP is its rightmost
 noun-tagged immediate child; an NP headed by anything else (pronouns,
@@ -17,8 +19,10 @@ accounted for.
 Records are named tuples, and a relation is a validated ``str``
 subclass, so the dict lookups keyed by relations downstream hash and
 compare in C; ``relation`` keeps one per code for the extractor and
-every reader.  The tree walk is iterative over constituents only, and
-lemmas are memoized per ``LemmaTable``.
+every reader.  ``extract_corpus`` makes one flat, iterative walk per
+tree over its constituents, reading nodes as (label, children, token)
+tuples with the tag sets bound to locals, and appends every record to
+one list; lemmas are memoized per ``LemmaTable``.
 """
 
 from __future__ import annotations
@@ -231,45 +235,6 @@ def _lemmatize(form: str, pos: str, table: LemmaTable) -> LemmaResult:
     return LemmaResult(folded, True)
 
 
-def np_head(np: ParseTree, tags: TagSet = PENN) -> tuple[str, str] | None:
-    """Surface form and tag of the NP's head, or None when the rightmost
-    noun-tagged leaf is missing at the top level of the phrase."""
-    for child in reversed(np.children):
-        if child.token is not None and child.label in tags.noun_tags:
-            return child.token, child.label
-    return None
-
-
-def _rightmost_leaf_token(tree: ParseTree) -> str:
-    node = tree
-    while not node.is_leaf:
-        node = node.children[-1]
-    return node.token
-
-
-def _innermost_vp(vp: ParseTree, tags: TagSet) -> ParseTree:
-    node = vp
-    while True:
-        nested = [c for c in node.children if c.label in tags.vp_labels]
-        if not nested:
-            return node
-        node = nested[0]
-
-
-def _first(children: tuple[ParseTree, ...], labels: frozenset[str]) -> ParseTree | None:
-    for child in children:
-        if child.label in labels:
-            return child
-    return None
-
-
-def _verb_leaf(vp: ParseTree, tags: TagSet) -> ParseTree | None:
-    for child in reversed(vp.children):
-        if child.token is not None and child.label in tags.verb_tags:
-            return child
-    return None
-
-
 def extract_triples(
     tree: ParseTree,
     lemmas: LemmaTable = EMPTY_LEMMA_TABLE,
@@ -279,68 +244,17 @@ def extract_triples(
     """Emit one TripleRecord per verb-complement pair found in the tree.
 
     Every clause node (a clause label with a VP child) is processed
-    independently, in preorder: subject from the nearest NP sister before
-    the VP, the first NP inside the innermost VP as object, and each PP
-    inside it as a prepositional complement.  Clauses with no
-    identifiable verb yield nothing.  The walk is iterative and visits
-    constituents only, since a leaf is never a clause.
+    independently, in preorder.  The verb is the rightmost verb-tagged
+    leaf of the innermost VP (the first VP child, followed down through
+    first VP children); the subject is the nearest NP sister before the
+    first VP, the object the first NP inside the innermost VP, and each
+    PP inside it with a preposition-tagged leaf and an NP child is a
+    prepositional complement, coded by the first such leaf's token in
+    lowercase.  A PP whose preposition lowercases to a subject or
+    object code ("0", "1") is skipped, as is one with no preposition
+    leaf.  Clauses with no identifiable verb yield nothing.
     """
-    records: list[TripleRecord] = []
-    stack = [] if tree.is_leaf else [tree]
-    while stack:
-        clause = stack.pop()
-        for child in reversed(clause.children):
-            if child.token is None:
-                stack.append(child)
-        if clause.label not in tags.clause_labels:
-            continue
-        vp = _first(clause.children, tags.vp_labels)
-        if vp is None:
-            continue
-        inner = _innermost_vp(vp, tags)
-        verb = _verb_leaf(inner, tags)
-        if verb is None:
-            continue
-        verb_lemma, verb_failed = lemmatize(verb.token, VERB, lemmas)
-
-        def emit(rel: SynRel, np: ParseTree) -> None:
-            head = np_head(np, tags)
-            if head is None:
-                records.append(
-                    TripleRecord(
-                        verb_lemma, rel, _rightmost_leaf_token(np), sentence_id, NON_NOUN_HEAD
-                    )
-                )
-                return
-            noun_lemma, noun_failed = lemmatize(head[0], NOUN, lemmas)
-            reason = LEMMA_FAILURE if (verb_failed or noun_failed) else None
-            records.append(TripleRecord(verb_lemma, rel, noun_lemma, sentence_id, reason))
-
-        subject_np = None
-        for child in clause.children:
-            if child is vp:
-                break
-            if child.label in tags.np_labels:
-                subject_np = child
-        if subject_np is not None:
-            emit(SUBJECT, subject_np)
-
-        object_np = _first(inner.children, tags.np_labels)
-        if object_np is not None:
-            emit(OBJECT, object_np)
-
-        for child in inner.children:
-            if child.label not in tags.pp_labels:
-                continue
-            prep = next(
-                (c for c in child.children if c.token is not None and c.label in tags.prep_tags),
-                None,
-            )
-            pp_np = _first(child.children, tags.np_labels)
-            if prep is None or pp_np is None:
-                continue
-            emit(relation(prep.token.lower()), pp_np)
-    return records
+    return _extract(((sentence_id, tree),), lemmas, tags)
 
 
 def extract_corpus(
@@ -348,9 +262,100 @@ def extract_corpus(
     lemmas: LemmaTable = EMPTY_LEMMA_TABLE,
     tags: TagSet = PENN,
 ) -> list[TripleRecord]:
+    """``extract_triples`` of every tree, numbered from 0 in order."""
+    return _extract(enumerate(trees), lemmas, tags)
+
+
+def _extract(
+    numbered: Iterable[tuple[int, ParseTree]], lemmas: LemmaTable, tags: TagSet
+) -> list[TripleRecord]:
+    """The records of every (sentence id, tree) pair, in one list.
+
+    One flat walk per tree over constituents, in preorder; nodes are
+    read as (label, children, token) tuples, and records are built
+    without ``TripleRecord``'s Python-level ``__new__``.
+    """
+    noun_tags, verb_tags, prep_tags, clause_labels, np_labels, vp_labels, pp_labels = tags
+    memo = lemmas._memo
+    new = tuple.__new__
     records: list[TripleRecord] = []
-    for sentence_id, tree in enumerate(trees):
-        records.extend(extract_triples(tree, lemmas, tags, sentence_id))
+    append = records.append
+    for sentence_id, tree in numbered:
+        stack = [] if tree[2] is not None else [tree]
+        while stack:
+            label, children, _ = stack.pop()
+            for child in reversed(children):
+                if child[2] is None:
+                    stack.append(child)
+            if label not in clause_labels:
+                continue
+            for vp in children:
+                if vp[0] in vp_labels:
+                    break
+            else:
+                continue
+            inner = vp
+            while True:
+                for child in inner[1]:
+                    if child[0] in vp_labels:
+                        inner = child
+                        break
+                else:
+                    break
+            for verb in reversed(inner[1]):
+                if verb[2] is not None and verb[0] in verb_tags:
+                    break
+            else:
+                continue
+            verb_lemma, verb_failed = memo.get((verb[2], VERB)) or lemmatize(
+                verb[2], VERB, lemmas
+            )
+
+            complements = []
+            subject = None
+            for child in children:
+                if child is vp:
+                    break
+                if child[0] in np_labels:
+                    subject = child
+            if subject is not None:
+                complements.append((SUBJECT, subject))
+            for child in inner[1]:
+                if child[0] in np_labels:
+                    complements.append((OBJECT, child))
+                    break
+            for pp in inner[1]:
+                if pp[0] not in pp_labels:
+                    continue
+                for prep in pp[1]:
+                    if prep[2] is not None and prep[0] in prep_tags:
+                        break
+                else:
+                    continue
+                for np in pp[1]:
+                    if np[0] in np_labels:
+                        break
+                else:
+                    continue
+                code = prep[2].lower()
+                if code != SUBJECT_CODE and code != OBJECT_CODE:
+                    complements.append((_RELATIONS.get(code) or relation(code), np))
+
+            for rel, np in complements:
+                # The head: the rightmost noun-tagged leaf among the NP's children.
+                for head in reversed(np[1]):
+                    if head[2] is not None and head[0] in noun_tags:
+                        noun_lemma, noun_failed = memo.get((head[2], NOUN)) or lemmatize(
+                            head[2], NOUN, lemmas
+                        )
+                        reason = LEMMA_FAILURE if verb_failed or noun_failed else None
+                        append(new(TripleRecord, (verb_lemma, rel, noun_lemma, sentence_id, reason)))
+                        break
+                else:
+                    node = np
+                    while node[2] is None:
+                        node = node[1][-1]
+                    append(new(TripleRecord, (verb_lemma, rel, node[2], sentence_id, NON_NOUN_HEAD)))
     return records
 
 

@@ -277,7 +277,8 @@ class Scorer:
         est: EstimatorKind = EstimatorKind.RAW,
     ) -> list[float]:
         """The scores of ``classes`` for (v, s), in order.  Under assoc and
-        pairmi every class must have support with (v, s)."""
+        pairmi (v, s) must have observations and every class must have
+        support with it."""
         table = self.table
         at = None if kind is ScoreKind.ASSOC_PAIR_MI else s
         n = table.grand_total if at is None else table.total(at)
@@ -286,7 +287,7 @@ class Scorer:
             raise ZeroDenominatorError(
                 "empty counts table" if at is None else f"no observations at position {s.code!r}"
             )
-        if vs == 0 and kind is ScoreKind.ASSOC:
+        if vs == 0 and kind is not ScoreKind.LOG_LIKELIHOOD_RATIO:
             raise ZeroDenominatorError(f"no observations of verb {v!r} at position {s.code!r}")
         joint = self.group_sums(v, s, est).joint
         in_space = self._class_sums(at, est)

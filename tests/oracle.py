@@ -8,7 +8,9 @@ take a noun -> count map and the package's lexicon object, as the scorer
 does, but copy out only its parent links (``taxonomy.parents``) and sense
 lists (``senses``) and walk them with this module's own ``closure``, one
 noun at a time: they share no memo with the scorer's single walk that
-they are the reference for.
+they are the reference for.  The bracket reader and the triple
+extractor work on plain ``(label, children, token)`` tuples; the
+extractor takes the lemmatizer and the tag set from its caller.
 """
 
 from __future__ import annotations
@@ -318,3 +320,88 @@ def parse_bracketed(text: str) -> list[tuple]:
     if stack:
         raise OracleSyntaxError("unbalanced parentheses: unclosed '('", len(text))
     return trees
+
+
+# -- triple extraction -----------------------------------------------------
+
+NON_NOUN_HEAD = "NonNounHead"
+LEMMA_FAILURE = "LemmaFailure"
+
+
+def _first(children, labels):
+    for child in children:
+        if child[0] in labels:
+            return child
+    return None
+
+
+def _clauses(tree):
+    """Constituents in preorder, ``tree`` included unless it is a leaf."""
+    stack = [] if tree[2] is not None else [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for c in reversed(node[1]) if c[2] is None)
+
+
+def extract_triples(tree, lemmatize, tags, sentence_id=0) -> list[tuple]:
+    """``(verb, relation code, noun, sentence id, discard reason or None)``
+    per verb-complement pair of a ``(label, children, token)`` tree.
+
+    ``lemmatize(form, pos)`` gives ``(lemma, failed)`` with ``pos`` one of
+    "noun" and "verb"; ``tags`` has the fields of the package's tag set.
+    Each clause (a clause label with a VP child) gives: the subject, the
+    last NP sister before the first VP; the object, the first NP in the
+    innermost VP (first VP children down); and each PP of that VP with a
+    preposition leaf and an NP, unless the preposition lowercases to "0"
+    or "1".  The verb is the innermost VP's rightmost verb-tagged leaf.
+    """
+    records = []
+    for clause in _clauses(tree):
+        label, children, _ = clause
+        if label not in tags.clause_labels:
+            continue
+        vp = _first(children, tags.vp_labels)
+        if vp is None:
+            continue
+        inner = vp
+        while _first(inner[1], tags.vp_labels) is not None:
+            inner = _first(inner[1], tags.vp_labels)
+        verbs = [c for c in inner[1] if c[2] is not None and c[0] in tags.verb_tags]
+        if not verbs:
+            continue
+        verb_lemma, verb_failed = lemmatize(verbs[-1][2], "verb")
+
+        complements = []
+        before = children[: children.index(vp)]
+        subjects = [c for c in before if c[0] in tags.np_labels]
+        if subjects:
+            complements.append(("0", subjects[-1]))
+        obj = _first(inner[1], tags.np_labels)
+        if obj is not None:
+            complements.append(("1", obj))
+        for pp in inner[1]:
+            if pp[0] not in tags.pp_labels:
+                continue
+            preps = [c for c in pp[1] if c[2] is not None and c[0] in tags.prep_tags]
+            np = _first(pp[1], tags.np_labels)
+            if preps and np is not None and preps[0][2].lower() not in ("0", "1"):
+                complements.append((preps[0][2].lower(), np))
+
+        for code, np in complements:
+            heads = [c for c in np[1] if c[2] is not None and c[0] in tags.noun_tags]
+            if not heads:
+                node = np
+                while node[2] is None:
+                    node = node[1][-1]
+                records.append((verb_lemma, code, node[2], sentence_id, NON_NOUN_HEAD))
+                continue
+            noun_lemma, noun_failed = lemmatize(heads[-1][2], "noun")
+            reason = LEMMA_FAILURE if verb_failed or noun_failed else None
+            records.append((verb_lemma, code, noun_lemma, sentence_id, reason))
+    return records
+
+
+def extract_corpus(trees, lemmatize, tags) -> list[tuple]:
+    """``extract_triples`` of every tree, numbered from 0 in order."""
+    return [r for i, tree in enumerate(trees) for r in extract_triples(tree, lemmatize, tags, i)]

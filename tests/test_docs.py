@@ -1,14 +1,17 @@
-"""The README's library example runs, the package exports what it lists
-and uses or exports every public name it defines, and the exact
-reference in ``tests/oracle.py`` stays apart from the package."""
+"""The README's quick-start transcripts and library example run as shown,
+the package exports what it lists and uses or exports every public name
+it defines, and the exact reference in ``tests/oracle.py`` stays apart
+from the package."""
 
 import ast
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import selrestr
+from selrestr import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,6 +20,42 @@ def library_example() -> str:
     """The ```python block of the README's "Library use" section."""
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library use", 1)[1]
     return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def quick_start_transcripts() -> list[tuple[list[str], str]]:
+    """(argv, shown stdout) of each ``$ selrestr`` command in the README's
+    "Quick start" section, with ``$D`` set as its ``D=`` line sets it."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    variables: dict[str, str] = {}
+    runs: list[tuple[list[str], str]] = []
+    for block in section.split("```\n")[1::2]:
+        lines = block.replace("\\\n", " ").splitlines()
+        for line in lines:
+            if not line.startswith("$ "):
+                runs[-1][1].append(line)
+                continue
+            words = shlex.split(line[2:])
+            for name, value in variables.items():
+                words = [w.replace(f"${name}", value) for w in words]
+            if "=" in words[0]:
+                # A path relative to the checkout.
+                name, value = words[0].split("=", 1)
+                variables[name] = str(ROOT / value)
+                continue
+            assert words[0] == "selrestr"
+            runs.append((words[1:], []))
+    return [(argv, "".join(line + "\n" for line in shown)) for argv, shown in runs]
+
+
+def test_readme_quick_start_transcripts(tmp_path, monkeypatch, capsys):
+    runs = quick_start_transcripts()
+    assert [argv[0] for argv, _ in runs] == ["extract", "learn", "report", "eval"]
+    # The outputs are named relative to the working directory.
+    monkeypatch.chdir(tmp_path)
+    for argv, shown in runs:
+        assert cli.run(argv) == 0, argv
+        assert capsys.readouterr().out == shown, argv
 
 
 def test_readme_library_example_runs():

@@ -4,6 +4,9 @@ clause walking, and the triples/discards file formats."""
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle
 
 from selrestr.extract import (
     EMPTY_LEMMA_TABLE,
@@ -21,7 +24,6 @@ from selrestr.extract import (
     extract_triples,
     format_triple,
     lemmatize,
-    np_head,
     read_triples,
     relation,
     write_discards,
@@ -198,26 +200,36 @@ class TestLemmatize:
 
 
 class TestNpHead:
+    """The head of an NP is its rightmost noun-tagged child leaf."""
+
+    @staticmethod
+    def object_of(np, tags=PENN):
+        """(noun, discard reason) of the object record for ``np``."""
+        tree = node("S", node("VP", leaf("VBD", "saw"), np))
+        (record,) = extract_triples(tree, tags=tags)
+        assert record.rel == OBJECT
+        return record.noun, record.discard_reason
+
     def test_rightmost_noun_tag(self):
         np = node("NP", leaf("DT", "the"), leaf("NN", "bond"), leaf("NNS", "buyers"))
-        assert np_head(np) == ("buyers", "NNS")
+        assert self.object_of(np) == ("buyer", None)
 
     def test_noun_before_trailing_adverb(self):
         np = node("NP", leaf("NN", "dog"), leaf("RB", "too"))
-        assert np_head(np) == ("dog", "NN")
+        assert self.object_of(np) == ("dog", None)
 
     def test_pronoun_only_is_none(self):
-        assert np_head(node("NP", leaf("PRP", "he"))) is None
+        assert self.object_of(node("NP", leaf("PRP", "he"))) == ("he", NON_NOUN_HEAD)
 
     def test_nested_np_not_searched(self):
         inner = node("NP", leaf("NN", "board"))
         np = node("NP", inner, node("PP", leaf("IN", "of"), inner))
-        assert np_head(np) is None
+        assert self.object_of(np) == ("board", NON_NOUN_HEAD)
 
     def test_custom_tags(self):
         tags = TagSet(noun_tags=frozenset({"N"}))
         np = node("NP", leaf("N", "hund"))
-        assert np_head(np, tags) == ("hund", "N")
+        assert self.object_of(np, tags) == ("hund", None)
 
 
 def _one(text):
@@ -330,6 +342,17 @@ class TestExtractTriples:
         recs = extract_triples(tree, sentence_id=7)
         assert recs[0].sentence_id == 7
 
+    @pytest.mark.parametrize("code", ["0", "1"])
+    def test_pp_with_reserved_code_skipped(self, code):
+        # A preposition spelled like the subject or object code would be
+        # read back as that relation, so its PP yields nothing.
+        tree = _one(
+            f"(S (NP (NN cat)) (VP (VBD sat) (PP (IN {code}) (NP (NN mat)))"
+            " (PP (IN on) (NP (NN rug)))))"
+        )
+        recs = extract_triples(tree)
+        assert [(r.rel.code, r.noun) for r in recs] == [("0", "cat"), ("on", "rug")]
+
     def test_extract_corpus_enumerates(self):
         trees = parse_bracketed(
             "(S (NP (NN dog)) (VP (VBD slept)))\n(S (NP (NN cat)) (VP (VBD slept)))"
@@ -406,3 +429,113 @@ class TestBundledTreebank:
         assert kept.getvalue() == expect_kept
         assert lost.getvalue() == expect_lost
         assert len(recs) == 61
+
+
+# Clause trees for the differential property: subjects (nouns, pronouns,
+# numbers, apposition), objects, PPs (reserved and mixed-case
+# prepositions, none, no NP), nested and coordinated VPs, SINV and
+# SBAR-embedded clauses.
+_LEAVES = {
+    "DT": ["the", "a"],
+    "NN": ["dog", "board", "Plan"],
+    "NNS": ["dogs", "shares", "charges", "policies"],
+    "PRP": ["he", "It"],
+    "CD": ["7", "1990"],
+    "JJ": ["big"],
+    "VBD": ["sought", "bought", "re-elected", "saw"],
+    "VB": ["seek", "report"],
+    "VBZ": ["carries"],
+    "MD": ["will"],
+    "IN": ["in", "On", "of", "0", "1"],
+    "TO": ["to"],
+    "RB": ["not"],
+    "CC": ["and"],
+    ",": [","],
+}
+_LEMMAS = LemmaTable.from_text("sought\tverb\tseek\nbought\tverb\tbuy\nsaw\tverb\tsee\n")
+
+
+def _leaf(*tags):
+    return st.sampled_from(tags).flatmap(
+        lambda tag: st.sampled_from(_LEAVES[tag]).map(lambda word: f"({tag} {word})")
+    )
+
+
+def _phrase(label, parts):
+    return st.tuples(*parts).map(lambda kids: f"({label} {' '.join(k for k in kids if k)})")
+
+
+def _maybe(strategy):
+    return st.one_of(st.just(""), strategy)
+
+
+# Noun heads are drawn twice as often as pronoun and numeric ones.
+noun_phrases = st.recursive(
+    _phrase("NP", [_maybe(_leaf("DT", "JJ")), _leaf("NN", "NNS", "NN", "NNS", "PRP", "CD"),
+                   _maybe(_leaf("NN", "NNS", "RB"))]),
+    lambda inner: st.one_of(
+        _phrase("NP", [inner, _maybe(_phrase("PP", [_leaf("IN"), inner]))]),
+        _phrase("NP", [_leaf("DT"), inner]),
+    ),
+    max_leaves=3,
+)
+prep_phrases = st.one_of(
+    _phrase("PP", [_leaf("IN", "TO", "RB"), _maybe(noun_phrases)]),
+    _phrase("PP", [noun_phrases]),
+)
+
+
+def _verb_phrases(clauses):
+    flat = _phrase("VP", [
+        _maybe(_leaf("MD", "RB")), _leaf("VBD", "VB", "VBZ", "MD"),
+        _maybe(noun_phrases), _maybe(noun_phrases), _maybe(prep_phrases), _maybe(prep_phrases),
+        _maybe(_phrase("SBAR", [_leaf("IN"), clauses])),
+    ])
+    return st.recursive(
+        flat,
+        lambda inner: st.one_of(
+            _phrase("VP", [_maybe(_leaf("MD", "VBZ")), inner, _maybe(noun_phrases)]),
+            _phrase("VP", [inner, _leaf("CC"), inner]),
+        ),
+        max_leaves=3,
+    )
+
+
+def _clause(clauses):
+    verb_phrases = _verb_phrases(clauses)
+    return st.one_of(
+        _phrase("S", [_maybe(noun_phrases), _maybe(_leaf(",")), _maybe(noun_phrases),
+                      verb_phrases, _maybe(noun_phrases)]),
+        _phrase("SINV", [verb_phrases, noun_phrases]),
+        _phrase("S", [noun_phrases, _leaf("RB")]),
+    )
+
+
+clause_trees = st.recursive(
+    _clause(st.just("(S (NP (NN dog)) (VP (VBD saw)))")), _clause, max_leaves=4
+)
+
+
+def _reference(trees, table):
+    return oracle.extract_corpus(trees, lambda form, pos: lemmatize(form, pos, table), PENN)
+
+
+class TestAgainstReference:
+    """The flat clause walk against the plain walk of ``tests/oracle.py``,
+    each on its own reader's trees."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(clause_trees, min_size=1, max_size=4))
+    def test_same_records_as_the_reference(self, trees):
+        text = "\n".join(trees)
+        got = extract_corpus(parse_bracketed(text), _LEMMAS)
+        assert got == _reference(oracle.parse_bracketed(text), _LEMMAS)
+
+    @pytest.mark.parametrize("corpus", ["mini", "demo"])
+    def test_bundled_corpora(self, data_dir, corpus):
+        text = (data_dir / f"{corpus}.mrg").read_text(encoding="utf-8")
+        lemmas = (data_dir / f"{corpus}_lemmas.tsv").read_text(encoding="utf-8")
+        got = extract_corpus(parse_bracketed(text), LemmaTable.from_text(lemmas))
+        want = _reference(oracle.parse_bracketed(text), LemmaTable.from_text(lemmas))
+        assert got == want
+        assert want

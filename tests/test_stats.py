@@ -297,13 +297,12 @@ SCORER_EDGES = [
     ("empty-table", True, "drink", "0", ["animal"], POSITION_0, EMPTY_TABLE, POSITION_0),
     ("unseen-position", False, "drink", "with", ["animal"],
      (ZeroDenominatorError, "no observations at position 'with'"),
-     unsupported("animal", "drink", "with"),
+     (ZeroDenominatorError, "no observations of verb 'drink' at position 'with'"),
      (ZeroDenominatorError, "no observations at position 'with'")),
-    ("unseen-verb", False, "eat", "0", ["animal"], NO_VERB, unsupported("animal", "eat", "0"),
-     [0.0]),
+    ("unseen-verb", False, "eat", "0", ["animal"], NO_VERB, NO_VERB, [0.0]),
     ("unsupported-class", False, "drink", "0", ["liquid"], unsupported("liquid", "drink", "0"),
      unsupported("liquid", "drink", "0"), [0.0]),
-    ("no-classes-unseen-verb", False, "eat", "0", [], NO_VERB, [], []),
+    ("no-classes-unseen-verb", False, "eat", "0", [], NO_VERB, NO_VERB, []),
     ("no-classes-empty-table", True, "drink", "0", [], POSITION_0, EMPTY_TABLE, POSITION_0),
 ]
 

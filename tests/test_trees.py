@@ -3,7 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from helpers import leaf, node, subtrees, tokens
-from selrestr.trees import ParseTree, TreeSyntaxError, parse_bracketed
+from selrestr.trees import ParseTree, TreeSyntaxError, parse_bracketed, read_trees
 
 
 SIMPLE = "(S (NP (NN dog)) (VP (VBZ barks)))"
@@ -144,7 +144,9 @@ def _outcome(parse, error, text):
 
 
 class TestAgainstReference:
-    """The regex reader against the character-at-a-time reference reader."""
+    """The word-at-a-time reader against the character-at-a-time reference
+    reader.  The examples cover each word shape: "(LABEL", "token)…)",
+    a bare "(" or ")", and words that must be cut into those."""
 
     @settings(max_examples=200, deadline=None)
     @given(text=st.one_of(bracket_texts, well_formed_texts()))
@@ -157,6 +159,18 @@ class TestAgainstReference:
     @example("dog (S (NN dog)")
     @example("(NN\x1cdog\u3000)")
     @example("(X)")
+    @example("(NP(DT the))")
+    @example("(DT the)(NN dog)")
+    @example("( NN dog )")
+    @example("( dog)")
+    @example("dog)")
+    @example("(NN dog))")
+    @example("(S\n  (NP (NN dog))\n  (VP (VBZ barks)))\n(NN\ncat\n)")
+    @example("(S (NN dog))\n(S (NN cat))\n(S (NN cow) cat)\n")
+    @example("(S (NN dog))\n\n  (S (NN cat)) )")
+    @example("(S (NN dog))\n (NN cat) x")
+    @example("(A(B x)y)")
+    @example("()x(")
     def test_same_trees_or_same_error(self, text):
         got = _outcome(parse_bracketed, TreeSyntaxError, text)
         assert got == _outcome(oracle.parse_bracketed, oracle.OracleSyntaxError, text)
@@ -164,6 +178,34 @@ class TestAgainstReference:
             for tree in got[1]:
                 assert all(type(t) is ParseTree for t in subtrees(tree))
                 assert parse_bracketed(str(tree)) == [tree]
+
+
+class TestReadTrees:
+    TEXTS = [
+        "(S (NP (DT the) (NN dog))\n   (VP (VBZ barks)))\n\n(S (NN cat))\n",
+        "(S (NN dog))\n(S (NN cat))\n(S (NN cow) cat)\n",
+        "(S (NN dog))\n\n(S\n(NN cat)))\n",
+        "(S (NN dog))\n(S\n",
+    ]
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n", "\n"], ids=["cr", "crlf", "lf"])
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_line_ends_are_translated(self, tmp_path, text, newline):
+        # The file is read with newline translation, so offsets count one
+        # character per line end, as in the translated text.
+        path = tmp_path / "corpus.mrg"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        got = _outcome(read_trees, TreeSyntaxError, path)
+        assert got == _outcome(oracle.parse_bracketed, oracle.OracleSyntaxError, text)
+
+    def test_bad_byte_is_reported_at_its_file_position(self, tmp_path):
+        head = "(S (NN dog))\n" * 1000  # past the first 8 KiB
+        path = tmp_path / "corpus.mrg"
+        path.write_bytes(head.encode("utf-8") + b"(S (NN \xff))\n")
+        with pytest.raises(UnicodeDecodeError) as err:
+            read_trees(path)
+        assert err.value.start == len(head) + len("(S (NN ")
+        assert f"position {err.value.start}:" in str(err.value)
 
 
 class TestErrors:
