@@ -335,7 +335,7 @@ def _first(children, labels):
     return None
 
 
-def _clauses(tree):
+def _constituents(tree):
     """Constituents in preorder, ``tree`` included unless it is a leaf."""
     stack = [] if tree[2] is not None else [tree]
     while stack:
@@ -357,7 +357,7 @@ def extract_triples(tree, lemmatize, tags, sentence_id=0) -> list[tuple]:
     or "1".  The verb is the innermost VP's rightmost verb-tagged leaf.
     """
     records = []
-    for clause in _clauses(tree):
+    for clause in _constituents(tree):
         label, children, _ = clause
         if label not in tags.clause_labels:
             continue
