@@ -229,8 +229,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
         tags, _ = _load(opts["tagset"], TagSet.from_json)
     with _input(opts["corpus"]):
         records = extract_corpus(read_trees(opts["corpus"]), lemmas, tags)
-    kept = [r for r in records if r.kept]
-    discards = [r for r in records if not r.kept]
+    kept, discards = [], []
+    reasons = dict.fromkeys((NON_NOUN_HEAD, LEMMA_FAILURE), 0)
+    for r in records:
+        if r.discard_reason is None:
+            kept.append(r)
+        else:
+            discards.append(r)
+            reasons[r.discard_reason] += 1
     triples_path = opts["triples"]
     discards_path = opts.get("discards", triples_path + ".discards")
     _write_outputs(
@@ -242,8 +248,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     )
 
     raw = len(records)
-    non_noun = sum(1 for r in discards if r.discard_reason == NON_NOUN_HEAD)
-    lemma_fail = sum(1 for r in discards if r.discard_reason == LEMMA_FAILURE)
+    non_noun, lemma_fail = reasons[NON_NOUN_HEAD], reasons[LEMMA_FAILURE]
     print(f"raw extractions  {raw}")
     print(f"non-noun heads   {non_noun} ({percentage(non_noun, raw)}%)")
     print(f"lemma failures   {lemma_fail} ({percentage(lemma_fail, raw)}%)")

@@ -314,6 +314,8 @@ def _extract(
             complements = []
             subject = None
             for child in children:
+                # vp is the first VP child, so even a leaf vp that the parse
+                # shares with later children is first met at its own place.
                 if child is vp:
                     break
                 if child[0] in np_labels:

@@ -18,6 +18,14 @@ keeps no offset: each node stands for one ``(``, so a
 immutable tuples (``ParseTree``), and every walk over them is
 iterative, so nesting depth is bounded by memory, not by the
 interpreter's recursion limit.
+
+A treebank repeats a few labels and a few thousand tokens and leaves
+over and over, so one parse shares them: a dict local to the call maps
+each word of either shape to its label or token, and another maps each
+``(label, token)`` to its leaf.  Within one parse, each distinct label
+and token is one string and each distinct leaf one node, which may
+stand at many places in the trees; the ``(`` ordinals of an error
+still count every place.  Nothing is cached between parses.
 """
 
 from __future__ import annotations
@@ -41,7 +49,10 @@ class _Node(NamedTuple):
 
 
 class ParseTree(_Node):
-    """A constituent (with children) or a tagged leaf (with a token)."""
+    """A constituent (with children) or a tagged leaf (with a token).
+
+    Nodes compare by value.  Equal leaves from one parse may be one
+    object, so only ``is`` or ``id()`` tells their places apart."""
 
     __slots__ = ()
 
@@ -129,7 +140,10 @@ def _stray_error(text: str, trees: list, token: str | None) -> TreeSyntaxError:
 
 
 def parse_bracketed(text: str) -> list[ParseTree]:
-    """Parse every top-level tree in ``text``, preserving input order."""
+    """Parse every top-level tree in ``text``, preserving input order.
+
+    Within one call each distinct label and token is one string object,
+    and each distinct ``(TAG token)`` leaf one ``ParseTree``."""
     trees: list[ParseTree] = []
     # Frames of the open brackets: [label or None, children, token].  The
     # token is None before the first, and "" after a second.  A frame
@@ -141,6 +155,11 @@ def parse_bracketed(text: str) -> list[ParseTree]:
     # The label ("" for none) of the last "(" read, not yet a frame: if
     # the next word is "token)", the two make a leaf without one.
     pending = None
+    # Each word of a shape seen so far: "(LABEL" to its label, "token)…)"
+    # to its token.  A label or token is also a key, to itself, so equal
+    # ones from different words are one string.  Leaves by (label, token).
+    strings: dict[str, str] = {}
+    leaves: dict[tuple[str, str], ParseTree] = {}
     start, end = 0, len(text)
     while start < end:
         stop = text.find("\n", start)
@@ -150,59 +169,64 @@ def parse_bracketed(text: str) -> list[ParseTree]:
         start = stop + 1
         while words:
             for word in words:
+                string = strings.get(word)
+                if string is None:
+                    string = word[1:] if word[0] == "(" else word.rstrip(")")
+                    if "(" in string or ")" in string:
+                        # Not of either shape: go on from its pieces, which
+                        # are.  An equal word before it would have been cut,
+                        # so index() finds this one.
+                        words = _PIECE.findall(word) + words[words.index(word) + 1 :]
+                        break
+                    string = strings[word] = strings.setdefault(string, string)
                 if word[0] == "(":
-                    label = word[1:]
-                    if "(" not in label and ")" not in label:
-                        if pending is not None:
-                            siblings = []
-                            push([pending or None, siblings, None])
-                        pending = label
-                        continue
+                    if pending is not None:
+                        siblings = []
+                        push([pending or None, siblings, None])
+                    pending = string
+                    continue
+                token = string
+                closes = len(word) - len(token)
+                if pending and token and closes:
+                    leaf = leaves.get((pending, token))
+                    if leaf is None:
+                        leaf = leaves[pending, token] = _new_node(ParseTree, (pending, (), token))
+                    siblings.append(leaf)
+                    pending = None
+                    closes -= 1
                 else:
-                    token = word.rstrip(")")
-                    if "(" not in token and ")" not in token:
-                        closes = len(word) - len(token)
-                        if pending and token and closes:
-                            siblings.append(_new_node(ParseTree, (pending, (), token)))
-                            pending = None
-                            closes -= 1
+                    if pending is not None:
+                        siblings = []
+                        push([pending or None, siblings, None])
+                        pending = None
+                    if token:
+                        if not stack:
+                            raise _stray_error(text, trees, token)
+                        frame = stack[-1]
+                        if frame[0] is None:
+                            frame[0] = token
+                        elif frame[2] is None:
+                            frame[2] = token
                         else:
-                            if pending is not None:
-                                siblings = []
-                                push([pending or None, siblings, None])
-                                pending = None
-                            if token:
-                                if not stack:
-                                    raise _stray_error(text, trees, token)
-                                frame = stack[-1]
-                                if frame[0] is None:
-                                    frame[0] = token
-                                elif frame[2] is None:
-                                    frame[2] = token
-                                else:
-                                    frame[2] = ""
-                        while closes:
-                            if not stack:
-                                raise _stray_error(text, trees, None)
-                            frame = pop()
-                            label, children, token = frame
-                            if token is None:
-                                if label is None or not children:
-                                    raise _close_error(text, trees, stack, frame)
-                                tree = _new_node(ParseTree, (label, tuple(children), None))
-                            elif token and not children:
-                                tree = _new_node(ParseTree, (label, (), token))
-                            else:
-                                raise _close_error(text, trees, stack, frame)
-                            siblings = stack[-1][1] if stack else trees
-                            siblings.append(tree)
-                            closes -= 1
-                        continue
-                # Any other word: go on from its pieces, which have the two
-                # shapes.  An equal word before it would have been cut, so
-                # index() finds this one.
-                words = _PIECE.findall(word) + words[words.index(word) + 1 :]
-                break
+                            frame[2] = ""
+                while closes:
+                    if not stack:
+                        raise _stray_error(text, trees, None)
+                    frame = pop()
+                    label, children, token = frame
+                    if token is None:
+                        if label is None or not children:
+                            raise _close_error(text, trees, stack, frame)
+                        tree = _new_node(ParseTree, (label, tuple(children), None))
+                    elif token and not children:
+                        tree = leaves.get((label, token))
+                        if tree is None:
+                            tree = leaves[label, token] = _new_node(ParseTree, (label, (), token))
+                    else:
+                        raise _close_error(text, trees, stack, frame)
+                    siblings = stack[-1][1] if stack else trees
+                    siblings.append(tree)
+                    closes -= 1
             else:
                 break
     if stack or pending is not None:

@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -136,6 +138,21 @@ def well_formed_texts(draw):
     return "".join(draw_space(optional=True) + _render(t, draw_space) for t in forest)
 
 
+@st.composite
+def broken_after_repeats(draw):
+    """A well-formed forest two or three times over, so that its words and
+    leaves repeat, then a fragment that makes the text ill-formed: a stray
+    ")" or token, a leaf of two tokens, an unclosed "(", an empty or mixed
+    constituent, or a word to cut such as "dog)(NN"."""
+    text = draw(well_formed_texts()) * draw(st.integers(2, 3))
+    tail = draw(
+        st.sampled_from(
+            [")", "dog)", "(NN dog cat)", "(", "(S (NN dog)(NN", "dog)(NN", "(X)", "(S (NN dog) x)"]
+        )
+    )
+    return text + draw(st.sampled_from(_WHITESPACE)) + tail
+
+
 def _outcome(parse, error, text):
     try:
         return "trees", parse(text)
@@ -149,7 +166,7 @@ class TestAgainstReference:
     a bare "(" or ")", and words that must be cut into those."""
 
     @settings(max_examples=200, deadline=None)
-    @given(text=st.one_of(bracket_texts, well_formed_texts()))
+    @given(text=st.one_of(bracket_texts, well_formed_texts(), broken_after_repeats()))
     @example("((NN dog) X)")
     @example("((")
     @example("(NN dog cat)")
@@ -171,6 +188,13 @@ class TestAgainstReference:
     @example("(S (NN dog))\n (NN cat) x")
     @example("(A(B x)y)")
     @example("()x(")
+    @example("(S (NN dog) (NN dog))\n(S (NN dog) (NN dog)))")
+    @example("(S (NN dog) (NN dog))\n(S (NN dog) (NN dog cat))")
+    @example("(S (NN dog) (NN dog))\n(S (NN dog) (NN dog)")
+    @example("(S (NN dog)(NN dog))(S (NN dog)(NN")
+    @example("(S (NN dog) (NN dog)) dog)(NN dog)")
+    @example("(S (NN dog) (NN dog) (NP (NN dog)) (X))")
+    @example("(S (NN dog) (NN dog) (NP (NN dog) dog))")
     def test_same_trees_or_same_error(self, text):
         got = _outcome(parse_bracketed, TreeSyntaxError, text)
         assert got == _outcome(oracle.parse_bracketed, oracle.OracleSyntaxError, text)
@@ -178,6 +202,49 @@ class TestAgainstReference:
             for tree in got[1]:
                 assert all(type(t) is ParseTree for t in subtrees(tree))
                 assert parse_bracketed(str(tree)) == [tree]
+
+
+def _objects(trees):
+    """For each distinct label, token and leaf in ``trees``, the ids of the
+    objects that stand for it."""
+    labels, tokens_, leaves = defaultdict(set), defaultdict(set), defaultdict(set)
+    for tree in trees:
+        for t in subtrees(tree):
+            labels[t.label].add(id(t.label))
+            if t.is_leaf:
+                tokens_[t.token].add(id(t.token))
+                leaves[t].add(id(t))
+    return labels, tokens_, leaves
+
+
+class TestSharing:
+    """Within one parse, each distinct label, token and leaf is one object."""
+
+    def check(self, text):
+        trees = parse_bracketed(text)
+        assert trees == oracle.parse_bracketed(text)
+        for kind in _objects(trees):
+            assert {value: len(ids) for value, ids in kind.items() if len(ids) > 1} == {}
+        return trees
+
+    def test_replicated_mini_corpus(self, data_dir):
+        text = (data_dir / "mini.mrg").read_text(encoding="utf-8")
+        trees = self.check(text * 3)
+        _, _, leaves = _objects(trees)
+        places = sum(1 for tree in trees for t in subtrees(tree) if t.is_leaf)
+        assert len(leaves) < places
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=well_formed_texts(), copies=st.integers(1, 3))
+    @example(text="(NP(DT the)(NN dog))\n(NP (DT the) (NN dog))(NP ( DT the ) (NN dog ))", copies=2)
+    @example(text="((NN dog) NP) (NP dog) ( NP (NN dog)) (S (NN dog) (VP dog))", copies=1)
+    def test_generated_forest(self, text, copies):
+        self.check(" ".join([text] * copies))
+
+    def test_nothing_is_shared_between_parses(self):
+        (first,) = parse_bracketed("(NN dog)")
+        (second,) = parse_bracketed("(NN dog)")
+        assert first == second and first is not second
 
 
 class TestReadTrees:
