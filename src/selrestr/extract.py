@@ -28,7 +28,7 @@ one list; lemmas are memoized per ``LemmaTable``.
 from __future__ import annotations
 
 from itertools import count
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .trees import ParseTree
 from .tsv import rows
@@ -107,6 +107,20 @@ def triple_fields(
     return verb, _RELATIONS.get(code) or relation(code), value
 
 
+def shared_triple_fields() -> Callable[[int, list[str]], tuple[str, SynRel, str]]:
+    """``triple_fields`` for the lines of one file: each distinct verb and
+    noun is one string object for as long as the returned function lives,
+    so the records or counts read through it hold each string once."""
+    strings: dict[str, str] = {}
+    share = strings.setdefault
+
+    def fields_of(lineno: int, fields: list[str]) -> tuple[str, SynRel, str]:
+        verb, rel, noun = triple_fields(lineno, fields)
+        return share(verb, verb), rel, share(noun, noun)
+
+    return fields_of
+
+
 class TripleRecord(NamedTuple):
     """One (verb, relation, noun) observation; discards carry their reason."""
 
@@ -182,6 +196,10 @@ def _lemma_entry(lineno: int, fields: list[str]) -> tuple[tuple[str, str], str]:
         raise ValueError(f"bad POS {pos!r}")
     if not lemma:
         raise ValueError("empty lemma")
+    # A triples line is trimmed of spaces and skipped after a leading #, so
+    # such a lemma would be read back changed, or not at all.
+    if lemma.strip(" ") != lemma or lemma.startswith("#"):
+        raise ValueError(f"bad lemma {lemma!r}: a space at either end or a leading #")
     return (form, pos), lemma
 
 
@@ -385,11 +403,13 @@ def write_discards(records: Iterable[TripleRecord], f) -> None:
 
 def read_triples(text: str) -> list[TripleRecord]:
     """Parse a triples file; each line becomes a kept record, numbered
-    from 0 in file order."""
+    from 0 in file order.  The records share each distinct verb and noun
+    string (``shared_triple_fields``)."""
     index = count().__next__
+    fields_of = shared_triple_fields()
 
     def record(lineno: int, fields: list[str]) -> TripleRecord:
-        verb, rel, noun = triple_fields(lineno, fields)
+        verb, rel, noun = fields_of(lineno, fields)
         # Checked fields: skip TripleRecord's Python-level __new__.
         return tuple.__new__(TripleRecord, (verb, rel, noun, index(), None))
 

@@ -109,8 +109,10 @@ def score_candidates(
     scorer.  None can fail: its raw support is >= ``threshold`` >= 1, so
     every class sum it divides by is positive for both estimators."""
     scores = model.scores(cfg.scorer, v, s, [cls for cls, _, _ in candidates], cfg.estimator)
+    # Checked fields: skip SelectionalRestriction's Python-level __new__.
+    new = tuple.__new__
     return [
-        SelectionalRestriction(v, s, cls, score, n_nouns, support)
+        new(SelectionalRestriction, (v, s, cls, score, n_nouns, support))
         for (cls, n_nouns, support), score in zip(candidates, scores)
     ]
 

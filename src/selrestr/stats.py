@@ -1,10 +1,13 @@
 """Co-occurrence counts and class association scoring.
 
-Counts are aggregated per (verb, relation, noun) key with marginals per
-relation position.  Class-level quantities sum over the nouns whose
-sense classes fall under the class, either whole occurrences (raw) or
-occurrences weighted by the fraction of the noun's senses under the
-class (sense-corrected), from each noun's ``sense_hits`` table.
+Counts are held once, grouped by (verb, position): each group
+maps the nouns seen there to their occurrence counts, and the readers
+add each record or line straight into its group.  The marginals per
+position, per noun and over the table are summed from the groups.
+Class-level quantities sum over the nouns whose sense classes fall
+under the class, either whole occurrences (raw) or occurrences weighted
+by the fraction of the noun's senses under the class (sense-corrected),
+from each noun's ``sense_hits`` table, which the scorer indexes once.
 
 Three scoring functions (``ScoreKind``) rank candidate classes for a
 (verb, position).  Each reads four numbers per class: its sum ``k`` with
@@ -38,7 +41,7 @@ from enum import Enum
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .extract import ExtractionError, SynRel, TripleRecord, triple_fields
+from .extract import ExtractionError, SynRel, TripleRecord, shared_triple_fields
 from .taxonomy import SenseLexicon
 from .tsv import integer, rows
 
@@ -63,21 +66,22 @@ class ScoreKind(Enum):
 
 
 class CountsTable:
-    """Immutable aggregation of kept triples with all position marginals."""
+    """Immutable aggregation of kept triples with all position marginals.
 
-    def __init__(self, counts: Mapping[tuple[str, SynRel, str], int]):
-        for key, n in counts.items():
-            if n < 1:
-                raise ValueError(f"count for {key} must be >= 1, got {n}")
-        self.counts: dict[tuple[str, SynRel, str], int] = dict(counts)
-        # Each key is one (v, s, n), so a group's nouns need no summing;
-        # every marginal is then summed from the groups.
-        self._by_vs: dict[tuple[str, SynRel], dict[str, int]] = {}
-        for (v, s, n), c in self.counts.items():
-            group = self._by_vs.get((v, s))
-            if group is None:
-                group = self._by_vs[v, s] = {}
-            group[n] = c
+    ``groups`` maps each (verb, position) to the occurrence counts of the
+    nouns seen there: no group is empty and every count is >= 1.  The
+    table keeps those noun dicts as they are given, with no flat
+    (v, s, n) copy, so the caller hands them over and does not change
+    them; every marginal is summed from them."""
+
+    def __init__(self, groups: Mapping[tuple[str, SynRel], Mapping[str, int]]):
+        self._by_vs: dict[tuple[str, SynRel], Mapping[str, int]] = dict(groups)
+        for (v, s), group in self._by_vs.items():
+            if not group:
+                raise ValueError(f"no nouns for verb {v!r} at position {s.code!r}")
+            if min(group.values()) < 1:
+                n, c = next((n, c) for n, c in group.items() if c < 1)
+                raise ValueError(f"count for {(v, s, n)} must be >= 1, got {c}")
         self.verb_position_total: dict[tuple[str, SynRel], int] = {
             vs: sum(group.values()) for vs, group in self._by_vs.items()
         }
@@ -114,29 +118,37 @@ class CountsTable:
 
 def accumulate(triples: Iterable[TripleRecord]) -> CountsTable:
     """Aggregate kept triples; passing a discarded record is an error."""
-    counts: dict[tuple[str, SynRel, str], int] = {}
+    groups: dict[tuple[str, SynRel], dict[str, int]] = {}
     for t in triples:
-        if t.discard_reason is not None:
+        v, s, n, _, reason = t
+        if reason is not None:
             raise ValueError(f"cannot accumulate discarded triple {t}")
-        key = (t.verb, t.rel, t.noun)
-        counts[key] = counts.get(key, 0) + 1
-    return CountsTable(counts)
+        group = groups.get((v, s))
+        if group is None:
+            group = groups[v, s] = {}
+        group[n] = group.get(n, 0) + 1
+    return CountsTable(groups)
 
 
 def read_counts(text: str) -> CountsTable:
     """Parse a pre-aggregated ``verb<TAB>rel<TAB>noun<TAB>count`` file;
-    the counts of a repeated key add up."""
-    counts: dict[tuple[str, SynRel, str], int] = {}
+    the counts of a repeated key add up.  Each distinct verb and noun
+    string is held once (``shared_triple_fields``)."""
+    groups: dict[tuple[str, SynRel], dict[str, int]] = {}
+    fields_of = shared_triple_fields()
 
     def add(lineno: int, fields: list[str]) -> None:
-        key = triple_fields(lineno, fields)
+        v, s, n = fields_of(lineno, fields)
         count = integer(fields[3], "count")
         if count < 1:
             raise ValueError("count must be >= 1")
-        counts[key] = counts.get(key, 0) + count
+        group = groups.get((v, s))
+        if group is None:
+            group = groups[v, s] = {}
+        group[n] = group.get(n, 0) + count
 
     rows(text, "counts", (4,), ExtractionError, add)
-    return CountsTable(counts)
+    return CountsTable(groups)
 
 
 def signed_g2(k11: int, c1: int, r1: int, n: int, scale: int = 1) -> float:
@@ -189,32 +201,39 @@ class Scorer:
     estimator, equals bit for bit the one computed from exact rational
     counts; the exact reference is ``tests/oracle.py``.
 
-    One walk, ``_walk``, sums a group's noun counts (``group_sums``)
-    into raw support, distinct-noun counts and the estimator's sums; they
-    feed candidate generation and scoring.  Only the last group walked is
-    kept, so memory is bounded by one group however many groups are
-    visited.  The sums of a whole position or of the whole table, which
-    every group's scores divide by, are walked once per estimator and
-    keep only the estimator's sums.  ``scores`` is the one way to score:
-    it checks the totals, reads the group's and the space's sums once,
-    and applies one formula per class.
+    Each of the table's nouns in the lexicon is indexed once to its
+    ``sense_hits`` table, the lexicon's own dict, so a walk finds it with
+    one lookup.  One walk, ``_walk``, sums a group's noun counts
+    (``group_sums``) into raw support, distinct-noun counts and the
+    estimator's sums; they feed candidate generation and scoring.  Only
+    the last group walked is kept, so memory is bounded by one group
+    however many groups are visited.  The sums of a whole position or of
+    the whole table, which every group's scores divide by, are walked
+    once per estimator and keep only the estimator's sums.  ``scores`` is
+    the one way to score: it checks the totals, reads the group's and the
+    space's sums once, and applies one formula per class.
     """
 
     def __init__(self, table: CountsTable, lexicon: SenseLexicon):
         self.table = table
         self.lexicon = lexicon
         self.taxonomy = lexicon.taxonomy
-        self.sense_scale: int = math.lcm(
-            *{len(lexicon.senses(n)) for n in table.noun_total if n in lexicon}
-        )
+        # The lexicon's own sense_hits dict of each of the table's nouns
+        # that it knows; a noun outside it supports no class.
+        sense_hits = lexicon.sense_hits
+        self._sense_hits: dict[str, Mapping[str, int]] = {
+            n: sense_hits(n) for n in table.noun_total if n in lexicon
+        }
+        senses = lexicon.senses
+        self.sense_scale: int = math.lcm(*{len(senses(n)) for n in self._sense_hits})
         self._group: tuple[tuple[str, SynRel, EstimatorKind], GroupSums] | None = None
         self._class_sums_at: dict[tuple[SynRel | None, EstimatorKind], dict[str, int]] = {}
 
     def _hits(self, noun_counts: Mapping[str, int]) -> list[tuple[str, int, Mapping[str, int]]]:
-        """(noun, count, ``sense_hits``) of each noun in the lexicon; a noun
-        outside it supports no class."""
-        lexicon = self.lexicon
-        return [(n, c, lexicon.sense_hits(n)) for n, c in noun_counts.items() if n in lexicon]
+        """(noun, count, ``sense_hits``) of each of the table's nouns in the
+        lexicon; a noun outside it supports no class."""
+        get = self._sense_hits.get
+        return [(n, c, hits) for n, c in noun_counts.items() if (hits := get(n)) is not None]
 
     def _walk(self, noun_counts: Mapping[str, int], est: EstimatorKind) -> GroupSums:
         """Raw support, distinct nouns and the estimator's sums over the

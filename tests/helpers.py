@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator
 
-from selrestr.stats import EstimatorKind, ScoreKind, Scorer
+from selrestr.stats import CountsTable, EstimatorKind, ScoreKind, Scorer
 from selrestr.trees import ParseTree
 
 
@@ -58,6 +58,13 @@ def check_partial_order(taxonomy, classes: Iterable[str] | None = None) -> bool:
                 if leq[b, c] and not leq[a, c]:
                     return False
     return True
+
+
+def flat_counts(table: CountsTable) -> dict:
+    """The table's counts as flat ``(verb, position, noun) -> count``."""
+    return {
+        (v, s, n): c for v, s in table.verb_positions() for n, c in table.nouns_for(v, s).items()
+    }
 
 
 def lexicon_misses(table, lexicon) -> set[str]:

@@ -91,6 +91,20 @@ class TestExtractCommand:
         assert lost.exists()
         assert not (tmp_path / "t.tsv.discards").exists()
 
+    def test_lemma_that_would_not_read_back_exits_1(self, tmp_path, capsys):
+        # " run" and "#sit" would be written as kept triples that the
+        # triples reader trims or skips as a comment.
+        corpus = tmp_path / "c.mrg"
+        corpus.write_text("(S (NP (NNS dogs)) (VP (VBD ran)))\n", encoding="utf-8")
+        lemmas = tmp_path / "lemmas.tsv"
+        lemmas.write_text("dogs\tnoun\tdog\nran\tverb\t run\n", encoding="utf-8")
+        triples = tmp_path / "t.tsv"
+        argv = ["extract", "--corpus", str(corpus), "--lemmas", str(lemmas),
+                "--triples", str(triples)]
+        assert run(argv) == 1
+        assert "lemma table line 2: bad lemma ' run'" in capsys.readouterr().err
+        assert not triples.exists()
+
     def test_missing_options(self, capsys):
         rc = run(["extract", "--corpus", "x.mrg"])
         assert rc == 1

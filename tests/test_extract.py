@@ -2,9 +2,10 @@
 clause walking, and the triples/discards file formats."""
 
 import io
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 
@@ -539,3 +540,47 @@ class TestAgainstReference:
         want = _reference(oracle.parse_bracketed(text), LemmaTable.from_text(lemmas))
         assert got == want
         assert want
+
+
+# Lemma table entries for the generated trees' noun and verb forms, with
+# lemmas that may start or end with a space or start with #.
+_LEMMA_KEYS = [
+    (form, pos)
+    for tags, pos in ((("NN", "NNS"), "noun"), (("VBD", "VB", "VBZ"), "verb"))
+    for tag in tags
+    for form in _LEAVES[tag]
+]
+
+
+class TestTriplesRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        trees=st.lists(clause_trees, min_size=1, max_size=3),
+        entries=st.lists(
+            st.tuples(st.sampled_from(_LEMMA_KEYS), st.text(alphabet=" #ab\xa0", min_size=1,
+                                                             max_size=4)),
+            max_size=6,
+        ),
+    )
+    @example(
+        trees=["(S (NP (NNS dogs)) (VP (VBD sought) (NP (NN board))))"],
+        entries=[(("sought", "verb"), " run"), (("board", "noun"), "#x"),
+                 (("dogs", "noun"), "#sit")],
+    )
+    def test_every_kept_record_extract_writes_reads_back(self, trees, entries):
+        # A lemma line is either refused, naming its line, or kept; every
+        # kept record that extract writes then reads back unchanged.
+        kept = []
+        for (form, pos), lemma in entries:
+            line = f"{form}\t{pos}\t{lemma}\n"
+            try:
+                LemmaTable.from_text(line)
+            except ExtractionError as exc:
+                assert re.match(r"lemma table line 1: (bad|empty) lemma", str(exc)), exc
+            else:
+                kept.append(line)
+        lemmas = LemmaTable.from_text("".join(kept))
+        records = [r for r in extract_corpus(parse_bracketed("\n".join(trees)), lemmas) if r.kept]
+        buf = io.StringIO()
+        write_triples(records, buf)
+        assert [r[:3] for r in read_triples(buf.getvalue())] == [r[:3] for r in records]

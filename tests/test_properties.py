@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import build_world
+from helpers import flat_counts
 from selrestr.evaluate import (
     PARSER_ERR,
     DiagnosticLabel,
@@ -210,38 +211,45 @@ class TestCountConservation:
 class TestCountsTableMarginals:
     @settings(max_examples=60, deadline=None)
     @given(
-        counts=st.dictionaries(
+        entries=st.lists(
             st.tuples(
                 st.sampled_from(["v0", "v1", "v2"]),
                 st.sampled_from(RELS).map(SynRel),
                 st.sampled_from(["n0", "n1", "n2", "n3"]),
+                st.integers(min_value=1, max_value=1000),
             ),
-            st.integers(min_value=1, max_value=1000),
-            max_size=36,
-        )
+            max_size=60,
+        ),
+        empty=st.one_of(
+            st.none(), st.tuples(st.sampled_from(["v0", "v3"]), st.sampled_from(RELS).map(SynRel))
+        ),
     )
-    def test_marginals_are_sums_of_the_counts(self, counts):
-        table = CountsTable(counts)
+    def test_marginals_are_sums_of_the_counts(self, entries, empty):
+        # Grouped input, a repeated (v, s, n) adding up as the readers add it.
+        groups: dict = {}
         at_s: dict = {}
-        for_vs: dict = {}
         noun_total: dict = {}
-        for (v, s, n), c in counts.items():
-            nouns = at_s.setdefault(s, {})
-            nouns[n] = nouns.get(n, 0) + c
-            for_vs.setdefault((v, s), {})[n] = c
-            noun_total[n] = noun_total.get(n, 0) + c
-        assert table.counts == counts
-        assert table.grand_total == sum(counts.values())
+        for v, s, n, c in entries:
+            for nouns in (groups.setdefault((v, s), {}), at_s.setdefault(s, {}), noun_total):
+                nouns[n] = nouns.get(n, 0) + c
+        if empty is not None and empty not in groups:
+            with pytest.raises(ValueError, match="^no nouns for verb "):
+                CountsTable({**groups, empty: {}})
+        table = CountsTable(groups)
+        assert flat_counts(table) == {
+            (v, s, n): c for (v, s), nouns in groups.items() for n, c in nouns.items()
+        }
+        assert table.grand_total == sum(c for *_, c in entries)
         assert table.noun_total == noun_total
         assert table.position_total == {s: sum(ns.values()) for s, ns in at_s.items()}
-        assert table.verb_position_total == {vs: sum(ns.values()) for vs, ns in for_vs.items()}
+        assert table.verb_position_total == {vs: sum(ns.values()) for vs, ns in groups.items()}
         for code in RELS:
             s = SynRel(code)
             assert table.nouns_at(s) == at_s.get(s, {})
             assert table.total(s) == sum(at_s.get(s, {}).values())
             for v in ("v0", "v1", "v2"):
-                assert table.nouns_for(v, s) == for_vs.get((v, s), {})
-                assert table.vs_total(v, s) == sum(for_vs.get((v, s), {}).values())
+                assert table.nouns_for(v, s) == groups.get((v, s), {})
+                assert table.vs_total(v, s) == sum(groups.get((v, s), {}).values())
 
 
 def _group_keys_held(scorer) -> set:

@@ -12,7 +12,7 @@ import pytest
 
 import oracle
 from conftest import TOY_PARENTS, TOY_SENSES, TOY_TRIPLES, build_world
-from helpers import lexicon_misses, score
+from helpers import flat_counts, lexicon_misses, score
 from selrestr.extract import SUBJECT, ExtractionError, SynRel, TripleRecord
 from selrestr.stats import (
     CountsTable,
@@ -49,8 +49,8 @@ class TestCountsTable:
     def test_toy_noun_marginals(self, toy_scorer):
         t = toy_scorer.table
         assert t.noun_total == {"dog": 2, "cat": 1, "water": 3, "man": 1}
-        assert t.counts[("drink", S0, "dog")] == 2
-        assert ("drink", S0, "water") not in t.counts
+        assert flat_counts(t)[("drink", S0, "dog")] == 2
+        assert ("drink", S0, "water") not in flat_counts(t)
 
     def test_toy_groupings(self, toy_scorer):
         t = toy_scorer.table
@@ -68,8 +68,17 @@ class TestCountsTable:
         ]
 
     def test_zero_count_rejected(self):
-        with pytest.raises(ValueError, match="must be >= 1"):
-            CountsTable({("drink", S0, "dog"): 0})
+        with pytest.raises(ValueError) as err:
+            CountsTable({("drink", S0): {"cat": 1, "dog": 0}})
+        assert str(err.value) == "count for ('drink', SynRel(code='0'), 'dog') must be >= 1, got 0"
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(ValueError, match="^no nouns for verb 'drink' at position '0'$"):
+            CountsTable({("drink", S1): {"water": 3}, ("drink", S0): {}})
+
+    def test_groups_are_kept_not_copied(self):
+        group = {"dog": 2, "cat": 1}
+        assert CountsTable({("drink", S0): group}).nouns_for("drink", S0) is group
 
     def test_empty_table(self):
         t = CountsTable({})
@@ -82,7 +91,7 @@ class TestAccumulate:
     def test_aggregates_duplicates(self):
         recs = [TripleRecord("drink", S0, "dog") for _ in range(3)]
         t = accumulate(recs)
-        assert t.counts == {("drink", S0, "dog"): 3}
+        assert flat_counts(t) == {("drink", S0, "dog"): 3}
 
     def test_rejects_discards(self):
         bad = TripleRecord("drink", S0, "He", discard_reason="NonNounHead")
@@ -93,12 +102,12 @@ class TestAccumulate:
 class TestCountsFiles:
     def test_read_counts(self):
         t = read_counts("drink\t0\tdog\t2\nsleep\t0\tman\t1\n")
-        assert t.counts[("drink", S0, "dog")] == 2
+        assert flat_counts(t)[("drink", S0, "dog")] == 2
         assert t.grand_total == 3
 
     def test_read_counts_sums_repeated_keys(self):
         t = read_counts("drink\t0\tdog\t2\ndrink\t0\tdog\t5\n")
-        assert t.counts == {("drink", S0, "dog"): 7}
+        assert flat_counts(t) == {("drink", S0, "dog"): 7}
 
     def test_read_counts_field_count(self):
         with pytest.raises(ExtractionError, match="line 1: expected 4 fields"):
@@ -444,6 +453,6 @@ class TestSenseScale:
 class TestToyTriplesFixtureAgreement:
     def test_conftest_world_matches_bundled_counts(self, toy_scorer, data_dir):
         bundled = read_counts((data_dir / "toy_counts.tsv").read_text(encoding="utf-8"))
-        assert bundled.counts == toy_scorer.table.counts
+        assert flat_counts(bundled) == flat_counts(toy_scorer.table)
         assert len(TOY_TRIPLES) == bundled.grand_total
         assert set(TOY_PARENTS) >= {c for s in TOY_SENSES.values() for c in s}

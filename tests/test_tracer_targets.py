@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import selrestr
+from conftest import TOY_TRIPLES
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 RUNNER = TRACER.with_name("run.py")
@@ -78,6 +79,24 @@ def test_traced_toy_learn_and_eval(data_dir, tmp_path):
     assert evaluated["counts"]["evaluate.fulfills_calls"] > 0
     spans = {name for name, *_ in evaluated["spans"]}
     assert {"cli", "taxonomy.load", "evaluate.read", "evaluate.eval"} <= spans
+
+
+def test_traced_toy_learn_from_triples(data_dir, tmp_path):
+    # learn --triples goes through read_triples and accumulate by name, so
+    # the extract.read_triples and stats.count spans keep measuring them.
+    triples = tmp_path / "toy_triples.tsv"
+    triples.write_text("".join(f"{v}\t{s}\t{n}\n" for v, s, n in TOY_TRIPLES), encoding="utf-8")
+    learn = _traced(
+        tmp_path, "learn", "--triples", str(triples),
+        "--taxonomy", str(data_dir / "toy_taxonomy.tsv"),
+        "--lexicon", str(data_dir / "toy_lexicon.tsv"),
+        "--threshold", "1", "--min-verb-support", "1", "--out", str(tmp_path / "srs.tsv"),
+    )
+    assert learn["missing"] == []
+    spans = {name for name, *_ in learn["spans"]}
+    assert {"extract.read_triples", "stats.count"} <= spans
+    assert "stats.read_counts" not in spans
+    assert learn["counts"]["learner.groups"] == 3
 
 
 def test_benchmark_setup_code_runs(data_dir):

@@ -16,8 +16,9 @@ import re
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from helpers import flat_counts
 from selrestr.evaluate import read_gold, read_labels
 from selrestr.extract import ExtractionError, LemmaTable, read_triples
 from selrestr.learner import read_restrictions
@@ -42,7 +43,7 @@ READERS = [
     ("lemma table", lambda t: LemmaTable.from_text(t)._entries, ExtractionError,
      "geese\tnoun\tgoose"),
     ("triples", read_triples, ExtractionError, "eat\t1\tdog"),
-    ("counts", lambda t: read_counts(t).counts, ExtractionError, "eat\t1\tdog\t2"),
+    ("counts", lambda t: flat_counts(read_counts(t)), ExtractionError, "eat\t1\tdog\t2"),
     ("restrictions", read_restrictions, ExtractionError, "eat\t1\tanimal\t0.5\t2\t3"),
     ("gold", read_gold, ExtractionError, "eat\t1\tdog\tanimal\tok"),
     ("labels", read_labels, ExtractionError, "eat\t1\tanimal\tOk\t2"),
@@ -126,6 +127,12 @@ BAD_FIELDS = [
      "bad support count: too many digits"),
     ("labels-too-many-digits", "labels", "eat\t1\tdog\tOk\t-" + "1" * 5000,
      "bad occurrence count: too many digits"),
+    # A triples line is trimmed of spaces and skipped after a leading #, so
+    # extract could write a kept triple that reads back changed or not at all.
+    ("lemma-leading-space", "lemma table", "ran\tverb\t run",
+     "bad lemma ' run': a space at either end or a leading #"),
+    ("lemma-leading-hash", "lemma table", "sat\tverb\t#sit",
+     "bad lemma '#sit': a space at either end or a leading #"),
 ]
 
 
@@ -193,3 +200,45 @@ def test_fuzz_reader_result_or_own_error(kind, read, error, line):
             assert 1 <= int(m.group(1)) <= len(text.splitlines()), message
 
     check()
+
+
+# -- shared strings ----------------------------------------------------------
+
+
+def _triples_words(text):
+    return [word for r in read_triples(text) for word in (r.verb, r.noun)]
+
+
+def _counts_words(text):
+    table = read_counts(text)
+    words = [v for v, _ in table.verb_positions()]
+    for v, s in table.verb_positions():
+        words.extend(table.nouns_for(v, s))
+    return words + list(table.noun_total)
+
+
+SHARING = [
+    ("triples", lambda v, rel, n, c: f"{v}\t{rel}\t{n}", _triples_words),
+    ("counts", lambda v, rel, n, c: f"{v}\t{rel}\t{n}\t{c}", _counts_words),
+]
+WORDS = ["eat", "drink", "dog", "water"]
+
+
+@pytest.mark.parametrize("kind, line, words", SHARING, ids=[kind for kind, *_ in SHARING])
+@settings(max_examples=50, deadline=None)
+@given(
+    lines=st.lists(
+        st.tuples(st.sampled_from(WORDS), st.sampled_from(["0", "1", "with"]),
+                  st.sampled_from(WORDS), st.integers(min_value=1, max_value=3)),
+        min_size=1, max_size=20,
+    )
+)
+@example(lines=[("eat", "0", "dog", 1), ("eat", "1", "dog", 2), ("dog", "with", "eat", 1)])
+def test_one_object_per_distinct_verb_and_noun(kind, line, words, lines):
+    # Within one call each distinct verb or noun is one string, whichever
+    # field it came from; a second call shares none of them.
+    text = "\n".join(line(*fields) for fields in lines)
+    got = words(text)
+    assert len({id(w) for w in got}) == len(set(got))
+    again = words(text)
+    assert {id(w) for w in got}.isdisjoint(id(w) for w in again)
