@@ -7,6 +7,11 @@ at all, recall counts every evaluated triple.  That reading is the only
 one under which precision can exceed recall, and both are kept as exact
 ratios until display.
 
+A triple is checked by ``fulfills`` against its own position's
+restrictions only, grouped by (verb, rel) once per evaluation: the
+noun's class table (``SenseLexicon.sense_hits``) is looked up once per
+triple, and each restriction's class is tested in it.
+
 Diagnostic summaries aggregate per-class human judgments (a label file)
 into a table of class counts and noun-occurrence counts per label.
 Occurrence totals may exceed the number of triples because a noun can
@@ -20,6 +25,8 @@ need none of them until the end of a run, or at all.
 from __future__ import annotations
 
 import enum
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .extract import ExtractionError, SynRel, TripleRecord, triple_fields
@@ -102,17 +109,20 @@ def fulfills(
     srs: Iterable[SelectionalRestriction],
     lexicon: SenseLexicon,
 ) -> bool:
-    """True iff some restriction for (tr.verb, tr.rel) covers tr.noun."""
-    if tr.discard_reason is not None:
+    """True iff some restriction for (tr.verb, tr.rel) covers tr.noun.
+
+    The noun's class table is looked up once; each restriction's class is
+    tested in it before its verb and relation."""
+    verb, rel, noun, _, reason = tr
+    if reason is not None:
         raise ValueError("cannot evaluate a discarded triple")
-    if tr.noun not in lexicon:
+    if noun not in lexicon:
         return False
-    return any(
-        sr.verb == tr.verb
-        and sr.rel == tr.rel
-        and lexicon.noun_in_class(tr.noun, sr.class_id)
-        for sr in srs
-    )
+    hits = lexicon.sense_hits(noun)
+    for sr in srs:
+        if sr.class_id in hits and sr.verb == verb and sr.rel == rel:
+            return True
+    return False
 
 
 def _ratios(
@@ -124,18 +134,29 @@ def _ratios(
     ``fulfills``.
 
     The restrictions are grouped by (verb, rel) once, and each triple is
-    checked against its own position's restrictions only.  A triple at a
-    position without restrictions is never fulfilled, so one count of
-    fulfilled triples serves both numerators."""
+    checked against its own position's restrictions only, in one pass.  A
+    triple at a position without restrictions is never fulfilled, so one
+    count of fulfilled triples serves both numerators."""
     from fractions import Fraction
 
     by_position: dict[tuple[str, SynRel], list[SelectionalRestriction]] = {}
-    for sr in srs:
-        by_position.setdefault((sr.verb, sr.rel), []).append(sr)
-    hits = sum(
-        1 for t in triples if fulfills(t, by_position.get((t.verb, t.rel), ()), lexicon)
-    )
-    restricted = sum(1 for t in triples if (t.verb, t.rel) in by_position)
+    # A restrictions file holds each position's restrictions in one run, as
+    # learn writes them; each run joins its group in one step.
+    for position, run in groupby(srs, itemgetter(0, 1)):
+        group = by_position.get(position)
+        if group is None:
+            by_position[position] = list(run)
+        else:
+            group.extend(run)
+    hits = restricted = 0
+    for t in triples:
+        group = by_position.get(t[:2])
+        if group is None:
+            group = ()
+        else:
+            restricted += 1
+        if fulfills(t, group, lexicon):
+            hits += 1
     return (
         Fraction(hits, restricted) if restricted else None,
         Fraction(hits, len(triples)) if triples else None,
@@ -195,15 +216,20 @@ def read_gold(text: str) -> list[GoldTriple]:
 
 
 def _gold_row(lineno: int, fields: list[str]) -> GoldTriple:
-    record = TripleRecord(*triple_fields(lineno, fields))
+    # Checked fields: skip the Python-level __new__ of both named tuples.
+    new = tuple.__new__
+    record = new(TripleRecord, (*triple_fields(lineno, fields), 0, None))
     if len(fields) == 3:
-        return GoldTriple(record)
+        return new(GoldTriple, (record, None, None))
     sense, status = fields[3], fields[4]
     if not sense:
         raise ValueError("empty sense class (use - for unknown)")
     if status not in _GOLD_STATUS:
         raise ValueError(f"bad status {status!r}, expected one of {', '.join(_GOLD_STATUS)}")
-    return GoldTriple(record, None if sense == "-" else sense, None if status == "ok" else status)
+    return new(
+        GoldTriple,
+        (record, None if sense == "-" else sense, None if status == "ok" else status),
+    )
 
 
 _LABEL_BY_NAME = {label.value: label for label in DiagnosticLabel}

@@ -28,7 +28,7 @@ one list; lemmas are memoized per ``LemmaTable``.
 from __future__ import annotations
 
 from itertools import count
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .trees import ParseTree
 from .tsv import rows
@@ -107,20 +107,6 @@ def triple_fields(
     return verb, _RELATIONS.get(code) or relation(code), value
 
 
-def shared_triple_fields() -> Callable[[int, list[str]], tuple[str, SynRel, str]]:
-    """``triple_fields`` for the lines of one file: each distinct verb and
-    noun is one string object for as long as the returned function lives,
-    so the records or counts read through it hold each string once."""
-    strings: dict[str, str] = {}
-    share = strings.setdefault
-
-    def fields_of(lineno: int, fields: list[str]) -> tuple[str, SynRel, str]:
-        verb, rel, noun = triple_fields(lineno, fields)
-        return share(verb, verb), rel, share(noun, noun)
-
-    return fields_of
-
-
 class TripleRecord(NamedTuple):
     """One (verb, relation, noun) observation; discards carry their reason."""
 
@@ -168,7 +154,9 @@ PENN = TagSet()
 
 
 class LemmaTable:
-    """Lookup table (surface form, coarse POS) -> lemma; forms are case-folded."""
+    """Lookup table (surface form, coarse POS) -> lemma; forms are case-folded.
+
+    Every lemma, from a dict or a file, passes ``_check_lemma``."""
 
     def __init__(self, entries: dict[tuple[str, str], str] | None = None):
         self._entries = {}
@@ -176,7 +164,7 @@ class LemmaTable:
         self._memo: dict[tuple[str, str], LemmaResult] = {}
         if entries:
             for (form, pos), lemma in entries.items():
-                self._entries[form.lower(), pos] = lemma
+                self._entries[form.lower(), pos] = _check_lemma(lemma)
 
     def lookup(self, form: str, pos: str) -> str | None:
         return self._entries.get((form.lower(), pos))
@@ -194,13 +182,19 @@ def _lemma_entry(lineno: int, fields: list[str]) -> tuple[tuple[str, str], str]:
     form, pos, lemma = fields
     if pos not in (NOUN, VERB):
         raise ValueError(f"bad POS {pos!r}")
+    return (form, pos), _check_lemma(lemma)
+
+
+def _check_lemma(lemma: str) -> str:
+    """``lemma``, if it is not empty and has no space at either end and no
+    leading ``#``: the one lemma rule of a table, from a file or a dict."""
     if not lemma:
-        raise ValueError("empty lemma")
+        raise ExtractionError("empty lemma")
     # A triples line is trimmed of spaces and skipped after a leading #, so
     # such a lemma would be read back changed, or not at all.
     if lemma.strip(" ") != lemma or lemma.startswith("#"):
-        raise ValueError(f"bad lemma {lemma!r}: a space at either end or a leading #")
-    return (form, pos), lemma
+        raise ExtractionError(f"bad lemma {lemma!r}: a space at either end or a leading #")
+    return lemma
 
 
 EMPTY_LEMMA_TABLE = LemmaTable()
@@ -404,12 +398,13 @@ def write_discards(records: Iterable[TripleRecord], f) -> None:
 def read_triples(text: str) -> list[TripleRecord]:
     """Parse a triples file; each line becomes a kept record, numbered
     from 0 in file order.  The records share each distinct verb and noun
-    string (``shared_triple_fields``)."""
+    string: one ``setdefault`` table holds the first of each."""
     index = count().__next__
-    fields_of = shared_triple_fields()
+    share = {}.setdefault
 
     def record(lineno: int, fields: list[str]) -> TripleRecord:
-        verb, rel, noun = fields_of(lineno, fields)
+        verb, rel, noun = triple_fields(lineno, fields)
+        verb, noun = share(verb, verb), share(noun, noun)
         # Checked fields: skip TripleRecord's Python-level __new__.
         return tuple.__new__(TripleRecord, (verb, rel, noun, index(), None))
 

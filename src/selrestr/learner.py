@@ -215,4 +215,5 @@ def _restriction_row(lineno: int, fields: list[str]) -> SelectionalRestriction:
         raise ValueError(f"score must be finite, got {fields[3]!r}")
     if n_nouns < 0 or support < 0:
         raise ValueError("nouns and support must be >= 0")
-    return SelectionalRestriction(verb, rel, class_id, score, n_nouns, support)
+    # Checked fields: skip SelectionalRestriction's Python-level __new__.
+    return tuple.__new__(SelectionalRestriction, (verb, rel, class_id, score, n_nouns, support))

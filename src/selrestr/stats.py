@@ -41,7 +41,7 @@ from enum import Enum
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .extract import ExtractionError, SynRel, TripleRecord, shared_triple_fields
+from .extract import ExtractionError, SynRel, TripleRecord, triple_fields
 from .taxonomy import SenseLexicon
 from .tsv import integer, rows
 
@@ -133,12 +133,13 @@ def accumulate(triples: Iterable[TripleRecord]) -> CountsTable:
 def read_counts(text: str) -> CountsTable:
     """Parse a pre-aggregated ``verb<TAB>rel<TAB>noun<TAB>count`` file;
     the counts of a repeated key add up.  Each distinct verb and noun
-    string is held once (``shared_triple_fields``)."""
+    string is held once: one ``setdefault`` table holds the first of each."""
     groups: dict[tuple[str, SynRel], dict[str, int]] = {}
-    fields_of = shared_triple_fields()
+    share = {}.setdefault
 
     def add(lineno: int, fields: list[str]) -> None:
-        v, s, n = fields_of(lineno, fields)
+        v, s, n = triple_fields(lineno, fields)
+        v, n = share(v, v), share(n, n)
         count = integer(fields[3], "count")
         if count < 1:
             raise ValueError("count must be >= 1")

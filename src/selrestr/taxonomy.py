@@ -39,6 +39,17 @@ def _check_class_id(token: str) -> str:
     return token
 
 
+def _class_ids(text: str) -> list[str]:
+    """The ids of a comma-separated list, tested once as a whole for an
+    empty id or any whitespace; ``_check_class_id`` then names the first
+    bad id."""
+    ids = text.split(",")
+    if "" in ids or text.split() != [text]:
+        for token in ids:
+            _check_class_id(token)
+    return ids
+
+
 class Taxonomy:
     """A validated, immutable is-a hierarchy over class ids."""
 
@@ -181,9 +192,7 @@ def parse_taxonomy(text: str) -> Taxonomy:
             )
         lines[class_id] = lineno
         parent_text = fields[1]
-        parents[class_id] = (
-            set() if parent_text == "-" else {_check_class_id(p) for p in parent_text.split(",")}
-        )
+        parents[class_id] = set() if parent_text == "-" else set(_class_ids(parent_text))
 
     rows(text, "taxonomy", (2,), TaxonomyError, entry)
     # A class may name a parent that a later line defines, so unknown
@@ -212,7 +221,7 @@ def parse_lexicon(text: str, taxonomy: Taxonomy) -> SenseLexicon:
         lines[noun] = lineno
         if not sense_text:
             raise TaxonomyError(f"empty sense list for noun {noun!r}")
-        sense_set = frozenset(_check_class_id(c) for c in sense_text.split(","))
+        sense_set = frozenset(_class_ids(sense_text))
         for c in sense_set:
             if c not in taxonomy:
                 raise TaxonomyError(f"noun {noun!r} names unknown class {c!r}")

@@ -53,7 +53,10 @@ def integer(field: str, what: str) -> int:
     `` 5`` and ``1_000`` are errors (``bad <what> '<field>'``), and so is
     a field with more digits than the interpreter converts.  The caller
     checks the range."""
-    if not (field.isascii() and field.removeprefix("-").isdigit()):
+    # Plain digits first: the common case takes two C calls.
+    if not (field.isdigit() and field.isascii()) and not (
+        field.startswith("-") and field[1:].isdigit() and field.isascii()
+    ):
         raise ValueError(f"bad {what} {field!r}")
     try:
         return int(field)

@@ -10,6 +10,7 @@ import pytest
 
 import oracle
 from conftest import TOY_PARENTS, TOY_SENSES, build_world
+from selrestr import evaluate
 from selrestr.evaluate import (
     LEMMA_ERR,
     PARSER_ERR,
@@ -314,6 +315,31 @@ class TestEvaluateGold:
         for with_labels in (None, labels):
             report = evaluate_gold(gold, srs, lex, with_labels)
             assert (report.precision, report.recall) == expected
+
+    def test_fulfills_runs_once_per_evaluated_triple(self, toy_eval, toy_lexicon, monkeypatch):
+        # What the benchmark tracer counts as evaluate.fulfills_calls: one
+        # call per evaluated triple, at a restricted position or not, with
+        # its noun in the lexicon or not.
+        calls = []
+        real = evaluate.fulfills
+
+        def counting(tr, srs, lexicon):
+            calls.append(tr)
+            return real(tr, srs, lexicon)
+
+        monkeypatch.setattr(evaluate, "fulfills", counting)
+        gold, srs, lex, labels = toy_eval
+        more = [
+            GoldTriple(TripleRecord("drink", S0, "dog")),
+            GoldTriple(TripleRecord("drink", S1, "water")),
+            GoldTriple(TripleRecord("drink", S0, "xyzzy")),
+            GoldTriple(TripleRecord("sleep", S0, "man"), error=PARSER_ERR),
+        ]
+        for args in ((gold, srs, lex), (gold, srs, lex, labels), (more, [ANIMAL_SR], toy_lexicon)):
+            calls.clear()
+            report = evaluate_gold(*args)
+            assert len(calls) == report.evaluated > 0
+            assert calls == [g.record for g in args[0] if g.extraction_ok]
 
     def test_toy_render_text_golden(self, toy_eval):
         gold, srs, lex, _ = toy_eval

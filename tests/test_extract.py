@@ -134,6 +134,28 @@ class TestLemmaTable:
         with pytest.raises(ExtractionError, match="empty lemma"):
             LemmaTable.from_text("men\tnoun\t\n")
 
+    def test_dict_entries_follow_the_file_rule(self):
+        # Else extract writes (' run', '0', 'dog ') for "(S (NP (NNS dogs))
+        # (VP (VBD ran)))", which reads back as ('run', '0', 'dog').
+        with pytest.raises(ExtractionError) as err:
+            LemmaTable({("dogs", "noun"): "dog ", ("ran", "verb"): " run"})
+        assert str(err.value) == "bad lemma 'dog ': a space at either end or a leading #"
+
+    @pytest.mark.parametrize(
+        "lemma, message",
+        [
+            ("#sit", "bad lemma '#sit': a space at either end or a leading #"),
+            ("", "empty lemma"),
+        ],
+    )
+    def test_dict_entry_errors_match_the_file_reader(self, lemma, message):
+        with pytest.raises(ExtractionError) as err:
+            LemmaTable({("ran", "verb"): lemma})
+        assert str(err.value) == message
+        with pytest.raises(ExtractionError) as err:
+            LemmaTable.from_text(f"ran\tverb\t{lemma}\n")
+        assert str(err.value) == f"lemma table line 1: {message}"
+
 
 class TestLemmatize:
     def test_table_hit_beats_rules(self):

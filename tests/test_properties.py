@@ -552,6 +552,11 @@ class TestEvaluationProperties:
         expected = oracle.eval_ratios(kept, parents, senses, plain_srs)
         assert (report.precision, report.recall) == expected
         assert report.evaluated == len(kept)
+        # learn_all gives each position's restrictions in one run; any
+        # order of them gives the same report.
+        shuffled = srs[:]
+        rng.shuffle(shuffled)
+        assert evaluate_gold(gold, shuffled, scorer.lexicon) == report
 
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds)

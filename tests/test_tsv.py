@@ -120,6 +120,22 @@ BAD_FIELDS = [
      "bad support count '+3'"),
     ("restrictions-inner-space", "restrictions", "eat\t1\tanimal\t0.5\t 2\t3",
      "bad nouns count ' 2'"),
+    # the minus branch: a lone minus, a doubled one, a non-ASCII digit after it
+    ("counts-lone-minus", "counts", "eat\t1\tdog\t-", "bad count '-'"),
+    ("counts-double-minus", "counts", "eat\t1\tdog\t--5", "bad count '--5'"),
+    ("counts-minus-non-ascii-digit", "counts", "eat\t1\tdog\t-\u0665",
+     "bad count '-\u0665'"),
+    ("labels-lone-minus", "labels", "eat\t1\tdog\tOk\t-", "bad occurrence count '-'"),
+    ("labels-double-minus", "labels", "eat\t1\tdog\tOk\t--5",
+     "bad occurrence count '--5'"),
+    ("labels-minus-non-ascii-digit", "labels", "eat\t1\tdog\tOk\t-\u0665",
+     "bad occurrence count '-\u0665'"),
+    ("restrictions-lone-minus", "restrictions", "eat\t1\tanimal\t0.5\t-\t3",
+     "bad nouns count '-'"),
+    ("restrictions-double-minus", "restrictions", "eat\t1\tanimal\t0.5\t2\t--5",
+     "bad support count '--5'"),
+    ("restrictions-minus-non-ascii-digit", "restrictions", "eat\t1\tanimal\t0.5\t-\u0665\t3",
+     "bad nouns count '-\u0665'"),
     # more digits than int() converts by default (4,300)
     ("counts-too-many-digits", "counts", "eat\t1\tdog\t" + "1" * 5000,
      "bad count: too many digits"),
