@@ -113,7 +113,7 @@ def fulfills(
 
     The noun's class table is looked up once; each restriction's class is
     tested in it before its verb and relation."""
-    verb, rel, noun, _, reason = tr
+    verb, rel, noun, reason = tr
     if reason is not None:
         raise ValueError("cannot evaluate a discarded triple")
     if noun not in lexicon:
@@ -218,7 +218,7 @@ def read_gold(text: str) -> list[GoldTriple]:
 def _gold_row(lineno: int, fields: list[str]) -> GoldTriple:
     # Checked fields: skip the Python-level __new__ of both named tuples.
     new = tuple.__new__
-    record = new(TripleRecord, (*triple_fields(lineno, fields), 0, None))
+    record = new(TripleRecord, (*triple_fields(lineno, fields), None))
     if len(fields) == 3:
         return new(GoldTriple, (record, None, None))
     sense, status = fields[3], fields[4]
@@ -275,7 +275,7 @@ def occurrence_count(
         if t.verb == verb
         and t.rel == rel
         and t.noun in lexicon
-        and lexicon.noun_in_class(t.noun, class_id)
+        and class_id in lexicon.sense_hits(t.noun)
     )
 
 

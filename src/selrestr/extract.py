@@ -27,7 +27,6 @@ one list; lemmas are memoized per ``LemmaTable``.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Iterable, NamedTuple
 
 from .trees import ParseTree
@@ -113,7 +112,6 @@ class TripleRecord(NamedTuple):
     verb: str
     rel: SynRel
     noun: str
-    sentence_id: int = 0
     discard_reason: str | None = None
 
     @property
@@ -169,9 +167,6 @@ class LemmaTable:
     def lookup(self, form: str, pos: str) -> str | None:
         return self._entries.get((form.lower(), pos))
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @classmethod
     def from_text(cls, text: str) -> "LemmaTable":
         """A ``form<TAB>noun|verb<TAB>lemma`` table; a later line wins."""
@@ -186,14 +181,18 @@ def _lemma_entry(lineno: int, fields: list[str]) -> tuple[tuple[str, str], str]:
 
 
 def _check_lemma(lemma: str) -> str:
-    """``lemma``, if it is not empty and has no space at either end and no
-    leading ``#``: the one lemma rule of a table, from a file or a dict."""
+    """``lemma``, if it is not empty, has no space at either end, no
+    leading ``#``, no tab and no line break: the one lemma rule of a
+    table, from a file or a dict."""
     if not lemma:
         raise ExtractionError("empty lemma")
-    # A triples line is trimmed of spaces and skipped after a leading #, so
-    # such a lemma would be read back changed, or not at all.
+    # A triples line is trimmed of spaces and skipped after a leading #, and
+    # the file is cut at line breaks and tabs, so such a lemma would be read
+    # back changed, or not at all.
     if lemma.strip(" ") != lemma or lemma.startswith("#"):
         raise ExtractionError(f"bad lemma {lemma!r}: a space at either end or a leading #")
+    if "\t" in lemma or lemma.splitlines() != [lemma]:
+        raise ExtractionError(f"bad lemma {lemma!r}: a tab or a line break")
     return lemma
 
 
@@ -248,10 +247,7 @@ def _lemmatize(form: str, pos: str, table: LemmaTable) -> LemmaResult:
 
 
 def extract_triples(
-    tree: ParseTree,
-    lemmas: LemmaTable = EMPTY_LEMMA_TABLE,
-    tags: TagSet = PENN,
-    sentence_id: int = 0,
+    tree: ParseTree, lemmas: LemmaTable = EMPTY_LEMMA_TABLE, tags: TagSet = PENN
 ) -> list[TripleRecord]:
     """Emit one TripleRecord per verb-complement pair found in the tree.
 
@@ -266,7 +262,7 @@ def extract_triples(
     object code ("0", "1") is skipped, as is one with no preposition
     leaf.  Clauses with no identifiable verb yield nothing.
     """
-    return _extract(((sentence_id, tree),), lemmas, tags)
+    return extract_corpus((tree,), lemmas, tags)
 
 
 def extract_corpus(
@@ -274,14 +270,7 @@ def extract_corpus(
     lemmas: LemmaTable = EMPTY_LEMMA_TABLE,
     tags: TagSet = PENN,
 ) -> list[TripleRecord]:
-    """``extract_triples`` of every tree, numbered from 0 in order."""
-    return _extract(enumerate(trees), lemmas, tags)
-
-
-def _extract(
-    numbered: Iterable[tuple[int, ParseTree]], lemmas: LemmaTable, tags: TagSet
-) -> list[TripleRecord]:
-    """The records of every (sentence id, tree) pair, in one list.
+    """``extract_triples`` of every tree, in order, in one list.
 
     One flat walk per tree over constituents, in preorder; nodes are
     read as (label, children, token) tuples, and records are built
@@ -292,7 +281,7 @@ def _extract(
     new = tuple.__new__
     records: list[TripleRecord] = []
     append = records.append
-    for sentence_id, tree in numbered:
+    for tree in trees:
         stack = [] if tree[2] is not None else [tree]
         while stack:
             label, children, _ = stack.pop()
@@ -363,13 +352,13 @@ def _extract(
                             head[2], NOUN, lemmas
                         )
                         reason = LEMMA_FAILURE if verb_failed or noun_failed else None
-                        append(new(TripleRecord, (verb_lemma, rel, noun_lemma, sentence_id, reason)))
+                        append(new(TripleRecord, (verb_lemma, rel, noun_lemma, reason)))
                         break
                 else:
                     node = np
                     while node[2] is None:
                         node = node[1][-1]
-                    append(new(TripleRecord, (verb_lemma, rel, node[2], sentence_id, NON_NOUN_HEAD)))
+                    append(new(TripleRecord, (verb_lemma, rel, node[2], NON_NOUN_HEAD)))
     return records
 
 
@@ -396,16 +385,14 @@ def write_discards(records: Iterable[TripleRecord], f) -> None:
 
 
 def read_triples(text: str) -> list[TripleRecord]:
-    """Parse a triples file; each line becomes a kept record, numbered
-    from 0 in file order.  The records share each distinct verb and noun
-    string: one ``setdefault`` table holds the first of each."""
-    index = count().__next__
+    """Parse a triples file; each line becomes a kept record, in file
+    order.  The records share each distinct verb and noun string: one
+    ``setdefault`` table holds the first of each."""
     share = {}.setdefault
 
     def record(lineno: int, fields: list[str]) -> TripleRecord:
         verb, rel, noun = triple_fields(lineno, fields)
-        verb, noun = share(verb, verb), share(noun, noun)
         # Checked fields: skip TripleRecord's Python-level __new__.
-        return tuple.__new__(TripleRecord, (verb, rel, noun, index(), None))
+        return tuple.__new__(TripleRecord, (share(verb, verb), rel, share(noun, noun), None))
 
     return rows(text, "triples", (3,), ExtractionError, record)

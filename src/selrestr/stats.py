@@ -120,7 +120,7 @@ def accumulate(triples: Iterable[TripleRecord]) -> CountsTable:
     """Aggregate kept triples; passing a discarded record is an error."""
     groups: dict[tuple[str, SynRel], dict[str, int]] = {}
     for t in triples:
-        v, s, n, _, reason = t
+        v, s, n, reason = t
         if reason is not None:
             raise ValueError(f"cannot accumulate discarded triple {t}")
         group = groups.get((v, s))

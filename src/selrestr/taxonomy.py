@@ -94,9 +94,6 @@ class Taxonomy:
     def __contains__(self, class_id: str) -> bool:
         return class_id in self._parents
 
-    def __len__(self) -> int:
-        return len(self._parents)
-
     def parents(self, class_id: str) -> frozenset[str]:
         try:
             return self._parents[class_id]
@@ -108,12 +105,14 @@ class Taxonomy:
         cached = self._closures.get(class_id)
         if cached is not None:
             return cached
+        parents = self._parents
+        if class_id not in parents:
+            raise TaxonomyError(f"unknown class {class_id!r}")
         # Iterative walk: deep chains must not exhaust the call stack.
         closure = {class_id}
         frontier = [class_id]
         while frontier:
-            node = frontier.pop()
-            for p in self.parents(node):
+            for p in parents[frontier.pop()]:
                 if p in closure:
                     continue
                 ancestor_closure = self._closures.get(p)
@@ -126,22 +125,17 @@ class Taxonomy:
         self._closures[class_id] = result
         return result
 
-    def is_ancestor_or_equal(self, a: str, b: str) -> bool:
-        """True iff ``a`` is ``b`` itself or a hypernym of ``b``."""
-        if a not in self._parents:
-            raise TaxonomyError(f"unknown class {a!r}")
-        return a in self.hypernym_closure(b)
-
     def related(self, a: str, b: str) -> bool:
-        """True iff the classes are linked by hyperonymy in either direction."""
-        return self.is_ancestor_or_equal(a, b) or self.is_ancestor_or_equal(b, a)
+        """True iff the classes are linked by hyperonymy in either direction;
+        an unknown class raises ``TaxonomyError``."""
+        return b in self.hypernym_closure(a) or a in self.hypernym_closure(b)
 
 
 class SenseLexicon:
     """Noun lemma -> sense classes, bound to the taxonomy it was validated against.
 
-    The one per-noun memo is ``sense_hits``; ``noun_in_class`` is a lookup
-    in it."""
+    The one per-noun memo is ``sense_hits``; a noun is in a class iff the
+    class is a key of its table."""
 
     def __init__(self, taxonomy: Taxonomy, senses: dict[str, frozenset[str]]):
         self.taxonomy = taxonomy
@@ -155,18 +149,11 @@ class SenseLexicon:
     def __contains__(self, noun: str) -> bool:
         return noun in self._senses
 
-    def __len__(self) -> int:
-        return len(self._senses)
-
     def senses(self, noun: str) -> frozenset[str]:
         try:
             return self._senses[noun]
         except KeyError:
             raise TaxonomyError(f"unknown noun {noun!r}") from None
-
-    def noun_in_class(self, noun: str, class_id: str) -> bool:
-        """True iff some sense of the noun lies at or below ``class_id``."""
-        return class_id in self.sense_hits(noun)
 
     def sense_hits(self, noun: str) -> dict[str, int]:
         """Each class at or above some sense of the noun, mapped to the

@@ -63,28 +63,6 @@ class ParseTree(_Node):
             raise ValueError(f"node {label!r} must have children or a token, not both")
         return tuple.__new__(cls, (label, children, token))
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.token is not None
-
-    def __str__(self) -> str:
-        parts: list[str] = []
-        # Items are nodes still to print, or the ")" closing a constituent.
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            if item.__class__ is str:
-                parts.append(item)
-            elif item.token is not None:
-                parts.append(f"({item.label} {item.token})")
-            else:
-                parts.append(f"({item.label}")
-                stack.append(")")
-                for child in reversed(item.children):
-                    stack.append(child)
-                    stack.append(" ")
-        return "".join(parts)
-
 
 # The pieces of the two shapes that any word cuts into.
 _PIECE = re.compile(r"\([^()]*|[^()]*\)+|[^()]+")

@@ -27,7 +27,28 @@ def subtrees(tree: ParseTree) -> Iterator[ParseTree]:
 
 
 def tokens(tree: ParseTree) -> list[str]:
-    return [t.token for t in subtrees(tree) if t.is_leaf]
+    return [t.token for t in subtrees(tree) if t.token is not None]
+
+
+def bracketed(tree: ParseTree) -> str:
+    """``tree`` as one line of bracketed text, which ``parse_bracketed``
+    reads back as ``tree``; iterative, so deep trees work."""
+    parts: list[str] = []
+    # Items are nodes still to print, or the text between them.
+    stack: list = [tree]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            parts.append(item)
+        elif item.token is not None:
+            parts.append(f"({item.label} {item.token})")
+        else:
+            parts.append(f"({item.label}")
+            stack.append(")")
+            for child in reversed(item.children):
+                stack.append(child)
+                stack.append(" ")
+    return "".join(parts)
 
 
 def score(
@@ -39,12 +60,13 @@ def score(
 
 def check_partial_order(taxonomy, classes: Iterable[str] | None = None) -> bool:
     """Exhaustively verify reflexivity, antisymmetry and transitivity of
-    ``is_ancestor_or_equal`` over the given classes (defaults to all).
+    "``a`` is ``b`` or a hypernym of ``b``" over the given classes
+    (defaults to all).
 
     Quadratic-to-cubic in the class count.
     """
     cs = sorted(classes) if classes is not None else sorted(taxonomy.nodes)
-    leq = {(a, b): taxonomy.is_ancestor_or_equal(a, b) for a in cs for b in cs}
+    leq = {(a, b): a in taxonomy.hypernym_closure(b) for a in cs for b in cs}
     for a in cs:
         if not leq[a, a]:
             return False

@@ -344,8 +344,8 @@ def _constituents(tree):
         stack.extend(c for c in reversed(node[1]) if c[2] is None)
 
 
-def extract_triples(tree, lemmatize, tags, sentence_id=0) -> list[tuple]:
-    """``(verb, relation code, noun, sentence id, discard reason or None)``
+def extract_triples(tree, lemmatize, tags) -> list[tuple]:
+    """``(verb, relation code, noun, discard reason or None)``
     per verb-complement pair of a ``(label, children, token)`` tree.
 
     ``lemmatize(form, pos)`` gives ``(lemma, failed)`` with ``pos`` one of
@@ -394,14 +394,14 @@ def extract_triples(tree, lemmatize, tags, sentence_id=0) -> list[tuple]:
                 node = np
                 while node[2] is None:
                     node = node[1][-1]
-                records.append((verb_lemma, code, node[2], sentence_id, NON_NOUN_HEAD))
+                records.append((verb_lemma, code, node[2], NON_NOUN_HEAD))
                 continue
             noun_lemma, noun_failed = lemmatize(heads[-1][2], "noun")
             reason = LEMMA_FAILURE if verb_failed or noun_failed else None
-            records.append((verb_lemma, code, noun_lemma, sentence_id, reason))
+            records.append((verb_lemma, code, noun_lemma, reason))
     return records
 
 
 def extract_corpus(trees, lemmatize, tags) -> list[tuple]:
-    """``extract_triples`` of every tree, numbered from 0 in order."""
-    return [r for i, tree in enumerate(trees) for r in extract_triples(tree, lemmatize, tags, i)]
+    """``extract_triples`` of every tree, in order."""
+    return [r for tree in trees for r in extract_triples(tree, lemmatize, tags)]

@@ -1,6 +1,7 @@
 """The README's quick-start transcripts and library example run as shown,
 the package exports what it lists and uses or exports every public name
-it defines, and the exact reference in ``tests/oracle.py`` stays apart
+it defines, its code names every public method and property of its
+classes, and the exact reference in ``tests/oracle.py`` stays apart
 from the package."""
 
 import ast
@@ -89,24 +90,60 @@ def test_oracle_imports_nothing_from_the_package():
     assert [m for m in modules if m.split(".")[0] in ("selrestr", "")] == []
 
 
+def package_modules() -> list[tuple[str, ast.Module]]:
+    """(file name, syntax tree) of each module of the package."""
+    return [
+        (path.name, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((ROOT / "src" / "selrestr").glob("*.py"))
+    ]
+
+
+def names_in(tree: ast.Module) -> set[str]:
+    """Every name and attribute name that the module's code mentions."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    return named
+
+
 def test_every_public_name_is_used_or_exported():
     # A public function or class that no package code names and that
     # ``__all__`` does not list exists only for the tests: move it into
     # tests/ or delete it.
     defined, named = {}, set()
-    for path in sorted((ROOT / "src" / "selrestr").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for module, tree in package_modules():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined[node.name] = path.name
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                defined[node.name] = module
+        named |= names_in(tree)
     unused = {
         f"{module}:{name}" for name, module in defined.items()
         if name not in named and name not in selrestr.__all__
     }
     assert defined
     assert not unused
+
+
+# No package code calls it, but the benchmark tracer counts its calls.
+MEMBERS_ONLY_THE_BENCHMARK_NAMES = {"taxonomy.py:Taxonomy.related"}
+
+
+def test_every_public_member_is_used():
+    # A public method or property of a package class that no package code
+    # names exists only for the tests: move it into tests/ or delete it.
+    members, named = set(), set()
+    for module, tree in package_modules():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                members |= {
+                    (f"{module}:{cls.name}.{node.name}", node.name) for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                }
+        named |= names_in(tree)
+    assert members
+    assert {member for member, name in members if name not in named} == (
+        MEMBERS_ONLY_THE_BENCHMARK_NAMES
+    )

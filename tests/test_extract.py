@@ -108,7 +108,6 @@ class TestTagSet:
 class TestLemmaTable:
     def test_from_text_and_lookup(self):
         table = LemmaTable.from_text("children\tnoun\tchild\nsought\tverb\tseek\n")
-        assert len(table) == 2
         assert table.lookup("children", "noun") == "child"
         assert table.lookup("sought", "verb") == "seek"
         assert table.lookup("children", "verb") is None
@@ -120,7 +119,7 @@ class TestLemmaTable:
 
     def test_comments_and_blanks_skipped(self):
         table = LemmaTable.from_text("# header\n\nmen\tnoun\tman\n")
-        assert len(table) == 1
+        assert table.lookup("men", "noun") == "man"
 
     def test_bad_field_count(self):
         with pytest.raises(ExtractionError, match="line 2: expected 3 fields"):
@@ -140,6 +139,16 @@ class TestLemmaTable:
         with pytest.raises(ExtractionError) as err:
             LemmaTable({("dogs", "noun"): "dog ", ("ran", "verb"): " run"})
         assert str(err.value) == "bad lemma 'dog ': a space at either end or a leading #"
+
+    def test_dict_entries_hold_no_tab_or_line_break(self):
+        # Else extract writes 'r\x85n\t0\tdo\tg\n' for "(S (NP (NNS dogs))
+        # (VP (VBD ran)))", and read_triples refuses that line.
+        with pytest.raises(ExtractionError) as err:
+            LemmaTable({("dogs", "noun"): "do\tg", ("ran", "verb"): "r\x85n"})
+        assert str(err.value) == "bad lemma 'do\\tg': a tab or a line break"
+        with pytest.raises(ExtractionError) as err:
+            LemmaTable({("ran", "verb"): "r\x85n"})
+        assert str(err.value) == "bad lemma 'r\\x85n': a tab or a line break"
 
     @pytest.mark.parametrize(
         "lemma, message",
@@ -360,11 +369,6 @@ class TestExtractTriples:
         got = {(r.verb, r.rel.code, r.noun) for r in recs}
         assert got == {("said", "0", "analyst"), ("fell", "0", "stock")}
 
-    def test_sentence_id_passthrough(self):
-        tree = _one("(S (NP (NN dog)) (VP (VBD slept)))")
-        recs = extract_triples(tree, sentence_id=7)
-        assert recs[0].sentence_id == 7
-
     @pytest.mark.parametrize("code", ["0", "1"])
     def test_pp_with_reserved_code_skipped(self, code):
         # A preposition spelled like the subject or object code would be
@@ -376,12 +380,13 @@ class TestExtractTriples:
         recs = extract_triples(tree)
         assert [(r.rel.code, r.noun) for r in recs] == [("0", "cat"), ("on", "rug")]
 
-    def test_extract_corpus_enumerates(self):
+    def test_extract_corpus_keeps_tree_order(self):
         trees = parse_bracketed(
-            "(S (NP (NN dog)) (VP (VBD slept)))\n(S (NP (NN cat)) (VP (VBD slept)))"
+            "(S (NP (NN dog)) (VP (VBD slept)))\n(S (NP (NN cat)) (VP (VBD saw) (NP (NN rat))))"
         )
         recs = extract_corpus(trees)
-        assert [(r.sentence_id, r.noun) for r in recs] == [(0, "dog"), (1, "cat")]
+        assert [(r.rel.code, r.noun) for r in recs] == [("0", "dog"), ("0", "cat"), ("1", "rat")]
+        assert extract_corpus(trees[::-1]) == recs[1:] + recs[:1]
 
 
 class TestTripleFiles:
@@ -602,6 +607,37 @@ class TestTriplesRoundTrip:
             else:
                 kept.append(line)
         lemmas = LemmaTable.from_text("".join(kept))
+        records = [r for r in extract_corpus(parse_bracketed("\n".join(trees)), lemmas) if r.kept]
+        buf = io.StringIO()
+        write_triples(records, buf)
+        assert [r[:3] for r in read_triples(buf.getvalue())] == [r[:3] for r in records]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        trees=st.lists(clause_trees, min_size=1, max_size=3),
+        entries=st.lists(
+            st.tuples(st.sampled_from(_LEMMA_KEYS),
+                      st.text(alphabet=" #ab\t\r\x85\u2028", min_size=1, max_size=4)),
+            max_size=6,
+        ),
+    )
+    @example(
+        trees=["(S (NP (NNS dogs)) (VP (VBD sought)))"],
+        entries=[(("dogs", "noun"), "do\tg"), (("sought", "verb"), "r\x85n")],
+    )
+    def test_every_kept_record_of_a_dict_table_reads_back(self, trees, entries):
+        # A dict-built table refuses a lemma that a triples line cannot
+        # hold; with the lemmas it takes, extract's kept records read back
+        # unchanged and in order.
+        kept = {}
+        for key, lemma in entries:
+            try:
+                LemmaTable({key: lemma})
+            except ExtractionError as exc:
+                assert re.match(r"bad lemma ", str(exc)), exc
+            else:
+                kept[key] = lemma
+        lemmas = LemmaTable(kept)
         records = [r for r in extract_corpus(parse_bracketed("\n".join(trees)), lemmas) if r.kept]
         buf = io.StringIO()
         write_triples(records, buf)

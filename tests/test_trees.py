@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
-from helpers import leaf, node, subtrees, tokens
+from helpers import bracketed, leaf, node, subtrees, tokens
 from selrestr.trees import ParseTree, TreeSyntaxError, parse_bracketed, read_trees
 
 
@@ -27,12 +27,11 @@ class TestParse:
 
     def test_leaf_structure(self):
         (tree,) = parse_bracketed("(NN dog)")
-        assert tree.is_leaf
         assert tree.token == "dog"
 
     def test_roundtrip_str(self):
         (tree,) = parse_bracketed(SIMPLE)
-        assert str(tree) == SIMPLE
+        assert bracketed(tree) == SIMPLE
 
     def test_nested_depth(self):
         (tree,) = parse_bracketed("(A (B (C (D x))))")
@@ -67,9 +66,9 @@ class TestDeepTrees:
     def test_deep_np_parses_and_round_trips(self):
         text = self.deep_text()
         (tree,) = parse_bracketed(text)
-        assert str(tree) == text
+        assert bracketed(tree) == text
         assert tokens(tree) == ["dog", "barks"]
-        assert [t.label for t in subtrees(tree) if t.is_leaf] == ["NN", "VBZ"]
+        assert [t.label for t in subtrees(tree) if t.token is not None] == ["NN", "VBZ"]
         labels = [t.label for t in subtrees(tree)]
         assert labels == ["S"] + ["NP"] * self.DEPTH + ["NN", "VP", "VBZ"]
 
@@ -201,7 +200,7 @@ class TestAgainstReference:
         if got[0] == "trees":
             for tree in got[1]:
                 assert all(type(t) is ParseTree for t in subtrees(tree))
-                assert parse_bracketed(str(tree)) == [tree]
+                assert parse_bracketed(bracketed(tree)) == [tree]
 
 
 def _objects(trees):
@@ -211,7 +210,7 @@ def _objects(trees):
     for tree in trees:
         for t in subtrees(tree):
             labels[t.label].add(id(t.label))
-            if t.is_leaf:
+            if t.token is not None:
                 tokens_[t.token].add(id(t.token))
                 leaves[t].add(id(t))
     return labels, tokens_, leaves
@@ -231,7 +230,7 @@ class TestSharing:
         text = (data_dir / "mini.mrg").read_text(encoding="utf-8")
         trees = self.check(text * 3)
         _, _, leaves = _objects(trees)
-        places = sum(1 for tree in trees for t in subtrees(tree) if t.is_leaf)
+        places = sum(1 for tree in trees for t in subtrees(tree) if t.token is not None)
         assert len(leaves) < places
 
     @settings(max_examples=100, deadline=None)
@@ -323,7 +322,7 @@ class TestErrors:
 class TestBuilders:
     def test_node_and_leaf_helpers(self):
         tree = node("NP", leaf("DT", "the"), leaf("NN", "dog"))
-        assert str(tree) == "(NP (DT the) (NN dog))"
+        assert bracketed(tree) == "(NP (DT the) (NN dog))"
 
     def test_leaf_requires_token(self):
         with pytest.raises(ValueError):
