@@ -16,15 +16,19 @@ are learned one after another and the scorer keeps only the current
 group's sums, so memory grows with the largest group, not with the
 number of groups.
 
-The greedy pass is one walk in rank order with set lookups on hypernym
-closures, linear in the candidates times the closure size.  Taking the
-full candidate set, not a best-first climb from the sense classes, is
-immune to the non-monotone shape of the association score.
+The rank order comes from two stable sorts with C-level ``itemgetter``
+keys, by class id and then by (score, support, nouns) descending, so no
+Python key function runs per candidate.  The greedy pass is one walk in
+that order with set lookups on hypernym closures, taken from the
+taxonomy's memo, linear in the candidates times the closure size.
+Taking the full candidate set, not a best-first climb from the sense
+classes, is immune to the non-monotone shape of the association score.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .extract import ExtractionError, SynRel, triple_fields
@@ -84,6 +88,11 @@ class SelectionalRestriction(NamedTuple):
     support: int
 
 
+# Rank keys of ``select_disjoint``, as fields of SelectionalRestriction.
+_CLASS_ID = itemgetter(2)
+_SCORE_SUPPORT_NOUNS = itemgetter(3, 5, 4)
+
+
 def candidate_space(
     model: Scorer, v: str, s: SynRel, cfg: LearnerConfig
 ) -> list[tuple[str, int, int]]:
@@ -91,11 +100,12 @@ def candidate_space(
     of the observed nouns' senses whose raw support reaches the
     threshold, sorted by class id."""
     sums = model.group_sums(v, s, cfg.estimator)
-    return sorted(
-        (cls, sums.distinct[cls], supp)
-        for cls, supp in sums.support.items()
-        if supp >= cfg.threshold
-    )
+    distinct, threshold = sums.distinct, cfg.threshold
+    candidates = [
+        (cls, distinct[cls], supp) for cls, supp in sums.support.items() if supp >= threshold
+    ]
+    candidates.sort()
+    return candidates
 
 
 def score_candidates(
@@ -117,32 +127,38 @@ def score_candidates(
     ]
 
 
-def _rank_key(sr: SelectionalRestriction):
-    # Total order: score, then support, then distinct nouns (all descending),
-    # then class id; makes selection independent of input permutation.
-    return (-sr.score, -sr.support, -sr.n_nouns, sr.class_id)
-
-
 def select_disjoint(
     candidates: Iterable[SelectionalRestriction], taxonomy: Taxonomy
 ) -> list[SelectionalRestriction]:
     """Greedy extraction: take the best-ranked class, discard every
     candidate related to it by hyperonymy, repeat until nothing is left.
 
-    One pass in rank order does this: a candidate is kept iff it is not in
-    the union of the kept classes' hypernym closures (not an ancestor) and
-    its own closure holds no kept class (not a descendant)."""
+    The rank is a total order: score, then support, then distinct nouns,
+    all descending, then class id, so selection does not depend on the
+    order of ``candidates``.  Two stable sorts with C-level keys give it:
+    by class id, then by (score, support, nouns) reversed, which keeps
+    the class-id order within a tie.  One pass in rank order then keeps a
+    candidate iff it is not in the union of the kept classes' hypernym
+    closures (not an ancestor) and its own closure holds no kept class
+    (not a descendant)."""
+    ranked = sorted(candidates, key=_CLASS_ID)
+    ranked.sort(key=_SCORE_SUPPORT_NOUNS, reverse=True)
+    # The taxonomy's memo first: most closures are already built.
+    memo, closure_of = taxonomy._closures.get, taxonomy.hypernym_closure
     chosen: list[SelectionalRestriction] = []
     chosen_ids: set[str] = set()
     covered: set[str] = set()
-    for sr in sorted(candidates, key=_rank_key):
-        if sr.class_id in covered:
+    for sr in ranked:
+        class_id = sr.class_id
+        if class_id in covered:
             continue
-        closure = taxonomy.hypernym_closure(sr.class_id)
+        closure = memo(class_id)
+        if closure is None:
+            closure = closure_of(class_id)
         if not chosen_ids.isdisjoint(closure):
             continue
         chosen.append(sr)
-        chosen_ids.add(sr.class_id)
+        chosen_ids.add(class_id)
         covered |= closure
     return chosen
 
@@ -172,8 +188,8 @@ def learn_all(model: Scorer, cfg: LearnerConfig) -> list[SelectionalRestriction]
 
 
 def format_restriction(sr: SelectionalRestriction) -> str:
-    return (  # a score of -0.0 prints as 0.000000
-        f"{sr.verb}\t{sr.rel.code}\t{sr.class_id}"
+    return (  # a relation prints as its code; a score of -0.0 as 0.000000
+        f"{sr.verb}\t{sr.rel}\t{sr.class_id}"
         f"\t{sr.score or 0.0:.6f}\t{sr.n_nouns}\t{sr.support}"
     )
 
@@ -186,21 +202,32 @@ def write_restrictions(
     if header:
         for key, value in header.items():
             f.write(f"# {key}={value}\n")
-    for sr in restrictions:
-        f.write(format_restriction(sr) + "\n")
+    # One write for all the lines: a write per line costs more than the join.
+    f.write("".join([format_restriction(sr) + "\n" for sr in restrictions]))
 
 
 def read_header(text: str) -> dict[str, str]:
-    """The ``# key=value`` lines that open a restrictions file."""
-    header: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            break
-        key, sep, value = line[1:].strip().partition("=")
-        if sep:
-            header[key] = value
-    return header
+    """The ``# key=value`` lines that open a restrictions file.
+
+    Only the leading block of ``#`` and blank lines is split, with the
+    line breaks of ``str.splitlines``: the head of the text is read four
+    times longer each time until it holds a data line or the whole text.
+    A line cut at the end of a head starts as the whole line does, so it
+    ends the block exactly when the whole line would."""
+    size = 1024
+    while True:
+        head = text[:size]
+        header: dict[str, str] = {}
+        for raw in head.splitlines():
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                return header
+            key, sep, value = line[1:].strip().partition("=")
+            if sep:
+                header[key] = value
+        if len(head) == len(text):
+            return header
+        size *= 4
 
 
 def read_restrictions(text: str) -> list[SelectionalRestriction]:

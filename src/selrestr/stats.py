@@ -8,6 +8,8 @@ Class-level quantities sum over the nouns whose sense classes fall
 under the class, either whole occurrences (raw) or occurrences weighted
 by the fraction of the noun's senses under the class (sense-corrected),
 from each noun's ``sense_hits`` table, which the scorer indexes once.
+Raw sums count those tables in C; sense-corrected sums read per-noun
+weight tables that the scorer builds once, on its first sense walk.
 
 Three scoring functions (``ScoreKind``) rank candidate classes for a
 (verb, position).  Each reads four numbers per class: its sum ``k`` with
@@ -38,7 +40,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .extract import ExtractionError, SynRel, TripleRecord, triple_fields
@@ -133,16 +136,22 @@ def accumulate(triples: Iterable[TripleRecord]) -> CountsTable:
 def read_counts(text: str) -> CountsTable:
     """Parse a pre-aggregated ``verb<TAB>rel<TAB>noun<TAB>count`` file;
     the counts of a repeated key add up.  Each distinct verb and noun
-    string is held once: one ``setdefault`` table holds the first of each."""
+    string is held once: one ``setdefault`` table holds the first of each.
+    Each distinct count string is checked once, as the rule is pure."""
     groups: dict[tuple[str, SynRel], dict[str, int]] = {}
     share = {}.setdefault
+    checked: dict[str, int] = {}
 
     def add(lineno: int, fields: list[str]) -> None:
         v, s, n = triple_fields(lineno, fields)
         v, n = share(v, v), share(n, n)
-        count = integer(fields[3], "count")
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        field = fields[3]
+        count = checked.get(field)
+        if count is None:
+            count = integer(field, "count")
+            if count < 1:
+                raise ValueError("count must be >= 1")
+            checked[field] = count
         group = groups.get((v, s))
         if group is None:
             group = groups[v, s] = {}
@@ -166,17 +175,29 @@ def signed_g2(k11: int, c1: int, r1: int, n: int, scale: int = 1) -> float:
     r2, c2 = n - r1, n - c1
     if not (r1 and r2 and c1 and c2):
         return 0.0
-    k21 = c1 - k11
+    k12, k21 = r1 - k11, c1 - k11
+    k22 = r2 - k21
+    # k11 * n / (r1 * c1) is the top-left cell's ratio to its expectation;
+    # the sign test below compares the same two products.
+    observed, expected = k11 * n, r1 * c1
+    log = math.log
+    # The four cells in row order: the order of the float additions is
+    # part of the bit-exact result.
     g = 0.0
-    for k, r, c in ((k11, r1, c1), (r1 - k11, r1, c2), (k21, r2, c1), (r2 - k21, r2, c2)):
-        if k > 0:
-            g += (k / scale) * math.log(k * n / (r * c))
+    if k11 > 0:
+        g += (k11 / scale) * log(observed / expected)
+    if k12 > 0:
+        g += (k12 / scale) * log(k12 * n / (r1 * c2))
+    if k21 > 0:
+        g += (k21 / scale) * log(k21 * n / (r2 * c1))
+    if k22 > 0:
+        g += (k22 / scale) * log(k22 * n / (r2 * c2))
     g *= 2.0
     # The sign test compares k11 with its expectation r1 * c1 / n; a common
     # scale multiplies both sides by scale**2 and leaves it unchanged.
-    if k11 * n > r1 * c1:
+    if observed > expected:
         return g
-    if k11 * n < r1 * c1:
+    if observed < expected:
         return -g
     return 0.0
 
@@ -202,11 +223,16 @@ class Scorer:
     estimator, equals bit for bit the one computed from exact rational
     counts; the exact reference is ``tests/oracle.py``.
 
-    Each of the table's nouns in the lexicon is indexed once to its
-    ``sense_hits`` table, the lexicon's own dict, so a walk finds it with
-    one lookup.  One walk, ``_walk``, sums a group's noun counts
-    (``group_sums``) into raw support, distinct-noun counts and the
-    estimator's sums; they feed candidate generation and scoring.  Only
+    Each of the table's nouns is indexed once to its ``sense_hits`` table,
+    the lexicon's own dict, or to an empty one when the lexicon lacks it.
+    One walk, ``_walk``, sums a group's noun counts (``group_sums``) into
+    raw support, distinct-noun counts and the estimator's sums; they feed
+    candidate generation and scoring.  Its distinct-noun counts are one
+    ``Counter`` over the chained tables of the group's nouns, with no
+    Python step per noun.  The first sense-corrected walk turns each
+    noun's table into its scaled ``(class, sense_scale // k * j)`` weights
+    once, so a sense sum is one add per (noun, class) pair, with a
+    multiply only for a noun seen more than once.  Only
     the last group walked is kept, so memory is bounded by one group
     however many groups are visited.  The sums of a whole position or of
     the whole table, which every group's scores divide by, are walked
@@ -219,50 +245,60 @@ class Scorer:
         self.table = table
         self.lexicon = lexicon
         self.taxonomy = lexicon.taxonomy
-        # The lexicon's own sense_hits dict of each of the table's nouns
-        # that it knows; a noun outside it supports no class.
-        sense_hits = lexicon.sense_hits
-        self._sense_hits: dict[str, Mapping[str, int]] = {
-            n: sense_hits(n) for n in table.noun_total if n in lexicon
+        # Every noun of the table -> the lexicon's own sense_hits dict; a
+        # noun outside the lexicon supports no class, so it maps to an
+        # empty table and a walk needs no test for it.
+        sense_hits, no_hits = lexicon.sense_hits, {}
+        self._index: dict[str, Mapping[str, int]] = {
+            n: sense_hits(n) if n in lexicon else no_hits for n in table.noun_total
         }
         senses = lexicon.senses
-        self.sense_scale: int = math.lcm(*{len(senses(n)) for n in self._sense_hits})
+        self.sense_scale: int = math.lcm(
+            *{len(senses(n)) for n in table.noun_total if n in lexicon}
+        )
+        self._weights: dict[str, list[tuple[str, int]]] | None = None
         self._group: tuple[tuple[str, SynRel, EstimatorKind], GroupSums] | None = None
         self._class_sums_at: dict[tuple[SynRel | None, EstimatorKind], dict[str, int]] = {}
 
-    def _hits(self, noun_counts: Mapping[str, int]) -> list[tuple[str, int, Mapping[str, int]]]:
-        """(noun, count, ``sense_hits``) of each of the table's nouns in the
-        lexicon; a noun outside it supports no class."""
-        get = self._sense_hits.get
-        return [(n, c, hits) for n, c in noun_counts.items() if (hits := get(n)) is not None]
-
     def _walk(self, noun_counts: Mapping[str, int], est: EstimatorKind) -> GroupSums:
         """Raw support, distinct nouns and the estimator's sums over the
-        given noun counts."""
-        nouns = self._hits(noun_counts)
-        distinct = Counter(chain.from_iterable(hits for _, _, hits in nouns))
+        given noun counts, all of them the table's."""
+        index = self._index
+        distinct = Counter(chain.from_iterable(map(index.__getitem__, noun_counts)))
         # One occurrence per noun so far; a noun seen c times adds c - 1.
         support = dict(distinct)
-        for _, c, hits in nouns:
+        for n, c in noun_counts.items():
             if c > 1:
                 extra = c - 1
-                for cls in hits:
+                for cls in index[n]:
                     support[cls] += extra
-        joint = support if est is EstimatorKind.RAW else self._scaled(nouns, distinct)
+        joint = support if est is EstimatorKind.RAW else self._scaled(noun_counts, distinct)
         return GroupSums(support, distinct, joint)
 
-    def _scaled(
-        self, nouns: list[tuple[str, int, Mapping[str, int]]], classes: Iterable[str]
-    ) -> dict[str, int]:
-        """The sense-corrected sums of ``_hits`` triples over ``classes``,
-        every class in their ``sense_hits``: a noun seen c times with k
-        senses, j of them under a class, adds c * scale * j / k."""
-        senses, scale = self.lexicon.senses, self.sense_scale
+    def _scaled(self, noun_counts: Mapping[str, int], classes: Iterable[str]) -> dict[str, int]:
+        """The sense-corrected sums of the table's ``noun_counts`` over
+        ``classes``, every class in their ``sense_hits``: a noun seen c
+        times with k senses, j of them under a class, adds
+        c * (scale // k * j)."""
+        weights = self._weights
+        if weights is None:
+            # Each noun's scaled (class, weight) pairs, built on the first
+            # sense walk and read by every later one.
+            scale, senses = self.sense_scale, self.lexicon.senses
+            weights = self._weights = {}
+            for n, hits in self._index.items():
+                unit = scale // len(senses(n)) if hits else 0
+                weights[n] = list(zip(hits, map(mul, repeat(unit), hits.values())))
         joint = dict.fromkeys(classes, 0)
-        for n, c, hits in nouns:
-            unit = c * (scale // len(senses(n)))
-            for cls, j in hits.items():
-                joint[cls] += unit * j
+        for n, c in noun_counts.items():
+            # Most nouns of a group are seen once: their weights add as
+            # they are, with no product to build per pair.
+            if c == 1:
+                for cls, w in weights[n]:
+                    joint[cls] += w
+            else:
+                for cls, w in weights[n]:
+                    joint[cls] += c * w
         return joint
 
     def group_sums(self, v: str, s: SynRel, est: EstimatorKind) -> GroupSums:
@@ -283,8 +319,8 @@ class Scorer:
             if est is EstimatorKind.RAW:
                 cached = self._walk(nouns, est).support
             else:
-                hits = self._hits(nouns)
-                cached = self._scaled(hits, chain.from_iterable(h for _, _, h in hits))
+                classes = chain.from_iterable(map(self._index.__getitem__, nouns))
+                cached = self._scaled(nouns, classes)
             self._class_sums_at[key] = cached
         return cached
 
@@ -312,22 +348,25 @@ class Scorer:
         joint = self.group_sums(v, s, est).joint
         in_space = self._class_sums(at, est)
         scale = 1 if est is EstimatorKind.RAW else self.sense_scale
+        vs_scaled = vs * scale
         if kind is ScoreKind.LOG_LIKELIHOOD_RATIO:
             # Row: this verb, in class or not; column: the class, any verb.
             # No cell is negative, as the group's nouns are some of the
             # position's.
+            n_scaled, k_of, space_of = n * scale, joint.get, in_space.get
             return [
-                signed_g2(joint.get(c, 0), in_space.get(c, 0), vs * scale, n * scale, scale)
+                signed_g2(k_of(c, 0), space_of(c, 0), vs_scaled, n_scaled, scale)
                 for c in classes
             ]
-        out = []
-        for c in classes:
-            k = joint.get(c, 0)
-            if k == 0:
-                raise UnsupportedClassError(
-                    f"class {c!r} has no support with verb {v!r} at position {s.code!r}"
-                )
-            # P(c|v,s) * log2 (k n / (vs K)); the scale of k and K cancels
-            # in the log.
-            out.append(k / (vs * scale) * math.log2(k * n / (vs * in_space[c])))
-        return out
+        ks = [joint.get(c, 0) for c in classes]
+        if 0 in ks:
+            c = classes[ks.index(0)]
+            raise UnsupportedClassError(
+                f"class {c!r} has no support with verb {v!r} at position {s.code!r}"
+            )
+        # P(c|v,s) * log2 (k n / (vs K)); the scale of k and K cancels in
+        # the log.
+        log2 = math.log2
+        return [
+            k / vs_scaled * log2(k * n / (vs * in_space[c])) for c, k in zip(classes, ks)
+        ]

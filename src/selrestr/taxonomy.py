@@ -87,18 +87,8 @@ class Taxonomy:
 
     # -- queries ---------------------------------------------------------
 
-    @property
-    def nodes(self) -> frozenset[str]:
-        return frozenset(self._parents)
-
     def __contains__(self, class_id: str) -> bool:
         return class_id in self._parents
-
-    def parents(self, class_id: str) -> frozenset[str]:
-        try:
-            return self._parents[class_id]
-        except KeyError:
-            raise TaxonomyError(f"unknown class {class_id!r}") from None
 
     def hypernym_closure(self, class_id: str) -> frozenset[str]:
         """The class itself plus all its ancestors, at every level."""
@@ -141,10 +131,6 @@ class SenseLexicon:
         self.taxonomy = taxonomy
         self._senses = senses
         self._hits: dict[str, dict[str, int]] = {}
-
-    @property
-    def nouns(self) -> frozenset[str]:
-        return frozenset(self._senses)
 
     def __contains__(self, noun: str) -> bool:
         return noun in self._senses

@@ -36,7 +36,7 @@ def rows(
     append = out.append
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip(" ")
-        if not line.strip() or line.startswith("#"):
+        if not line or line.isspace() or line[0] == "#":
             continue
         fields = line.split("\t")
         try:

@@ -6,6 +6,7 @@ import json
 from typing import Iterable, Iterator
 
 from selrestr.stats import CountsTable, EstimatorKind, ScoreKind, Scorer
+from selrestr.taxonomy import SenseLexicon, Taxonomy
 from selrestr.trees import ParseTree
 
 
@@ -51,6 +52,21 @@ def bracketed(tree: ParseTree) -> str:
     return "".join(parts)
 
 
+def parents(taxonomy: Taxonomy, class_id: str) -> frozenset[str]:
+    """The direct parents of a class."""
+    return taxonomy._parents[class_id]
+
+
+def nodes(taxonomy: Taxonomy) -> frozenset[str]:
+    """Every class of the taxonomy."""
+    return frozenset(taxonomy._parents)
+
+
+def nouns(lexicon: SenseLexicon) -> frozenset[str]:
+    """Every noun of the lexicon."""
+    return frozenset(lexicon._senses)
+
+
 def score(
     scorer: Scorer, kind: ScoreKind, v, s, c: str, est: EstimatorKind = EstimatorKind.RAW
 ) -> float:
@@ -65,7 +81,7 @@ def check_partial_order(taxonomy, classes: Iterable[str] | None = None) -> bool:
 
     Quadratic-to-cubic in the class count.
     """
-    cs = sorted(classes) if classes is not None else sorted(taxonomy.nodes)
+    cs = sorted(classes) if classes is not None else sorted(nodes(taxonomy))
     leq = {(a, b): a in taxonomy.hypernym_closure(b) for a in cs for b in cs}
     for a in cs:
         if not leq[a, a]:

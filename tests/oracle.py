@@ -5,10 +5,10 @@ triple lists (``(verb, rel_code, noun)`` tuples, one per occurrence) and a
 plain parent map, with no imports from the package under test, so test
 expectations are cross-checked rather than copied.  The class-sum loops
 take a noun -> count map and the package's lexicon object, as the scorer
-does, but copy out only its parent links (``taxonomy.parents``) and sense
-lists (``senses``) and walk them with this module's own ``closure``, one
-noun at a time: they share no memo with the scorer's single walk that
-they are the reference for.  The bracket reader and the triple
+does, but copy out only its parent links (the taxonomy's ``_parents``)
+and sense lists (the lexicon's ``_senses``) and walk them with this
+module's own ``closure``, one noun at a time: they share no memo with
+the scorer's single walk that they are the reference for.  The bracket reader and the triple
 extractor work on plain ``(label, children, token)`` tuples; the
 extractor takes the lemmatizer and the tag set from its caller.
 """
@@ -162,9 +162,7 @@ def g2(k11, k12, k21, k22) -> float:
 def _maps(lexicon):
     """The lexicon's parent links and sense lists as the plain maps
     ``closure`` and ``sense_counts`` take."""
-    taxonomy = lexicon.taxonomy
-    parents = {c: taxonomy.parents(c) for c in taxonomy.nodes}
-    return parents, {n: lexicon.senses(n) for n in lexicon.nouns}
+    return dict(lexicon.taxonomy._parents), dict(lexicon._senses)
 
 
 def support_and_distinct(noun_counts, lexicon) -> tuple[dict[str, int], dict[str, int]]:

@@ -17,7 +17,7 @@ from io import StringIO
 
 import oracle
 from conftest import TOY_PARENTS, TOY_SENSES, TOY_TRIPLES, build_world
-from helpers import score
+from helpers import nodes, score
 from worlds import lexicon_text, make_world, taxonomy_text
 
 from selrestr.evaluate import diagnostic_summary, evaluate_gold, read_gold, read_labels
@@ -75,8 +75,8 @@ def test_criterion_1_demo_corpus_restrictions(data_dir, capsys):
     problems = []
     if len(trees) != 3:
         problems.append(f"expected 3 sentences, read {len(trees)}")
-    if len(taxonomy.nodes) != 12:
-        problems.append(f"expected a 12-node taxonomy, got {len(taxonomy.nodes)}")
+    if len(nodes(taxonomy)) != 12:
+        problems.append(f"expected a 12-node taxonomy, got {len(nodes(taxonomy))}")
     if got != want:
         problems.append(f"restrictions {got} != {want}")
     if elapsed >= 1.0:

@@ -1,7 +1,8 @@
 """The README's quick-start transcripts and library example run as shown,
 the package exports what it lists and uses or exports every public name
-it defines, its code names every public method and property of its
-classes, and the exact reference in ``tests/oracle.py`` stays apart
+it defines, its code reads every public method and property of its
+classes as an attribute, its modules parse under the oldest Python it
+supports, and the exact reference in ``tests/oracle.py`` stays apart
 from the package."""
 
 import ast
@@ -109,6 +110,16 @@ def names_in(tree: ast.Module) -> set[str]:
     return named
 
 
+def attribute_reads(tree: ast.Module) -> set[str]:
+    """Every attribute name that the module's code reads, as in
+    ``obj.name``: a member is reached through its object, so a local
+    variable or parameter of the same name does not count."""
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_every_public_name_is_used_or_exported():
     # A public function or class that no package code names and that
     # ``__all__`` does not list exists only for the tests: move it into
@@ -133,8 +144,9 @@ MEMBERS_ONLY_THE_BENCHMARK_NAMES = {"taxonomy.py:Taxonomy.related"}
 
 def test_every_public_member_is_used():
     # A public method or property of a package class that no package code
-    # names exists only for the tests: move it into tests/ or delete it.
-    members, named = set(), set()
+    # reads as an attribute exists only for the tests: move it into tests/
+    # or delete it.
+    members, read = set(), set()
     for module, tree in package_modules():
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef):
@@ -142,8 +154,19 @@ def test_every_public_member_is_used():
                     (f"{module}:{cls.name}.{node.name}", node.name) for node in cls.body
                     if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
                 }
-        named |= names_in(tree)
+        read |= attribute_reads(tree)
     assert members
-    assert {member for member, name in members if name not in named} == (
+    assert {member for member, name in members if name not in read} == (
         MEMBERS_ONLY_THE_BENCHMARK_NAMES
     )
+
+
+def test_package_parses_under_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10: syntax newer than
+    # that (``except*``, type parameter lists, ...) must not creep in.
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=3.10"' in pyproject
+    paths = sorted((ROOT / "src" / "selrestr").glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -10,6 +10,7 @@ import pytest
 
 import oracle
 from conftest import TOY_PARENTS, TOY_SENSES, build_world
+from helpers import nodes, nouns, parents
 from selrestr import evaluate
 from selrestr.evaluate import (
     LEMMA_ERR,
@@ -305,13 +306,13 @@ class TestEvaluateGold:
     def test_toy_ratios_match_pairwise_reference(self, toy_eval):
         gold, srs, lex, labels = toy_eval
         tax = lex.taxonomy
-        parents = {c: set(tax.parents(c)) for c in tax.nodes}
-        senses = {n: lex.senses(n) for n in lex.nouns}
+        parent_map = {c: set(parents(tax, c)) for c in nodes(tax)}
+        senses = {n: lex.senses(n) for n in nouns(lex)}
         plain_gold = [
             (g.record.verb, g.record.rel.code, g.record.noun) for g in gold if g.extraction_ok
         ]
         plain_srs = {(sr.verb, sr.rel.code, sr.class_id) for sr in srs}
-        expected = oracle.eval_ratios(plain_gold, parents, senses, plain_srs)
+        expected = oracle.eval_ratios(plain_gold, parent_map, senses, plain_srs)
         for with_labels in (None, labels):
             report = evaluate_gold(gold, srs, lex, with_labels)
             assert (report.precision, report.recall) == expected

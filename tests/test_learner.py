@@ -3,9 +3,11 @@ group pipeline, and the restrictions file format."""
 
 import io
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import TOY_PARENTS, TOY_SENSES, TOY_TRIPLES, build_world
 from helpers import write_restrictions_jsonl
@@ -17,6 +19,7 @@ from selrestr.learner import (
     format_restriction,
     learn_all,
     learn_group,
+    read_header,
     read_restrictions,
     score_candidates,
     select_disjoint,
@@ -190,6 +193,41 @@ class TestSelectDisjoint:
     def test_empty_input(self, chain_tax):
         assert select_disjoint([], chain_tax) == []
 
+    def test_rank_ties_follow_the_tuple_key(self):
+        # Ties in score (0.0 against -0.0 among them), support and nouns:
+        # whatever the input order, the kept list is the greedy pass over
+        # the candidates sorted by (-score, -support, -n_nouns, class_id).
+        roots = [f"k{i:02d}" for i in range(12)]
+        tax, _ = load_taxonomy(
+            "".join(f"{r}\t-\n" for r in roots) + "a\t-\nb\ta\nc\tb\nd\ta\n", ""
+        )
+        rng = random.Random(5)
+        cands = [
+            _cand(cid, rng.choice([0.0, -0.0, 0.5, -0.5]), rng.choice([1, 2]), rng.choice([1, 2]))
+            for cid in roots + ["a", "b", "c", "d"]
+        ]
+
+        def rank(sr):
+            return (-sr.score, -sr.support, -sr.n_nouns, sr.class_id)
+
+        def by_tuple_key(candidates):
+            kept = []
+            for sr in sorted(candidates, key=rank):
+                if not any(tax.related(sr.class_id, k.class_id) for k in kept):
+                    kept.append(sr)
+            return kept
+
+        # The draw holds 0.0 and -0.0 with the same support and nouns.
+        zeros = {(sr.support, sr.n_nouns, math.copysign(1, sr.score)) for sr in cands if not sr.score}
+        assert any((supp, nouns, -sign) in zeros for supp, nouns, sign in zeros)
+        expected = by_tuple_key(cands)
+        for _ in range(30):
+            rng.shuffle(cands)
+            got = select_disjoint(cands, tax)
+            assert len(got) == len(expected)
+            # The very objects: a kept 0.0 is not a kept -0.0.
+            assert all(g is e for g, e in zip(got, expected))
+
 
 class TestLearnGroup:
     def test_toy_drink_subject(self, toy):
@@ -302,3 +340,58 @@ class TestRestrictionFiles:
 
     def test_read_skips_header(self):
         assert read_restrictions("# tool=x\n\n") == []
+
+
+# Every line break of str.splitlines.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+DATA = "drink\t0\tanimal\t0.4\t2\t3"
+
+
+def whole_text_header(text):
+    """``read_header``'s rule applied to every line of the text at once."""
+    header = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            break
+        key, sep, value = line[1:].strip().partition("=")
+        if sep:
+            header[key] = value
+    return header
+
+
+class TestReadHeader:
+    @pytest.mark.parametrize("brk", ["\r\n", "\r", "\u2028"])
+    def test_line_breaks(self, brk):
+        text = brk.join(["# tool=x", "# threshold=3", DATA, "# late=no", ""])
+        assert read_header(text) == {"tool": "x", "threshold": "3"}
+
+    def test_blank_lines_inside_the_header(self):
+        text = f"# a=1\n\n  \t\n#no value\n# b = 2\n\n{DATA}\n# c=3\n"
+        assert read_header(text) == {"a": "1", "b ": " 2"}
+
+    def test_first_line_is_data(self):
+        assert read_header(f"{DATA}\n# tool=x\n") == {}
+        assert read_header("") == {}
+
+    @pytest.mark.parametrize("width", range(1015, 1030))
+    @pytest.mark.parametrize("brk", ["\r\n", "\u2028"])
+    def test_break_at_the_first_cut(self, width, brk):
+        # A header line ends at, across or just past the end of the first
+        # head the reader splits.
+        text = brk.join([f"# a={'v' * width}", "# b=2", DATA, "# c=3"])
+        assert read_header(text) == whole_text_header(text) == {"a": "v" * width, "b": "2"}
+
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.builds("# k{}={}".format, st.integers(0, 9), st.text("v =#", max_size=900)),
+                st.sampled_from(["", "  ", "#", "# no value", DATA]),
+            ),
+            max_size=12,
+        ),
+        breaks=st.lists(st.sampled_from(LINE_BREAKS), min_size=12, max_size=12),
+    )
+    def test_equals_splitting_the_whole_text(self, lines, breaks):
+        text = "".join(line + brk for line, brk in zip(lines, breaks))
+        assert read_header(text) == whole_text_header(text)

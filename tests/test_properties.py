@@ -295,6 +295,34 @@ class TestGroupSums:
         parents, senses, triples = make_world(
             random.Random(seed), full_lexicon=False, max_senses=5
         )
+        self.check_walks(parents, senses, triples)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=seeds)
+    def test_one_walk_equals_the_reference_loops_at_high_polysemy(self, seed):
+        # Nouns with 1 to 33 senses: the sense scale is lcm(1, ..., 33), a
+        # 48-bit number, so the scorer's per-noun weights are big multiples
+        # of it, pinned here against the reference loops.
+        rng = random.Random(seed)
+        parents = {"i0": set()}
+        for k in range(1, rng.randint(2, 8)):
+            parents[f"i{k}"] = set(rng.sample(sorted(parents), rng.randint(1, min(2, k))))
+        internal = sorted(parents)
+        for k in range(rng.randint(33, 45)):
+            parents[f"l{k}"] = set(rng.sample(internal, rng.randint(1, min(2, len(internal)))))
+        leaves = [c for c in parents if c.startswith("l")]
+        senses = {f"n{k}": frozenset(rng.sample(leaves, k)) for k in range(1, 34)}
+        nouns = [*senses, "unlisted"]
+        triples = [
+            (rng.choice(["v0", "v1", "v2"]), rng.choice(RELS), n)
+            for n in nouns + rng.choices(nouns, k=rng.randint(0, 60))
+        ]
+        scale = self.check_walks(parents, senses, triples)
+        assert scale == math.lcm(*range(1, 34)) and scale.bit_length() == 48
+
+    def check_walks(self, parents, senses, triples) -> int:
+        """Compare every walk of the world's scorer with the reference
+        loops; returns the scorer's sense scale."""
         scorer = build_world(parents, senses, triples)
         table, lexicon, scale = scorer.table, scorer.lexicon, scorer.sense_scale
         # The per-noun table every walk reads, against the plain world maps.
@@ -322,6 +350,7 @@ class TestGroupSums:
             assert scorer._class_sums(at, EstimatorKind.RAW) == oracle.class_sums(nouns, lexicon)
             sense = scorer._class_sums(at, EstimatorKind.SENSE_CORRECTED)
             assert sense == oracle.class_sums(nouns, lexicon, scale)
+        return scale
 
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds)

@@ -18,7 +18,7 @@ import string
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import flat_counts
+from helpers import flat_counts, nodes, nouns, parents
 from selrestr.evaluate import read_gold, read_labels
 from selrestr.extract import ExtractionError, LemmaTable, read_triples
 from selrestr.learner import read_restrictions
@@ -30,12 +30,12 @@ TAX = parse_taxonomy("a\t-\nb\ta\nc\ta,b\nanimal\t-\n")
 
 def _taxonomy(text):
     tax = parse_taxonomy(text)
-    return {c: tax.parents(c) for c in tax.nodes}
+    return {c: parents(tax, c) for c in nodes(tax)}
 
 
 def _lexicon(text):
     lex = parse_lexicon(text, TAX)
-    return {n: lex.senses(n) for n in lex.nouns}
+    return {n: lex.senses(n) for n in nouns(lex)}
 
 
 # kind, reader returning a comparable value, error class, one valid line
