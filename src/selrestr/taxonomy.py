@@ -125,9 +125,13 @@ class SenseLexicon:
     """Noun lemma -> sense classes, bound to the taxonomy it was validated against.
 
     The one per-noun memo is ``sense_hits``; a noun is in a class iff the
-    class is a key of its table."""
+    class is a key of its table.  Every noun has at least one sense: the
+    sense estimator divides a noun's count among its senses."""
 
     def __init__(self, taxonomy: Taxonomy, senses: dict[str, frozenset[str]]):
+        if not all(senses.values()):
+            noun = next(noun for noun, classes in senses.items() if not classes)
+            raise TaxonomyError(f"empty sense list for noun {noun!r}")
         self.taxonomy = taxonomy
         self._senses = senses
         self._hits: dict[str, dict[str, int]] = {}

@@ -647,8 +647,9 @@ class TestEntryPoint:
         assert "usage" in proc.stderr.lower()
 
     def test_import_leaves_out_what_only_some_paths_use(self):
-        # dataclasses (with inspect), json, decimal and fractions would cost
-        # every command start-up time; the functions that use them import them.
+        # dataclasses (with inspect), json, decimal, fractions and hashlib
+        # (with OpenSSL's _hashlib) would cost every command start-up time,
+        # and hashlib memory too; the functions that use them import them.
         def modules(code):
             proc = subprocess.run(
                 [sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
@@ -659,36 +660,63 @@ class TestEntryPoint:
 
         added = modules("import selrestr.cli") - modules("pass")
         assert "selrestr.cli" in added
-        assert not added & {"dataclasses", "inspect", "json", "decimal", "fractions"}
+        assert not added & {
+            "dataclasses", "inspect", "json", "decimal", "fractions", "hashlib", "_hashlib"
+        }
 
     def test_fresh_interpreter_loads_what_a_path_uses(self, data_dir, tmp_path, monkeypatch):
         # eval reads --config and writes --format json (json), the label
         # percentages (decimal) and the ratios (fractions); extract reads a
-        # --tagset file (json).  Each prints what it prints in process,
-        # where the tests have already imported those modules.
+        # --tagset file (json); learn hashes its inputs (hashlib).  Each
+        # prints what it prints in process, where the tests have already
+        # imported those modules.  extract and report keep no digest, so
+        # they end without OpenSSL's _hashlib loaded.
         monkeypatch.chdir(tmp_path)
         labels = str(data_dir / "toy_labels.tsv")
         (tmp_path / "cfg.json").write_text(json.dumps({"format": "json", "labels": labels}))
+        (tmp_path / "report.json").write_text(json.dumps({"labels": labels}))
         (tmp_path / "tags.json").write_text(json.dumps({"pp_labels": ["PP"]}))
+        script = (
+            "import sys; from selrestr.cli import run; status = run(sys.argv[2:]); "
+            "open(sys.argv[1], 'w').write(' '.join(sys.modules)); sys.exit(status)"
+        )
 
-        def fresh(argv):
+        def fresh(argv, output=None):
+            """The stdout of ``argv`` run in a new interpreter, the names in
+            its ``sys.modules`` at the end, and the bytes of ``output``."""
             proc = subprocess.run(
-                [sys.executable, "-m", "selrestr", *argv],
+                [sys.executable, "-c", script, "modules.txt", *argv],
                 capture_output=True, text=True, timeout=60,
                 env={**os.environ, "PYTHONPATH": SRC_DIR},
             )
             assert (proc.returncode, proc.stderr) == (0, "")
+            written = output and Path(output).read_bytes()
             with redirect_stdout(io.StringIO()) as out:
                 assert run(argv) == 0
             assert proc.stdout == out.getvalue()
-            return proc.stdout
+            return proc.stdout, set(Path("modules.txt").read_text().split()), written
 
-        report = json.loads(fresh(TestEvalCommand().eval_argv(data_dir, "--config", "cfg.json")))
+        out, _, _ = fresh(TestEvalCommand().eval_argv(data_dir, "--config", "cfg.json"))
+        report = json.loads(out)
         assert report["diagnostics"][0]["class_pct"] == "100.0"
         assert report["precision"]["numerator"] == 1
         extract_argv = ["extract", "--corpus", str(data_dir / "demo.mrg"),
                         "--tagset", "tags.json", "--triples", "t.tsv"]
-        assert fresh(extract_argv).startswith("raw extractions  ")
+        out, modules, _ = fresh(extract_argv)
+        assert out.startswith("raw extractions  ")
+        assert "_hashlib" not in modules
+        out, modules, _ = fresh(["report", "--srs", str(data_dir / "toy_srs.tsv"),
+                                 "--config", "report.json"])
+        assert out.startswith("verb")
+        assert "_hashlib" not in modules
+
+        def digest_lines(data):
+            return [line for line in data.splitlines() if b"_sha256=" in line]
+
+        _, modules, written = fresh(toy_learn_argv(data_dir, "srs.tsv"), "srs.tsv")
+        assert "_hashlib" in modules
+        assert len(digest_lines(written)) == 3
+        assert digest_lines(written) == digest_lines(Path("srs.tsv").read_bytes())
 
 
 @pytest.fixture
@@ -1007,6 +1035,43 @@ def test_undecodable_input_names_the_file(data_dir, tmp_path, capsys, name, cont
     assert run(argv + ["--triples", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("extract", "--lemmas"),
+        ("extract", "--tagset"),
+        ("eval", "--srs"),
+        ("eval", "--gold"),
+        ("eval", "--labels"),
+        ("report", "--srs"),
+        ("report", "--labels"),
+        ("report", "--config"),
+    ],
+)
+def test_non_utf8_read_exits_1_naming_the_file(
+    data_dir, tmp_path, monkeypatch, capsys, command, option
+):
+    # The reads that keep no digest: one bad byte stops the command with
+    # one line that names the file, and nothing is written.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad").write_bytes(b"# header\ndrink\t0\tdog\xff\n")
+    argv = {
+        "extract": ["extract", "--corpus", str(data_dir / "demo.mrg"), "--triples", "out.tsv"],
+        "eval": TestEvalCommand().eval_argv(data_dir),
+        "report": ["report", "--srs", str(data_dir / "toy_srs.tsv")],
+    }[command]
+    if option in argv:
+        argv[argv.index(option) + 1] = "bad"
+    else:
+        argv += [option, "bad"]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bad: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad"]
 
 
 # -- fuzzing ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from selrestr.taxonomy import (
+    SenseLexicon,
     TaxonomyError,
     _check_class_id,
     load_taxonomy,
@@ -76,8 +77,17 @@ class TestParsing:
 
     def test_lexicon_empty_sense_list(self):
         tax = parse_taxonomy(MINIMAL)
-        with pytest.raises(TaxonomyError, match="empty sense list"):
+        with pytest.raises(TaxonomyError) as err:
             parse_lexicon("dog\t\n", tax)
+        assert str(err.value) == "lexicon line 1: empty sense list for noun 'dog'"
+
+    def test_lexicon_built_in_code_refuses_an_empty_sense_set(self):
+        # It used to be taken, and the sense estimator's scale became 0:
+        # learn_all then blamed a class for having no support.
+        tax = parse_taxonomy("a\t-\nb\ta\n")
+        with pytest.raises(TaxonomyError) as err:
+            SenseLexicon(tax, {"x": frozenset(), "y": frozenset({"b"})})
+        assert str(err.value) == "empty sense list for noun 'x'"
 
     @pytest.mark.parametrize("ch", WHITESPACE, ids=code_point)
     def test_class_id_check_rejects_every_whitespace_character(self, ch):
