@@ -8,8 +8,8 @@ Class-level quantities sum over the nouns whose sense classes fall
 under the class, either whole occurrences (raw) or occurrences weighted
 by the fraction of the noun's senses under the class (sense-corrected),
 from each noun's ``sense_hits`` table, which the scorer indexes once.
-Raw sums count those tables in C; sense-corrected sums read per-noun
-weight tables that the scorer builds once, on its first sense walk.
+Raw sums count those tables in C; sense-corrected sums read the same
+tables, each scaled by one whole unit per noun.
 
 Three scoring functions (``ScoreKind``) rank candidate classes for a
 (verb, position).  Each reads four numbers per class: its sum ``k`` with
@@ -40,8 +40,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
-from itertools import chain, repeat
-from operator import mul
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .extract import ExtractionError, SynRel, TripleRecord, triple_fields
@@ -229,10 +228,10 @@ class Scorer:
     raw support, distinct-noun counts and the estimator's sums; they feed
     candidate generation and scoring.  Its distinct-noun counts are one
     ``Counter`` over the chained tables of the group's nouns, with no
-    Python step per noun.  The first sense-corrected walk turns each
-    noun's table into its scaled ``(class, sense_scale // k * j)`` weights
-    once, so a sense sum is one add per (noun, class) pair, with a
-    multiply only for a noun seen more than once.  Only
+    Python step per noun.  A sense sum reads the same tables: the first
+    sense-corrected walk keeps one unit per noun, ``sense_scale // k``,
+    and a noun seen c times adds ``c * unit * j`` to each class of its
+    table, so the scorer keeps no table per (noun, class) pair.  Only
     the last group walked is kept, so memory is bounded by one group
     however many groups are visited.  The sums of a whole position or of
     the whole table, which every group's scores divide by, are walked
@@ -256,7 +255,7 @@ class Scorer:
         self.sense_scale: int = math.lcm(
             *{len(senses(n)) for n in table.noun_total if n in lexicon}
         )
-        self._weights: dict[str, list[tuple[str, int]]] | None = None
+        self._units: dict[str, int] | None = None
         self._group: tuple[tuple[str, SynRel, EstimatorKind], GroupSums] | None = None
         self._class_sums_at: dict[tuple[SynRel | None, EstimatorKind], dict[str, int]] = {}
 
@@ -279,26 +278,20 @@ class Scorer:
         """The sense-corrected sums of the table's ``noun_counts`` over
         ``classes``, every class in their ``sense_hits``: a noun seen c
         times with k senses, j of them under a class, adds
-        c * (scale // k * j)."""
-        weights = self._weights
-        if weights is None:
-            # Each noun's scaled (class, weight) pairs, built on the first
-            # sense walk and read by every later one.
+        c * (scale // k) * j."""
+        index, units = self._index, self._units
+        if units is None:
+            # One unit per noun, built on the first sense walk so raw runs
+            # do not pay for it; a noun outside the lexicon adds nothing.
             scale, senses = self.sense_scale, self.lexicon.senses
-            weights = self._weights = {}
-            for n, hits in self._index.items():
-                unit = scale // len(senses(n)) if hits else 0
-                weights[n] = list(zip(hits, map(mul, repeat(unit), hits.values())))
+            units = self._units = {
+                n: scale // len(senses(n)) if hits else 0 for n, hits in index.items()
+            }
         joint = dict.fromkeys(classes, 0)
         for n, c in noun_counts.items():
-            # Most nouns of a group are seen once: their weights add as
-            # they are, with no product to build per pair.
-            if c == 1:
-                for cls, w in weights[n]:
-                    joint[cls] += w
-            else:
-                for cls, w in weights[n]:
-                    joint[cls] += c * w
+            unit = c * units[n]
+            for cls, j in index[n].items():
+                joint[cls] += unit * j
         return joint
 
     def group_sums(self, v: str, s: SynRel, est: EstimatorKind) -> GroupSums:

@@ -56,22 +56,19 @@ class Taxonomy:
     def __init__(self, parents: dict[str, set[str]]):
         self._parents = {c: frozenset(ps) for c, ps in parents.items()}
         self._closures: dict[str, frozenset[str]] = {}
-        self._check_dangling()
         self._check_acyclic()
 
-    def _check_dangling(self) -> None:
-        for child, ps in self._parents.items():
-            for p in ps:
-                if p not in self._parents:
-                    raise TaxonomyError(f"class {child!r} names unknown parent {p!r}")
-
     def _check_acyclic(self) -> None:
+        """Refuse a parent that names no class, then a cycle."""
         # Kahn's algorithm; whatever cannot be peeled off lies on a cycle.
         remaining = {c: set(ps) for c, ps in self._parents.items()}
         children: dict[str, set[str]] = {c: set() for c in remaining}
         for child, ps in self._parents.items():
             for p in ps:
-                children[p].add(child)
+                siblings = children.get(p)
+                if siblings is None:
+                    raise TaxonomyError(f"class {child!r} names unknown parent {p!r}")
+                siblings.add(child)
         queue = [c for c, ps in remaining.items() if not ps]
         seen = 0
         while queue:

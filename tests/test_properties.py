@@ -43,7 +43,7 @@ from selrestr.stats import (
     accumulate,
 )
 from selrestr.taxonomy import load_taxonomy
-from worlds import RELS, make_world, taxonomy_text
+from worlds import RELS, make_world, paper_world, taxonomy_text
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 S0 = SynRel("0")
@@ -278,22 +278,26 @@ class TestGroupSums:
     def test_worlds_hold_repeats_lexicon_misses_and_many_senses(self):
         # The worlds below are drawn this way; over a few seeds they hold
         # nouns seen more than once in a group, nouns missing from the
-        # lexicon and nouns with up to five senses.
-        repeats = misses = most_senses = 0
+        # lexicon and nouns with up to five senses, and with nested senses
+        # a class above two senses of one noun.
+        repeats = misses = most_senses = nested = 0
         for seed in range(50):
-            _, senses, triples = make_world(
-                random.Random(seed), full_lexicon=False, max_senses=5
+            parents, senses, triples = make_world(
+                random.Random(seed), full_lexicon=False, max_senses=5, nested_senses=seed % 2
             )
             repeats += len(triples) > len(set(triples))
             misses += any(n not in senses for _, _, n in triples)
             most_senses = max(most_senses, *map(len, senses.values()), 0)
-        assert repeats and misses and most_senses == 5
+            nested += any(
+                j > 1 for n in senses for j in oracle.sense_counts(parents, senses, n).values()
+            )
+        assert repeats and misses and most_senses == 5 and nested
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=seeds)
-    def test_one_walk_equals_the_reference_loops(self, seed):
+    @given(seed=seeds, nested=st.booleans())
+    def test_one_walk_equals_the_reference_loops(self, seed, nested):
         parents, senses, triples = make_world(
-            random.Random(seed), full_lexicon=False, max_senses=5
+            random.Random(seed), full_lexicon=False, max_senses=5, nested_senses=nested
         )
         self.check_walks(parents, senses, triples)
 
@@ -301,8 +305,9 @@ class TestGroupSums:
     @given(seed=seeds)
     def test_one_walk_equals_the_reference_loops_at_high_polysemy(self, seed):
         # Nouns with 1 to 33 senses: the sense scale is lcm(1, ..., 33), a
-        # 48-bit number, so the scorer's per-noun weights are big multiples
-        # of it, pinned here against the reference loops.
+        # 48-bit number, so the scorer's per-noun units (scale // k) and the
+        # sums they build are big numbers, pinned here against the
+        # reference loops.
         rng = random.Random(seed)
         parents = {"i0": set()}
         for k in range(1, rng.randint(2, 8)):
@@ -395,14 +400,15 @@ class TestScoreAgreement:
             assert scorer.scores(ScoreKind.ASSOC, v, s, classes) == refs
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=seeds)
-    def test_scores_equal_fraction_reference(self, seed):
+    @given(seed=seeds, nested=st.booleans())
+    def test_scores_equal_fraction_reference(self, seed, nested):
         # Bit-exact: the scaled-integer scores against exact rationals, for
         # every scorer and estimator.  Up to 5 senses per noun makes the
-        # sense scale (the LCM of the sense counts) reach 12, 20, 30 or 60.
+        # sense scale (the LCM of the sense counts) reach 12, 20, 30 or 60;
+        # nested senses put j > 1 of a noun's senses under a class.
         parents, senses, triples = make_world(
             random.Random(seed), full_lexicon=False, max_classes=25,
-            max_triples=60, max_senses=5,
+            max_triples=60, max_senses=5, nested_senses=nested,
         )
         scorer = build_world(parents, senses, triples)
         for est in EstimatorKind:
@@ -492,10 +498,10 @@ class TestSelectionProperties:
         ]
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=seeds)
-    def test_agrees_with_oracle_greedy(self, seed):
+    @given(seed=seeds, nested=st.booleans())
+    def test_agrees_with_oracle_greedy(self, seed, nested):
         rng = random.Random(seed)
-        parents, _, _ = make_world(rng)
+        parents, _, _ = make_world(rng, nested_senses=nested)
         tax, _ = load_taxonomy(taxonomy_text(parents), "")
         cands = self._candidates(rng, parents)
         scored = {c.class_id: c.score for c in cands}
@@ -554,6 +560,43 @@ class TestLearnerProperties:
                     scored = score_candidates(scorer, v, s, cands, cfg)
                     assert [(sr.class_id, sr.n_nouns, sr.support) for sr in scored] == cands
                     assert all(math.isfinite(sr.score) for sr in scored)
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=seeds)
+    def test_paper_world_at_toy_size_learns_what_the_oracle_selects(self, seed):
+        # The paper-scale generator's shape at toy size: a DAG with second
+        # parents, up to 33 senses a noun at any level, Zipf verbs.  Every
+        # scorer and estimator scores each candidate as the oracle does
+        # and selects what the oracle's greedy extraction selects.
+        rng = random.Random(seed)
+        parents, senses, triples = paper_world(
+            rng, n_classes=30, n_nouns=10, n_triples=50, n_verbs=3,
+            max_depth=6, mean_depth=3, second_parents=0.2,
+        )
+        scorer = build_world(parents, senses, triples)
+        threshold = rng.randint(1, 3)
+        for kind in ScoreKind:
+            for est in EstimatorKind:
+                sense = est is EstimatorKind.SENSE_CORRECTED
+                cfg = LearnerConfig(threshold, kind, est, min_verb_support=1)
+                learned = learn_all(scorer, cfg)
+                for v, s in scorer.table.verb_positions():
+                    nouns = scorer.table.nouns_for(v, s)
+                    support, distinct = oracle.support_and_distinct(nouns, scorer.lexicon)
+                    scored = {}
+                    for cls in (c for c, k in support.items() if k >= threshold):
+                        world = (triples, parents, senses, v, s.code, cls, sense)
+                        if kind is ScoreKind.ASSOC:
+                            scored[cls] = oracle.assoc(*world)
+                        elif kind is ScoreKind.ASSOC_PAIR_MI:
+                            scored[cls] = oracle.pair_mi(*world)
+                        else:
+                            scored[cls] = oracle.g2(*oracle.g2_table(*world))
+                    tiebreak = {c: (support[c], distinct[c]) for c in scored}
+                    expected = oracle.greedy_disjoint(parents, scored, tiebreak)
+                    got = [sr for sr in learned if (sr.verb, sr.rel) == (v, s)]
+                    assert [sr.class_id for sr in got] == expected
+                    assert [sr.score for sr in got] == [scored[c] for c in expected]
 
 
 class TestEvaluationProperties:

@@ -5,6 +5,7 @@ import pytest
 
 from selrestr.taxonomy import (
     SenseLexicon,
+    Taxonomy,
     TaxonomyError,
     _check_class_id,
     load_taxonomy,
@@ -52,6 +53,14 @@ class TestParsing:
     def test_dangling_parent_reports_line(self):
         with pytest.raises(TaxonomyError, match="unknown parent 'ghost'"):
             parse_taxonomy("a\t-\nb\tghost\n")
+
+    def test_built_in_code_refuses_a_dangling_parent_before_a_cycle(self):
+        # The file reader names the line first; a library caller gets the
+        # first class, in the given order, that names an unknown parent,
+        # even when the map also holds a cycle.
+        with pytest.raises(TaxonomyError) as err:
+            Taxonomy({"a": {"c"}, "b": {"ghost"}, "c": {"a"}, "d": {"phantom"}})
+        assert str(err.value) == "class 'b' names unknown parent 'ghost'"
 
     def test_cycle_detected(self):
         with pytest.raises(TaxonomyError, match="cycle"):
