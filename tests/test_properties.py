@@ -279,17 +279,19 @@ class TestGroupSums:
         # The worlds below are drawn this way; over a few seeds they hold
         # nouns seen more than once in a group, nouns missing from the
         # lexicon and nouns with up to five senses, and with nested senses
-        # a class above two senses of one noun.
+        # a noun with one sense above another.
         repeats = misses = most_senses = nested = 0
         for seed in range(50):
             parents, senses, triples = make_world(
-                random.Random(seed), full_lexicon=False, max_senses=5, nested_senses=seed % 2
+                random.Random(seed), full_lexicon=False, max_senses=5,
+                nested_senses=seed % 2 == 1,
             )
             repeats += len(triples) > len(set(triples))
             misses += any(n not in senses for _, _, n in triples)
             most_senses = max(most_senses, *map(len, senses.values()), 0)
             nested += any(
-                j > 1 for n in senses for j in oracle.sense_counts(parents, senses, n).values()
+                a != b and a in oracle.closure(parents, b)
+                for cs in senses.values() for a in cs for b in cs
             )
         assert repeats and misses and most_senses == 5 and nested
 
@@ -405,7 +407,8 @@ class TestScoreAgreement:
         # Bit-exact: the scaled-integer scores against exact rationals, for
         # every scorer and estimator.  Up to 5 senses per noun makes the
         # sense scale (the LCM of the sense counts) reach 12, 20, 30 or 60;
-        # nested senses put j > 1 of a noun's senses under a class.
+        # nested senses put one sense of a noun above another, so that
+        # sense class itself counts j > 1 of them.
         parents, senses, triples = make_world(
             random.Random(seed), full_lexicon=False, max_classes=25,
             max_triples=60, max_senses=5, nested_senses=nested,
