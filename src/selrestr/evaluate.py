@@ -218,7 +218,7 @@ def read_gold(text: str) -> list[GoldTriple]:
 def _gold_row(lineno: int, fields: list[str]) -> GoldTriple:
     # Checked fields: skip the Python-level __new__ of both named tuples.
     new = tuple.__new__
-    record = new(TripleRecord, (*triple_fields(lineno, fields), None))
+    record = new(TripleRecord, (*triple_fields(fields), None))
     if len(fields) == 3:
         return new(GoldTriple, (record, None, None))
     sense, status = fields[3], fields[4]
@@ -243,7 +243,7 @@ def read_labels(text: str) -> list[LabelRow]:
     seen: set[tuple[str, SynRel, str]] = set()
 
     def label_row(lineno: int, fields: list[str]) -> LabelRow:
-        key = triple_fields(lineno, fields, "class")
+        key = triple_fields(fields, "class")
         label = _LABEL_BY_NAME.get(fields[3])
         if label is None:
             raise ValueError(

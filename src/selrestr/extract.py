@@ -93,13 +93,10 @@ def relation(code: str) -> SynRel:
     return rel
 
 
-def triple_fields(
-    lineno: int, fields: list[str], name: str = "noun"
-) -> tuple[str, SynRel, str]:
+def triple_fields(fields: list[str], name: str = "noun") -> tuple[str, SynRel, str]:
     """(verb, relation, name) from the first three fields of a TSV line:
     neither the verb nor the name may be empty, and the second field
-    must be a relation code.  It takes the arguments of a ``tsv.rows``
-    parse, so a reader of three fields can pass it as one."""
+    must be a relation code."""
     verb, code, value = fields[0], fields[1], fields[2]
     if not verb or not value:
         raise ValueError(f"empty verb or {name}")
@@ -200,18 +197,41 @@ EMPTY_LEMMA_TABLE = LemmaTable()
 
 # Fallback inflection stripping, tried longest suffix first.  A rule only
 # fires when its stem is itself irreducible, which makes the rule-based
-# path idempotent by construction.
+# path idempotent by construction.  No suffix ends in "y", the one
+# replacement, so a stem that ends in it is irreducible.
 _NOUN_RULES = (("ies", "y"), ("es", ""), ("s", ""))
 _VERB_RULES = (("ies", "y"), ("ing", ""), ("ed", ""), ("s", ""))
 
 
 def _strip_suffix(form: str, rules) -> str:
-    for suffix, replacement in rules:
-        if form.endswith(suffix):
-            stem = form[: -len(suffix)] + replacement
-            if stem and _strip_suffix(stem, rules) == stem:
-                return stem
-    return form
+    """``form`` with the suffix of its first rule whose stem is not empty
+    and irreducible (its own result) replaced; ``form`` if there is none.
+
+    A stem with a replacement is irreducible, so every stem left to
+    decide is a prefix of ``form``.  Prefixes are decided by length from
+    an explicit stack, so a long form cannot exhaust the recursion limit."""
+    # By prefix length: the (cut, replacement) of the rule that fires on
+    # that prefix, or None if none does.
+    fired: dict[int, tuple[int, str] | None] = {}
+    todo = [len(form)]
+    while todo:
+        k = todo[-1]
+        for suffix, replacement in rules:
+            cut = k - len(suffix)
+            if not form.endswith(suffix, 0, k) or not (cut or replacement):
+                continue
+            if not replacement and cut not in fired:
+                todo.append(cut)  # decide the stem first, then this prefix again
+                break
+            if replacement or fired[cut] is None:
+                fired[k] = cut, replacement
+                break
+        else:
+            fired[k] = None
+        if k in fired:
+            todo.pop()
+    rule = fired[len(form)]
+    return form if rule is None else form[: rule[0]] + rule[1]
 
 
 class LemmaResult(NamedTuple):
@@ -365,23 +385,26 @@ def extract_corpus(
 # -- triples files -------------------------------------------------------
 
 
-def format_triple(record: TripleRecord) -> str:
-    return f"{record.verb}\t{record.rel.code}\t{record.noun}"
-
-
 def write_triples(records: Iterable[TripleRecord], f) -> None:
-    """Write kept records, one ``verb<TAB>rel<TAB>noun`` line each."""
-    for r in records:
-        if not r.kept:
+    """Write kept records, one ``verb<TAB>rel<TAB>noun`` line each.  One
+    write for all the lines: a write per line costs more than the join."""
+    lines = []
+    for verb, rel, noun, reason in records:
+        if reason is not None:
             raise ValueError("discarded record in triples output; write it to the sidecar")
-        f.write(format_triple(r) + "\n")
+        lines.append(f"{verb}\t{rel}\t{noun}\n")
+    f.write("".join(lines))
 
 
 def write_discards(records: Iterable[TripleRecord], f) -> None:
-    for r in records:
-        if r.kept:
+    """Write discarded records as triples lines with the reason as a
+    fourth field, in one write."""
+    lines = []
+    for verb, rel, noun, reason in records:
+        if reason is None:
             raise ValueError("kept record in discard sidecar")
-        f.write(f"{format_triple(r)}\t{r.discard_reason}\n")
+        lines.append(f"{verb}\t{rel}\t{noun}\t{reason}\n")
+    f.write("".join(lines))
 
 
 def read_triples(text: str) -> list[TripleRecord]:
@@ -391,7 +414,7 @@ def read_triples(text: str) -> list[TripleRecord]:
     share = {}.setdefault
 
     def record(lineno: int, fields: list[str]) -> TripleRecord:
-        verb, rel, noun = triple_fields(lineno, fields)
+        verb, rel, noun = triple_fields(fields)
         # Checked fields: skip TripleRecord's Python-level __new__.
         return tuple.__new__(TripleRecord, (share(verb, verb), rel, share(noun, noun), None))
 

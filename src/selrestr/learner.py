@@ -235,7 +235,7 @@ def read_restrictions(text: str) -> list[SelectionalRestriction]:
 
 
 def _restriction_row(lineno: int, fields: list[str]) -> SelectionalRestriction:
-    verb, rel, class_id = triple_fields(lineno, fields, "class")
+    verb, rel, class_id = triple_fields(fields, "class")
     score = float(fields[3])
     n_nouns, support = integer(fields[4], "nouns count"), integer(fields[5], "support count")
     if not math.isfinite(score):

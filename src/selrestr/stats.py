@@ -142,7 +142,7 @@ def read_counts(text: str) -> CountsTable:
     checked: dict[str, int] = {}
 
     def add(lineno: int, fields: list[str]) -> None:
-        v, s, n = triple_fields(lineno, fields)
+        v, s, n = triple_fields(fields)
         v, n = share(v, v), share(n, n)
         field = fields[3]
         count = checked.get(field)

@@ -5,27 +5,26 @@ more trees per input, ``(LABEL child child ...)`` for constituents and
 ``(TAG token)`` for leaves.  Whitespace between tokens is free-form, so
 trees may span lines.
 
-The reader is one token state machine fed by the whitespace-separated
-words of the text, one line at a time.  Treebank text splits into words
-of two shapes: ``(LABEL`` (or a bare ``(``) opens a bracket, and
-``token)…)`` (or ``)…)`` alone) adds a token and closes brackets, so a
-``(TAG token)`` leaf is two words and needs no frame on the bracket
-stack.  Any other word, such as ``(NP(DT`` or ``dog)(NN``, is cut into
-pieces of the two shapes and fed to the same machine.  An open bracket
-keeps no offset: each node stands for one ``(``, so a
-``TreeSyntaxError`` counts the nodes built so far to find the ``(`` or
-``)`` at fault, and only then scans the text for its offset.  Nodes are
-immutable tuples (``ParseTree``), and every walk over them is
-iterative, so nesting depth is bounded by memory, not by the
-interpreter's recursion limit.
+The reader is one state machine fed by ``(`` pieces: the text is split
+on "(", and each piece, the text from one "(" up to the next, is read
+once per distinct piece as one of three shapes.  ``LABEL`` opens a
+constituent; ``TAG token)`` and any further ")" make a leaf, which needs
+no frame on the bracket stack, and close that many brackets; anything
+else, such as ``NP stray`` or ``dog)x)``, is read atom by atom, a token
+or a ")" at a time.  Each open bracket keeps the ordinal of its "(", so
+an error is located where it is read: the "(" of the bracket that fails
+to close, or the ")" or token after the last bracket closed; only then
+is the text scanned for its offset.  Nodes are immutable tuples
+(``ParseTree``), and every walk over them is iterative, so nesting depth
+is bounded by memory, not by the interpreter's recursion limit.
 
 A treebank repeats a few labels and a few thousand tokens and leaves
 over and over, so one parse shares them: a dict local to the call maps
-each word of either shape to its label or token, and another maps each
-``(label, token)`` to its leaf.  Within one parse, each distinct label
-and token is one string and each distinct leaf one node, which may
-stand at many places in the trees; the ``(`` ordinals of an error
-still count every place.  Nothing is cached between parses.
+each piece to its shape and each label and token to itself, and another
+holds each leaf by label and token.  Within one parse, each distinct
+label and token is one string and each distinct leaf one node, which
+may stand at many places in the trees.  Nothing is cached between
+parses.
 """
 
 from __future__ import annotations
@@ -64,11 +63,15 @@ class ParseTree(_Node):
         return tuple.__new__(cls, (label, children, token))
 
 
-# The pieces of the two shapes that any word cuts into.
-_PIECE = re.compile(r"\([^()]*|[^()]*\)+|[^()]+")
-
 # Parser-made nodes are valid by construction and skip ParseTree's checks.
 _new_node = tuple.__new__
+
+# The atoms of a piece read one at a time: tokens and ")".
+_ATOM = re.compile(r"[^\s)]+|\)")
+
+# The text is split on "(" a chunk at a time, each chunk about this many
+# characters long and cut just before a "(".
+_CHUNK = 1 << 13
 
 
 def _nth(text: str, char: str, n: int) -> int:
@@ -79,22 +82,45 @@ def _nth(text: str, char: str, n: int) -> int:
     return at
 
 
-def _size(nodes: list) -> int:
-    """The number of nodes in the trees ``nodes``, one "(" each."""
-    n, stack = 0, list(nodes)
-    while stack:
-        n += 1
-        stack.extend(stack.pop()[1])
-    return n
+def _leaf(leaves: dict, label: str, token: str) -> ParseTree:
+    """The one leaf of ``label`` and ``token``, made on first use.  Leaves
+    are kept by label, then token, so no key tuple is kept per leaf."""
+    by_token = leaves.setdefault(label, {})
+    leaf = by_token.get(token)
+    if leaf is None:
+        leaf = by_token[token] = _new_node(ParseTree, (label, (), token))
+    return leaf
 
 
-def _close_error(text: str, trees: list, stack: list, frame: list) -> TreeSyntaxError:
-    """The error a ")" raises when ``frame``, just taken off ``stack``, is
-    not a leaf with one token or a labelled constituent with children
-    only.  Its "(" comes after those of the finished nodes outside it and
-    of the frames around it."""
-    label, children, token = frame
-    ordinal = _size(trees) + sum(1 + _size(outer[1]) for outer in stack) + 1
+def _shape(piece: str, strings: dict, leaves: dict):
+    """What ``piece``, the text after a "(" up to the next one, reads as:
+    its label if it is ``LABEL``, a ``(leaf, closes)`` pair if it is
+    ``TAG token)`` and ``closes`` more ")", and False otherwise."""
+    head, close, tail = piece.partition(")")
+    words = [strings.setdefault(word, word) for word in head.split()]
+    if not close and len(words) == 1:
+        return words[0]
+    if close and len(words) == 2 and not tail.replace(")", "").strip():
+        return _leaf(leaves, *words), tail.count(")")
+    return False
+
+
+def _stray_error(text: str, closed: int, atom: str) -> TreeSyntaxError:
+    """The error for an atom read with no bracket open, after ``closed``
+    brackets have opened and closed: a ")" is the next one in the text,
+    and a token the first non-space after the last one."""
+    if atom == ")":
+        return TreeSyntaxError("unbalanced parentheses: unexpected ')'", _nth(text, ")", closed + 1))
+    at = _nth(text, ")", closed) + 1 if closed else 0
+    while text[at].isspace():
+        at += 1
+    return TreeSyntaxError(f"token {atom!r} outside any tree", at)
+
+
+def _close_error(text: str, frame: list) -> TreeSyntaxError:
+    """The error a ")" raises when ``frame`` is not a leaf with one token
+    or a labelled constituent with children only."""
+    label, children, token, ordinal = frame
     open_at = _nth(text, "(", ordinal)
     if label is None or token is None:
         return TreeSyntaxError("empty constituent", open_at)
@@ -103,111 +129,76 @@ def _close_error(text: str, trees: list, stack: list, frame: list) -> TreeSyntax
     return TreeSyntaxError(f"leaf {label!r} has more than one token", open_at)
 
 
-def _stray_error(text: str, trees: list, token: str | None) -> TreeSyntaxError:
-    """The error for a ")" (``token`` None) or a token with no bracket
-    open: every "(" so far made one of the finished ``trees``' nodes and
-    was closed, so the culprit is the next ")" or the first non-space
-    after the last one."""
-    closed = _size(trees)
-    if token is None:
-        return TreeSyntaxError("unbalanced parentheses: unexpected ')'", _nth(text, ")", closed + 1))
-    at = _nth(text, ")", closed) + 1 if closed else 0
-    while text[at].isspace():
-        at += 1
-    return TreeSyntaxError(f"token {token!r} outside any tree", at)
-
-
 def parse_bracketed(text: str) -> list[ParseTree]:
     """Parse every top-level tree in ``text``, preserving input order.
 
     Within one call each distinct label and token is one string object,
     and each distinct ``(TAG token)`` leaf one ``ParseTree``."""
     trees: list[ParseTree] = []
-    # Frames of the open brackets: [label or None, children, token].  The
-    # token is None before the first, and "" after a second.  A frame
-    # notes nothing of where it opened: an error finds that out from the
-    # nodes built so far.
+    # Frames of the open brackets: [label or None, children, token, ordinal
+    # of its "("].  The token is None before the first, and "" after a second.
     stack: list[list] = []
     push, pop = stack.append, stack.pop
     siblings = trees  # children of the innermost frame
-    # The label ("" for none) of the last "(" read, not yet a frame: if
-    # the next word is "token)", the two make a leaf without one.
-    pending = None
-    # Each word of a shape seen so far: "(LABEL" to its label, "token)…)"
-    # to its token.  A label or token is also a key, to itself, so equal
-    # ones from different words are one string.  Leaves by (label, token).
-    strings: dict[str, str] = {}
-    leaves: dict[tuple[str, str], ParseTree] = {}
-    start, end = 0, len(text)
+    # Each piece seen so far to its shape.  A label or token is a key too,
+    # to itself, so equal ones from different pieces are one string; a
+    # piece that is such a word is its own label, so the two agree.
+    shapes: dict = {}
+    leaves: dict[str, dict[str, ParseTree]] = {}
+    opened = 0  # the "(" read so far
+    start, end = text.find("("), len(text)
+    if start < 0:
+        start = end
+    first = _ATOM.search(text, 0, start)
+    if first:
+        raise _stray_error(text, 0, first[0])
     while start < end:
-        stop = text.find("\n", start)
+        stop = text.find("(", start + _CHUNK)
         if stop < 0:
             stop = end
-        words = text[start:stop].split()
-        start = stop + 1
-        while words:
-            for word in words:
-                string = strings.get(word)
-                if string is None:
-                    string = word[1:] if word[0] == "(" else word.rstrip(")")
-                    if "(" in string or ")" in string:
-                        # Not of either shape: go on from its pieces, which
-                        # are.  An equal word before it would have been cut,
-                        # so index() finds this one.
-                        words = _PIECE.findall(word) + words[words.index(word) + 1 :]
-                        break
-                    string = strings[word] = strings.setdefault(string, string)
-                if word[0] == "(":
-                    if pending is not None:
-                        siblings = []
-                        push([pending or None, siblings, None])
-                    pending = string
-                    continue
-                token = string
-                closes = len(word) - len(token)
-                if pending and token and closes:
-                    leaf = leaves.get((pending, token))
-                    if leaf is None:
-                        leaf = leaves[pending, token] = _new_node(ParseTree, (pending, (), token))
-                    siblings.append(leaf)
-                    pending = None
-                    closes -= 1
-                else:
-                    if pending is not None:
-                        siblings = []
-                        push([pending or None, siblings, None])
-                        pending = None
-                    if token:
-                        if not stack:
-                            raise _stray_error(text, trees, token)
-                        frame = stack[-1]
-                        if frame[0] is None:
-                            frame[0] = token
-                        elif frame[2] is None:
-                            frame[2] = token
-                        else:
-                            frame[2] = ""
-                while closes:
-                    if not stack:
-                        raise _stray_error(text, trees, None)
-                    frame = pop()
-                    label, children, token = frame
-                    if token is None:
-                        if label is None or not children:
-                            raise _close_error(text, trees, stack, frame)
-                        tree = _new_node(ParseTree, (label, tuple(children), None))
-                    elif token and not children:
-                        tree = leaves.get((label, token))
-                        if tree is None:
-                            tree = leaves[label, token] = _new_node(ParseTree, (label, (), token))
-                    else:
-                        raise _close_error(text, trees, stack, frame)
-                    siblings = stack[-1][1] if stack else trees
-                    siblings.append(tree)
-                    closes -= 1
+        pieces = text[start + 1 : stop].split("(")
+        start = stop
+        for piece in pieces:
+            opened += 1
+            shape = shapes.get(piece)
+            if shape is None:
+                shape = shapes[piece] = _shape(piece, shapes, leaves)
+            if shape.__class__ is str:
+                siblings = []
+                push([shape, siblings, None, opened])
+                continue
+            if shape:
+                leaf, closes = shape
+                siblings.append(leaf)
+                atoms = ")" * closes
             else:
-                break
-    if stack or pending is not None:
+                siblings = []
+                push([None, siblings, None, opened])
+                atoms = _ATOM.findall(piece)
+            for atom in atoms:
+                if not stack:
+                    raise _stray_error(text, opened, atom)
+                if atom != ")":
+                    frame = stack[-1]
+                    atom = shapes.setdefault(atom, atom)
+                    if frame[0] is None:
+                        frame[0] = atom
+                    elif frame[2] is None:
+                        frame[2] = atom
+                    else:
+                        frame[2] = ""
+                    continue
+                frame = pop()
+                label, children, token, _ = frame
+                if token is None and label is not None and children:
+                    tree = _new_node(ParseTree, (label, tuple(children), None))
+                elif token and not children:
+                    tree = _leaf(leaves, label, token)
+                else:
+                    raise _close_error(text, frame)
+                siblings = stack[-1][1] if stack else trees
+                siblings.append(tree)
+    if stack:
         raise TreeSyntaxError("unbalanced parentheses: unclosed '('", len(text))
     return trees
 

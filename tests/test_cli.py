@@ -105,6 +105,16 @@ class TestExtractCommand:
         assert "lemma table line 2: bad lemma ' run'" in capsys.readouterr().err
         assert not triples.exists()
 
+    def test_a_five_thousand_letter_noun_is_lemmatized(self, tmp_path, capsys):
+        # The suffix rules walk a long form without recursion; "s" x n is
+        # irreducible exactly when n is odd.
+        corpus = tmp_path / "c.mrg"
+        corpus.write_text(f"(S (NP (NN {'s' * 5000})) (VP (VBD ran)))\n", encoding="utf-8")
+        triples = tmp_path / "t.tsv"
+        assert run(["extract", "--corpus", str(corpus), "--triples", str(triples)]) == 0
+        assert "kept             1 (100.0%)" in capsys.readouterr().out
+        assert triples.read_text(encoding="utf-8") == f"ran\t0\t{'s' * 4999}\n"
+
     def test_missing_options(self, capsys):
         rc = run(["extract", "--corpus", "x.mrg"])
         assert rc == 1

@@ -2,7 +2,11 @@
 clause walking, and the triples/discards file formats."""
 
 import io
+import itertools
 import re
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,7 +27,6 @@ from selrestr.extract import (
     TripleRecord,
     extract_corpus,
     extract_triples,
-    format_triple,
     lemmatize,
     read_triples,
     relation,
@@ -31,6 +34,7 @@ from selrestr.extract import (
     write_triples,
 )
 from helpers import leaf, node
+from selrestr.cli import run
 from selrestr.trees import parse_bracketed
 
 
@@ -230,6 +234,43 @@ class TestLemmatize:
         with pytest.raises(ValueError, match="bad coarse POS"):
             lemmatize("dog", "det", EMPTY_LEMMA_TABLE)
 
+    # A copy of the suffix rules and of their recursive definition: a rule
+    # fires when its stem is not empty and is its own result.
+    RULES = {
+        "noun": (("ies", "y"), ("es", ""), ("s", "")),
+        "verb": (("ies", "y"), ("ing", ""), ("ed", ""), ("s", "")),
+    }
+
+    @classmethod
+    def recursive(cls, form, pos):
+        for suffix, replacement in cls.RULES[pos]:
+            if form.endswith(suffix):
+                stem = form[: -len(suffix)] + replacement
+                if stem and cls.recursive(stem, pos) == stem:
+                    return stem
+        return form
+
+    @pytest.mark.parametrize("pos", ["noun", "verb"])
+    def test_rules_equal_their_recursive_definition_up_to_five_letters(self, pos):
+        table = LemmaTable()
+        for size in range(1, 6):
+            for letters in itertools.product("seidng", repeat=size):
+                form = "".join(letters)
+                assert lemmatize(form, pos, table) == (self.recursive(form, pos), False), form
+
+    @settings(max_examples=300, deadline=None)
+    @given(form=st.text(alphabet="seidng", min_size=1, max_size=60),
+           pos=st.sampled_from(["noun", "verb"]))
+    @example(form="s" * 60, pos="noun")
+    @example(form="sing" * 15, pos="verb")
+    def test_rules_equal_their_recursive_definition(self, form, pos):
+        assert lemmatize(form, pos, LemmaTable()) == (self.recursive(form, pos), False)
+
+    def test_a_long_form_needs_no_recursion(self):
+        # "s" x n is irreducible exactly when n is odd.
+        assert lemmatize("s" * 5000, "noun", LemmaTable()) == ("s" * 4999, False)
+        assert lemmatize("s" * 5001, "verb", LemmaTable()) == ("s" * 5001, False)
+
 
 class TestNpHead:
     """The head of an NP is its rightmost noun-tagged child leaf."""
@@ -390,9 +431,20 @@ class TestExtractTriples:
 
 
 class TestTripleFiles:
-    def test_format_triple(self):
-        r = TripleRecord("drink", SynRel("1"), "water")
-        assert format_triple(r) == "drink\t1\twater"
+    def test_triple_line_format(self):
+        buf = io.StringIO()
+        write_triples([TripleRecord("drink", SynRel("1"), "water")], buf)
+        assert buf.getvalue() == "drink\t1\twater\n"
+
+    def test_each_file_is_one_write(self):
+        class Writes(list):
+            write = list.append
+
+        kept, lost = Writes(), Writes()
+        write_triples([TripleRecord("drink", SUBJECT, "dog")] * 3, kept)
+        write_discards([TripleRecord("drink", SUBJECT, "He", NON_NOUN_HEAD)] * 2, lost)
+        assert kept == ["drink\t0\tdog\n" * 3]
+        assert lost == ["drink\t0\tHe\tNonNounHead\n" * 2]
 
     def test_write_and_read_round_trip(self):
         recs = [
@@ -480,7 +532,8 @@ _LEAVES = {
     "CC": ["and"],
     ",": [","],
 }
-_LEMMAS = LemmaTable.from_text("sought\tverb\tseek\nbought\tverb\tbuy\nsaw\tverb\tsee\n")
+_LEMMA_TEXT = "sought\tverb\tseek\nbought\tverb\tbuy\nsaw\tverb\tsee\n"
+_LEMMAS = LemmaTable.from_text(_LEMMA_TEXT)
 
 
 def _leaf(*tags):
@@ -558,6 +611,26 @@ class TestAgainstReference:
         text = "\n".join(trees)
         got = extract_corpus(parse_bracketed(text), _LEMMAS)
         assert got == _reference(oracle.parse_bracketed(text), _LEMMAS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(clause_trees, min_size=1, max_size=4))
+    def test_extract_command_writes_the_reference_files(self, trees):
+        # The reader and the writers together: the files that extract
+        # writes, byte for byte, against the reference reader and walk.
+        text = "\n".join(trees)
+        want = _reference(oracle.parse_bracketed(text), _LEMMAS)
+        kept = "".join(f"{v}\t{c}\t{n}\n" for v, c, n, reason in want if reason is None)
+        lost = "".join(f"{v}\t{c}\t{n}\t{reason}\n" for v, c, n, reason in want if reason)
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "corpus.mrg").write_text(text, encoding="utf-8")
+            (d / "lemmas.tsv").write_text(_LEMMA_TEXT, encoding="utf-8")
+            argv = ["extract", "--corpus", str(d / "corpus.mrg"), "--lemmas", str(d / "lemmas.tsv"),
+                    "--triples", str(d / "triples.tsv")]
+            with redirect_stdout(io.StringIO()):
+                assert run(argv) == 0
+            assert (d / "triples.tsv").read_bytes() == kept.encode("utf-8")
+            assert (d / "triples.tsv.discards").read_bytes() == lost.encode("utf-8")
 
     @pytest.mark.parametrize("corpus", ["mini", "demo"])
     def test_bundled_corpora(self, data_dir, corpus):

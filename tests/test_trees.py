@@ -1,10 +1,12 @@
 from collections import defaultdict
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from helpers import bracketed, leaf, node, subtrees, tokens
+from selrestr import trees as trees_module
 from selrestr.trees import ParseTree, TreeSyntaxError, parse_bracketed, read_trees
 
 
@@ -160,9 +162,10 @@ def _outcome(parse, error, text):
 
 
 class TestAgainstReference:
-    """The word-at-a-time reader against the character-at-a-time reference
-    reader.  The examples cover each word shape: "(LABEL", "token)…)",
-    a bare "(" or ")", and words that must be cut into those."""
+    """The piece-at-a-time reader against the character-at-a-time
+    reference reader.  The examples cover each piece shape: a label, a
+    leaf with or without more ")" after it, with any whitespace before a
+    ")", and anything else, such as a bare "(" or a leaf and a token."""
 
     @settings(max_examples=200, deadline=None)
     @given(text=st.one_of(bracket_texts, well_formed_texts(), broken_after_repeats()))
@@ -194,6 +197,11 @@ class TestAgainstReference:
     @example("(S (NN dog) (NN dog)) dog)(NN dog)")
     @example("(S (NN dog) (NN dog) (NP (NN dog)) (X))")
     @example("(S (NN dog) (NN dog) (NP (NN dog) dog))")
+    @example("(NN dog) )")
+    @example("(NN dog )")
+    @example("(NN dog\n)")
+    @example("(S\n(NP (NN dog)))")
+    @example("(S (NN dog))\n)\n")
     def test_same_trees_or_same_error(self, text):
         got = _outcome(parse_bracketed, TreeSyntaxError, text)
         assert got == _outcome(oracle.parse_bracketed, oracle.OracleSyntaxError, text)
@@ -201,6 +209,24 @@ class TestAgainstReference:
             for tree in got[1]:
                 assert all(type(t) is ParseTree for t in subtrees(tree))
                 assert parse_bracketed(bracketed(tree)) == [tree]
+
+
+class TestNoScanWithoutError:
+    """The reader looks an offset up in the text only when it raises: a
+    scan per piece would make parsing quadratic in the text."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=well_formed_texts())
+    @example(text=SIMPLE + "\n" + SIMPLE)
+    @example(text="(S\n  (NP (NN dog))\n  (VP (VBZ barks)))\n" * 3)
+    @example(text="(NN dog\n)" * 200)
+    @example(text="(S\n(NN\ncat\n)\n)\n(NP(DT the)(NN dog))")
+    @example(text="((NN dog) X)\n" * 50)  # pieces read atom by atom
+    def test_well_formed_text_in_any_layout(self, text):
+        calls = []
+        with mock.patch.object(trees_module, "_nth", lambda *args: calls.append(args)):
+            parse_bracketed(text)
+        assert calls == []
 
 
 def _objects(trees):
@@ -312,6 +338,17 @@ class TestErrors:
     def test_mixed_children_and_token(self):
         with pytest.raises(TreeSyntaxError):
             parse_bracketed("(NP (NN dog) stray)")
+
+    @pytest.mark.parametrize(
+        "tail", [")", "dog", "(NN dog cat)", "(S (NN dog) x)", "(X)", "(S (NN dog)", "dog)(NN"]
+    )
+    def test_errors_far_into_the_text(self, tail):
+        # Past the first chunk of pieces, each error is still located where
+        # the reference reader finds it.
+        text = "(S (NP (NN dog)) (VP (VBZ barks)))\n" * 1000 + tail
+        got = _outcome(parse_bracketed, TreeSyntaxError, text)
+        assert got[0] == "error"
+        assert got == _outcome(oracle.parse_bracketed, oracle.OracleSyntaxError, text)
 
     def test_labelled_bracket_without_content(self):
         with pytest.raises(TreeSyntaxError, match="empty constituent") as err:
