@@ -47,7 +47,6 @@ from typing import Callable, Iterator, TextIO, TypeVar
 
 from .evaluate import aligned, evaluate_gold, percentage, read_gold, read_labels
 from .extract import (
-    EMPTY_LEMMA_TABLE,
     ExtractionError,
     LEMMA_FAILURE,
     LemmaTable,
@@ -236,7 +235,7 @@ def _write_outputs(
 
 def cmd_extract(args: argparse.Namespace) -> int:
     opts = _options(args)
-    lemmas, tags = EMPTY_LEMMA_TABLE, PENN
+    lemmas, tags = LemmaTable(), PENN
     if "lemmas" in opts:
         lemmas, _ = _load(opts["lemmas"], LemmaTable.from_text)
     if "tagset" in opts:

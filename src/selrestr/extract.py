@@ -27,10 +27,11 @@ one list; lemmas are memoized per ``LemmaTable``.
 
 from __future__ import annotations
 
+from itertools import repeat, starmap
 from typing import Iterable, NamedTuple
 
 from .trees import ParseTree
-from .tsv import rows
+from .tsv import columns, rows
 
 NOUN = "noun"
 VERB = "verb"
@@ -193,23 +194,34 @@ def _check_lemma(lemma: str) -> str:
     return lemma
 
 
-EMPTY_LEMMA_TABLE = LemmaTable()
-
 # Fallback inflection stripping, tried longest suffix first.  A rule only
 # fires when its stem is itself irreducible, which makes the rule-based
-# path idempotent by construction.  No suffix ends in "y", the one
-# replacement, so a stem that ends in it is irreducible.
+# path idempotent by construction.  A stem that ends in a letter no
+# suffix ends in, such as "y", the one replacement, is irreducible.
 _NOUN_RULES = (("ies", "y"), ("es", ""), ("s", ""))
 _VERB_RULES = (("ies", "y"), ("ing", ""), ("ed", ""), ("s", ""))
+_NOUN_ENDS = frozenset(suffix[-1] for suffix, _ in _NOUN_RULES)
+_VERB_ENDS = frozenset(suffix[-1] for suffix, _ in _VERB_RULES)
 
 
-def _strip_suffix(form: str, rules) -> str:
+def _strip_suffix(form: str, rules, ends: frozenset[str]) -> str:
     """``form`` with the suffix of its first rule whose stem is not empty
     and irreducible (its own result) replaced; ``form`` if there is none.
 
-    A stem with a replacement is irreducible, so every stem left to
-    decide is a prefix of ``form``.  Prefixes are decided by length from
-    an explicit stack, so a long form cannot exhaust the recursion limit."""
+    ``ends`` holds the last letter of each suffix.  The first rule that
+    matches decides at once when its stem ends in another letter.  Every
+    other stem is a prefix of ``form``; prefixes are decided by length
+    from an explicit stack, so a long form cannot exhaust the recursion
+    limit."""
+    for suffix, replacement in rules:
+        if form.endswith(suffix):
+            stem = form[: len(form) - len(suffix)] + replacement
+            if stem:
+                if stem[-1] not in ends:
+                    return stem
+                break
+    else:
+        return form
     # By prefix length: the (cut, replacement) of the rule that fires on
     # that prefix, or None if none does.
     fired: dict[int, tuple[int, str] | None] = {}
@@ -261,13 +273,14 @@ def _lemmatize(form: str, pos: str, table: LemmaTable) -> LemmaResult:
     if hit is not None:
         return LemmaResult(hit, False)
     if folded.isalpha():
-        rules = _NOUN_RULES if pos == NOUN else _VERB_RULES
-        return LemmaResult(_strip_suffix(folded, rules), False)
+        if pos == NOUN:
+            return LemmaResult(_strip_suffix(folded, _NOUN_RULES, _NOUN_ENDS), False)
+        return LemmaResult(_strip_suffix(folded, _VERB_RULES, _VERB_ENDS), False)
     return LemmaResult(folded, True)
 
 
 def extract_triples(
-    tree: ParseTree, lemmas: LemmaTable = EMPTY_LEMMA_TABLE, tags: TagSet = PENN
+    tree: ParseTree, lemmas: LemmaTable | None = None, tags: TagSet = PENN
 ) -> list[TripleRecord]:
     """Emit one TripleRecord per verb-complement pair found in the tree.
 
@@ -287,15 +300,19 @@ def extract_triples(
 
 def extract_corpus(
     trees: Iterable[ParseTree],
-    lemmas: LemmaTable = EMPTY_LEMMA_TABLE,
+    lemmas: LemmaTable | None = None,
     tags: TagSet = PENN,
 ) -> list[TripleRecord]:
     """``extract_triples`` of every tree, in order, in one list.
 
     One flat walk per tree over constituents, in preorder; nodes are
     read as (label, children, token) tuples, and records are built
-    without ``TripleRecord``'s Python-level ``__new__``.
+    without ``TripleRecord``'s Python-level ``__new__``.  With no table,
+    lemmas come from the rules through an empty table of this call's
+    own, so no memo outlives the call.
     """
+    if lemmas is None:
+        lemmas = LemmaTable()
     noun_tags, verb_tags, prep_tags, clause_labels, np_labels, vp_labels, pp_labels = tags
     memo = lemmas._memo
     new = tuple.__new__
@@ -412,6 +429,25 @@ def read_triples(text: str) -> list[TripleRecord]:
     order.  The records share each distinct verb and noun string: one
     ``setdefault`` table holds the first of each."""
     share = {}.setdefault
+    records: list[TripleRecord] = []
+    for chunk in columns(text, 3):
+        if chunk is None:
+            break
+        verbs, codes, nouns = chunk
+        if "" in verbs or "" in nouns:
+            break
+        try:
+            rels = {code: relation(code) for code in set(codes)}
+        except ValueError:
+            break
+        fields = zip(
+            map(share, verbs, verbs), map(rels.__getitem__, codes), map(share, nouns, nouns),
+            repeat(None),
+        )
+        # Checked fields: skip TripleRecord's Python-level __new__.
+        records += starmap(tuple.__new__, zip(repeat(TripleRecord), fields))
+    else:
+        return records
 
     def record(lineno: int, fields: list[str]) -> TripleRecord:
         verb, rel, noun = triple_fields(fields)

@@ -28,13 +28,14 @@ classes, is immune to the non-monotone shape of the association score.
 from __future__ import annotations
 
 import math
+from itertools import repeat, starmap
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .extract import ExtractionError, SynRel, triple_fields
+from .extract import ExtractionError, SynRel, relation, triple_fields
 from .stats import EstimatorKind, ScoreKind, Scorer
 from .taxonomy import Taxonomy
-from .tsv import integer, rows
+from .tsv import columns, integer, rows
 
 
 class LearnerConfig:
@@ -231,6 +232,37 @@ def read_header(text: str) -> dict[str, str]:
 
 
 def read_restrictions(text: str) -> list[SelectionalRestriction]:
+    """The restrictions of a restrictions file, in file order."""
+    restrictions: list[SelectionalRestriction] = []
+    for chunk in columns(text, 6):
+        if chunk is None:
+            break
+        verbs, codes, classes, score_texts, nouns, supports = chunk
+        if "" in verbs or "" in classes:
+            break
+        # Each distinct relation code and count once; counts must be plain
+        # ASCII digits, as a negative count is an error.
+        counts = set(nouns)
+        counts.update(supports)
+        digits = "".join(counts)
+        if "" in counts or not (digits.isdigit() and digits.isascii()):
+            break
+        try:
+            rels = {code: relation(code) for code in set(codes)}
+            values = dict(zip(counts, map(int, counts)))
+            scores = list(map(float, score_texts))
+        except ValueError:
+            break
+        if not all(map(math.isfinite, scores)):
+            break
+        fields = zip(
+            verbs, map(rels.__getitem__, codes), classes, scores,
+            map(values.__getitem__, nouns), map(values.__getitem__, supports),
+        )
+        # Checked fields: skip SelectionalRestriction's Python-level __new__.
+        restrictions += starmap(tuple.__new__, zip(repeat(SelectionalRestriction), fields))
+    else:
+        return restrictions
     return rows(text, "restrictions", (6,), ExtractionError, _restriction_row)
 
 

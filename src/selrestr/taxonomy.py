@@ -23,7 +23,7 @@ that error names the line of the class that names it.
 
 from __future__ import annotations
 
-from .tsv import rows
+from .tsv import columns, rows
 
 
 class TaxonomyError(ValueError):
@@ -154,7 +154,38 @@ class SenseLexicon:
         return hits
 
 
+def _id_lists(text: str, root: str | None) -> tuple[dict[str, frozenset[str]], set[str]] | None:
+    """The column path of both files: each line's first field mapped to
+    the ids of its comma-separated list (none for the list ``root``),
+    and every id named; None where ``rows`` must read the text, which it
+    then refuses or reads to the same value.  Each distinct list is split
+    once, and the lines that name it share its frozenset."""
+    table: dict[str, frozenset[str]] = {}
+    named: set[str] = set()
+    for chunk in columns(text, 2):
+        if chunk is None:
+            return None
+        keys, list_texts = chunk
+        lists = {list_text: frozenset(list_text.split(",")) for list_text in set(list_texts)}
+        if root in lists:
+            lists[root] = frozenset()
+        # No key or list is empty or holds whitespace, no id is empty, and
+        # no key repeats.
+        if "\t".join(keys).split() != keys or "\t".join(lists).split() != list(lists):
+            return None
+        named.update(*lists.values())
+        size = len(table)
+        table.update(zip(keys, map(lists.__getitem__, list_texts)))
+        if len(table) != size + len(keys) or "" in named:
+            return None
+    return table, named
+
+
 def parse_taxonomy(text: str) -> Taxonomy:
+    found = _id_lists(text, "-")
+    if found is not None and found[0].keys() >= found[1]:
+        return Taxonomy(found[0])
+
     parents: dict[str, set[str]] = {}
     lines: dict[str, int] = {}
 
@@ -181,6 +212,10 @@ def parse_taxonomy(text: str) -> Taxonomy:
 
 
 def parse_lexicon(text: str, taxonomy: Taxonomy) -> SenseLexicon:
+    found = _id_lists(text, None)
+    if found is not None and taxonomy._parents.keys() >= found[1]:
+        return SenseLexicon(taxonomy, found[0])
+
     senses: dict[str, frozenset[str]] = {}
     lines: dict[str, int] = {}
 

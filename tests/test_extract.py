@@ -1,6 +1,7 @@
 """Extractor unit tests: relations, tag sets, morphology, head finding,
 clause walking, and the triples/discards file formats."""
 
+import gc
 import io
 import itertools
 import re
@@ -14,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 import oracle
 
 from selrestr.extract import (
-    EMPTY_LEMMA_TABLE,
     LEMMA_FAILURE,
     NON_NOUN_HEAD,
     OBJECT,
@@ -175,7 +175,7 @@ class TestLemmatize:
         table = LemmaTable.from_text("charges\tnoun\tcharge\n")
         assert lemmatize("charges", "noun", table) == ("charge", False)
         # without the table the bare rules over-strip
-        assert lemmatize("charges", "noun", EMPTY_LEMMA_TABLE) == ("charg", False)
+        assert lemmatize("charges", "noun", LemmaTable()) == ("charg", False)
 
     def test_table_hit_is_case_folded(self):
         table = LemmaTable.from_text("children\tnoun\tchild\n")
@@ -193,7 +193,7 @@ class TestLemmatize:
         ],
     )
     def test_noun_rules(self, form, lemma):
-        assert lemmatize(form, "noun", EMPTY_LEMMA_TABLE) == (lemma, False)
+        assert lemmatize(form, "noun", LemmaTable()) == (lemma, False)
 
     @pytest.mark.parametrize(
         "form,lemma",
@@ -208,7 +208,7 @@ class TestLemmatize:
         ],
     )
     def test_verb_rules(self, form, lemma):
-        assert lemmatize(form, "verb", EMPTY_LEMMA_TABLE) == (lemma, False)
+        assert lemmatize(form, "verb", LemmaTable()) == (lemma, False)
 
     def test_rule_path_idempotent(self):
         words = [
@@ -218,13 +218,13 @@ class TestLemmatize:
         ]
         for pos in ("noun", "verb"):
             for w in words:
-                once = lemmatize(w, pos, EMPTY_LEMMA_TABLE).lemma
-                twice = lemmatize(once, pos, EMPTY_LEMMA_TABLE).lemma
+                once = lemmatize(w, pos, LemmaTable()).lemma
+                twice = lemmatize(once, pos, LemmaTable()).lemma
                 assert twice == once, (w, pos)
 
     def test_non_alpha_miss_fails(self):
-        assert lemmatize("12", "noun", EMPTY_LEMMA_TABLE) == ("12", True)
-        assert lemmatize("re-elected", "verb", EMPTY_LEMMA_TABLE) == ("re-elected", True)
+        assert lemmatize("12", "noun", LemmaTable()) == ("12", True)
+        assert lemmatize("re-elected", "verb", LemmaTable()) == ("re-elected", True)
 
     def test_non_alpha_table_hit_succeeds(self):
         table = LemmaTable.from_text("u.s.\tnoun\tus\n")
@@ -232,7 +232,7 @@ class TestLemmatize:
 
     def test_bad_pos_raises(self):
         with pytest.raises(ValueError, match="bad coarse POS"):
-            lemmatize("dog", "det", EMPTY_LEMMA_TABLE)
+            lemmatize("dog", "det", LemmaTable())
 
     # A copy of the suffix rules and of their recursive definition: a rule
     # fires when its stem is not empty and is its own result.
@@ -270,6 +270,18 @@ class TestLemmatize:
         # "s" x n is irreducible exactly when n is odd.
         assert lemmatize("s" * 5000, "noun", LemmaTable()) == ("s" * 4999, False)
         assert lemmatize("s" * 5001, "verb", LemmaTable()) == ("s" * 5001, False)
+
+    def test_no_memo_outlives_a_call_without_a_table(self):
+        first = node("S", node("NP", leaf("NNS", "zorblaxes")), node("VP", leaf("VBD", "quuxed")))
+        second = node("S", node("NP", leaf("NNS", "grommets")), node("VP", leaf("VBD", "fnorded")))
+        assert extract_corpus([first])[0][:3] == ("quux", SUBJECT, "zorblax")
+        assert extract_triples(second)[0][:3] == ("fnord", SUBJECT, "grommet")
+        gc.collect()
+        held = [
+            table for table in gc.get_objects()
+            if isinstance(table, LemmaTable) and ("zorblaxes", "noun") in table._memo
+        ]
+        assert held == []
 
 
 class TestNpHead:

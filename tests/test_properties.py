@@ -77,18 +77,18 @@ class TestLemmatizer:
 
     @given(word=alpha_words, pos=st.sampled_from(["noun", "verb"]))
     def test_idempotent_on_alpha(self, word, pos):
-        from selrestr.extract import EMPTY_LEMMA_TABLE, lemmatize
+        from selrestr.extract import LemmaTable, lemmatize
 
-        first = lemmatize(word, pos, EMPTY_LEMMA_TABLE)
+        first = lemmatize(word, pos, LemmaTable())
         assert not first.failed
-        again = lemmatize(first.lemma, pos, EMPTY_LEMMA_TABLE)
+        again = lemmatize(first.lemma, pos, LemmaTable())
         assert again.lemma == first.lemma
 
     @given(word=alpha_words, pos=st.sampled_from(["noun", "verb"]))
     def test_non_alpha_forms_fail_folded(self, word, pos):
-        from selrestr.extract import EMPTY_LEMMA_TABLE, lemmatize
+        from selrestr.extract import LemmaTable, lemmatize
 
-        result = lemmatize(word.upper() + "7", pos, EMPTY_LEMMA_TABLE)
+        result = lemmatize(word.upper() + "7", pos, LemmaTable())
         assert result.failed
         assert result.lemma == word + "7"
 

@@ -12,18 +12,24 @@ sense class, no non-finite score and no negative count.
 """
 
 import math
+import random
 import re
 import string
+from contextlib import ExitStack, contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import flat_counts, nodes, nouns, parents
+from selrestr import extract, learner, taxonomy, tsv
+from selrestr.cli import run
 from selrestr.evaluate import read_gold, read_labels
 from selrestr.extract import ExtractionError, LemmaTable, read_triples
 from selrestr.learner import read_restrictions
 from selrestr.stats import read_counts
 from selrestr.taxonomy import TaxonomyError, parse_lexicon, parse_taxonomy
+from worlds import lexicon_text, paper_world, taxonomy_text, triples_text
 
 TAX = parse_taxonomy("a\t-\nb\ta\nc\ta,b\nanimal\t-\n")
 
@@ -258,3 +264,147 @@ def test_one_object_per_distinct_verb_and_noun(kind, line, words, lines):
     assert len({id(w) for w in got}) == len(set(got))
     again = words(text)
     assert {id(w) for w in got}.isdisjoint(id(w) for w in again)
+
+
+# -- the column path ---------------------------------------------------------
+
+# The modules whose readers take tsv.columns first.
+COLUMN_MODULES = (extract, learner, taxonomy)
+COLUMN_READERS = [r for r in READERS if r[0] in ("triples", "restrictions", "taxonomy", "lexicon")]
+
+
+@contextmanager
+def patched(name, value):
+    """``name`` is ``value`` in every module whose readers take columns."""
+    with ExitStack() as stack:
+        for module in COLUMN_MODULES:
+            stack.enter_context(mock.patch.object(module, name, value))
+        yield
+
+
+def _outcome(read, text):
+    try:
+        return "value", read(text)
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+
+
+# Two valid lines per reader; the lexicon reads against TAX.
+GOOD = {
+    "triples": ("eat\t1\tdog", "drink\twith\twater"),
+    "restrictions": ("eat\t1\tanimal\t0.5\t2\t3", "drink\t0\tb\t-1.25\t0\t10"),
+    "taxonomy": ("a\t-", "b\ta"),
+    "lexicon": ("dog\tanimal", "cat\ta,b"),
+}
+# Line i of a clean file several chunks long.
+LONG_LINE = {
+    "triples": lambda i: f"v{i % 7}\t1\tn{i}",
+    "restrictions": lambda i: f"v{i % 7}\t0\tc{i}\t0.5\t{i}\t{i}",
+    "taxonomy": lambda i: f"c{i}\t-" if i == 0 else f"c{i}\tc{i // 2}",
+    "lexicon": lambda i: f"n{i}\ta,c",
+}
+
+
+def triggers(kind):
+    """Texts that some line or check sends from the column path to ``rows``,
+    and clean texts around them."""
+    a, b = GOOD[kind]
+    arity = a.count("\t") + 1
+    long = "".join(LONG_LINE[kind](i) + "\n" for i in range(3 * tsv.CHUNK // 10))
+    cases = [
+        f"{a}\n{b}\n",  # clean
+        f"# a header\n#\tof tabs\n{a}\n{b}",  # clean, no final line break
+        f"{a} \n{b}\n",  # a space at a line end
+        f" {a}\n{b}\n",  # ... and at a line start
+        f"{a}\r\n{b}\r\n",  # CRLF
+        f"{a}\n# a comment\n{b}\n",  # a # line in the middle
+        f"{a}\n\n{b}\n",  # a blank line
+        f"{a}\n" + "\t".join(["\u3000"] * arity) + f"\n{b}\n",  # whitespace only
+        f"{a}\n" + "\t" * (arity - 1) + f"\n{b}\n",  # empty fields only
+        f"{a}\tx\n" + b.rpartition("\t")[0] + "\n",  # one field more, then one fewer
+        f"{a}\n{a}\n",  # a duplicate
+        long,  # more than one chunk
+        long + f"{a} \n",  # ... with a trigger in the last chunk
+    ]
+    # A line break other than LF, which starts a line of one field, in a data
+    # line or in a header line.
+    for brk in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        cases += [f"{a}\nx{brk}{b}\n", f"# a header{brk}{a}\n{b}\n"]
+    if kind == "restrictions":
+        cases += [
+            f"{a}\neat\t1\tanimal\t{score}\t2\t3\n" for score in ("inf", "-inf", "nan", "1e999")
+        ]
+        cases += [
+            f"{a}\neat\t1\tanimal\t0.5\t{count}\t3\n"
+            for count in ("+5", "1_000", "-0", "-1", "\u0665", "1" * 5000)
+        ]
+        cases.append(f"{a}\neat\t1\tanimal\t 0.5 \t2\t3\n")
+    if kind == "triples":
+        cases += [f"{a}\neat\tX\tdog\n", f"{a}\neat\t\tdog\n", f"{a}\neat\t1\t\n"]
+    if kind == "taxonomy":
+        cases += [
+            "b\ta\na\t-\n",  # a parent defined on a later line
+            "a\t-\nb\tz\n",  # an unknown parent
+            "a\tb\nb\ta\n",  # a cycle
+            "a\t-\nb\ta,\n",  # an empty parent id
+            "a\t-\n-\ta\nb\ta,-\n",  # a class named -
+            long + "c1\tc0\n",  # a duplicate in a later chunk
+        ]
+    if kind == "lexicon":
+        cases += [
+            "dog\tzebra\n",  # an unknown sense
+            "dog\ta,\n",  # an empty sense id
+            "dog\ta a\n",  # a sense list with a space
+            "dog\t-\n",  # - is no class here
+            long + "n1\tb\n",  # a duplicate in a later chunk
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("kind, read, error, line", COLUMN_READERS, ids=[r[0] for r in COLUMN_READERS])
+def test_column_path_equals_rows(kind, read, error, line):
+    # The value, or the exception class and message, that each reader gives
+    # equals what rows alone gives with the column recognizer forced off.
+    arity = line.count("\t") + 1
+    plain = st.lists(st.lists(field, min_size=arity, max_size=arity).map("\t".join), max_size=8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.one_of(texts((arity,)), plain.map(lambda lines: "".join(x + "\n" for x in lines))))
+    def check(text):
+        got = _outcome(read, text)
+        with patched("columns", lambda text, arity: iter([None])):
+            assert _outcome(read, text) == got
+
+    for text in triggers(kind):
+        check = example(text=text)(check)
+    check()
+
+
+class TestNoFallbackOnCleanFiles:
+    """A clean file is read column by column: ``rows`` is never called, so
+    a recognizer that refused plain text would fail here, not just be slow."""
+
+    def test_generated_files(self, tmp_path, capsys):
+        parents_, senses, triples = paper_world(
+            random.Random(0), n_classes=8000, n_nouns=5000, n_triples=8000, n_verbs=20
+        )
+        files = {
+            "triples": triples_text(triples),
+            "taxonomy": taxonomy_text(parents_),
+            "lexicon": lexicon_text(senses),
+        }
+        assert min(len(text) for text in files.values()) > tsv.CHUNK
+        for name, text in files.items():
+            (tmp_path / f"{name}.tsv").write_text(text)
+        argv = [f"--{name}={tmp_path / name}.tsv" for name in files]
+        assert run(["learn", *argv, f"--out={tmp_path / 'srs.tsv'}"]) == 0
+        srs = (tmp_path / "srs.tsv").read_text()
+        assert srs.startswith("# ") and srs.count("\n") > 1000
+
+        calls = []
+        with patched("rows", lambda text, kind, *args: calls.append(kind)):
+            read_triples(files["triples"])
+            tax = parse_taxonomy(files["taxonomy"])
+            parse_lexicon(files["lexicon"], tax)
+            read_restrictions(srs)
+        assert calls == []
