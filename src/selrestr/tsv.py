@@ -18,9 +18,10 @@ columns, which the reader checks in bulk, each distinct value once.
 The triples, restrictions, taxonomy and lexicon readers take it first
 and read the whole text with ``rows`` at the first line or field it or
 they do not accept, so an unusual file gets the same value and every
-error its line number.  The counts reader stays on ``rows``, as its time
-goes mostly to grouping its lines per verb and relation; gold, labels
-and the lemma table are small.
+error its line number.  The counts reader stays on ``rows`` for now: its
+column version belongs with a triples reader that groups lines as it
+reads them, as both would share that grouping.  Gold, labels and the
+lemma table are small.
 """
 
 from __future__ import annotations

@@ -1,14 +1,18 @@
 """The shared line rule of every tab-separated reader.
 
-Each reader goes through ``selrestr.tsv.rows``: spaces and CR are
-stripped from the ends of a line, tabs are kept, blank and ``#`` lines
-are skipped, and an error in a line names ``<kind> line N``, a prefix
-that only ``rows`` adds, so each reader's field errors are pinned here
-byte for byte.  The fuzz
-tests feed each reader text built from the characters these files are
-made of and require a result or the reader's own ``ValueError``
-subclass, never another exception; a result may hold no empty name or
-sense class, no non-finite score and no negative count.
+``selrestr.tsv.rows`` defines the rule: spaces and CR are stripped from
+the ends of a line, tabs are kept, blank and ``#`` lines are skipped,
+and an error in a line names ``<kind> line N``, a prefix that only
+``rows`` adds, so each reader's field errors are pinned here byte for
+byte.  The triples, restrictions, taxonomy and lexicon readers read
+plain text column by column first (``tsv.columns``) and everything else
+through ``rows``: their value or error must equal what ``rows`` alone
+gives, on generated text and on every trigger of the fallback, and a
+clean file must never reach ``rows``.  The fuzz tests feed each reader
+text built from the characters these files are made of and require a
+result or the reader's own ``ValueError`` subclass, never another
+exception; a result may hold no empty name or sense class, no
+non-finite score and no negative count.
 """
 
 import math
