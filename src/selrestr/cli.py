@@ -18,6 +18,21 @@ pay for a digest they drop.
 An output that names an input of the run, or another output, is refused
 before anything is written.
 
+Each command loads only the modules it runs, since with no bytecode cached
+every module a process imports is compiled again.  The top of this module
+imports what every command uses: ``triples``, ``restrictions`` and
+``taxonomy``, with the errors, the scorer and estimator choices and the
+file readers and writers.  A name that one command uses is imported
+inside that command, so ``extract`` also loads ``trees`` and ``extract``,
+``learn`` ``stats`` and ``learner``, and ``eval`` and ``report``
+``evaluate``.  Six stages of those modules, ``read_trees``,
+``extract_corpus``, ``accumulate``, ``read_counts``, ``read_gold`` and
+``evaluate_gold``, are attributes of this module all the same, bound on
+first access by the module ``__getattr__``, and the commands call them
+through the module (``_this.read_trees``).  So a wrapper set on this
+module with ``setattr``, as ``perfbench/tracer.py`` and the tests set
+them, is what runs; an import inside the command would bypass it.
+
 Outputs carry no timestamps, and learned-restriction files embed the
 SHA-256 of the bytes each input was parsed from, so identical inputs give
 byte-identical results no matter how often the run is repeated; ``eval``
@@ -39,33 +54,54 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
+import importlib
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, TextIO, TypeVar
 
-from .evaluate import aligned, evaluate_gold, percentage, read_gold, read_labels
-from .extract import (
+from .restrictions import (
+    EstimatorKind,
+    ScoreKind,
+    read_header,
+    read_restrictions,
+    write_restrictions,
+)
+from .taxonomy import SenseLexicon, parse_lexicon, parse_taxonomy
+from .triples import (
     ExtractionError,
-    LEMMA_FAILURE,
-    LemmaTable,
-    NON_NOUN_HEAD,
-    PENN,
-    TagSet,
-    extract_corpus,
     key_names,
+    percentage,
     read_triples,
     write_discards,
     write_triples,
 )
-from .learner import LearnerConfig, learn_all, read_header, read_restrictions, write_restrictions
-from .stats import EstimatorKind, ScoreKind, Scorer, accumulate, read_counts
-from .taxonomy import SenseLexicon, parse_lexicon, parse_taxonomy
-from .trees import read_trees
 
 TOOL_VERSION = "0.1.0"
 T = TypeVar("T")
+
+# The stages from modules that only some commands load, each with its
+# module: attributes of this module bound on first access, which the
+# commands call through ``_this`` (see the module docstring).
+_STAGES = {
+    "read_trees": "trees",
+    "extract_corpus": "extract",
+    "accumulate": "stats",
+    "read_counts": "stats",
+    "read_gold": "evaluate",
+    "evaluate_gold": "evaluate",
+}
+_this = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    module = _STAGES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __package__), name)
+    return value
+
 
 # -- options -------------------------------------------------------------
 # One table per subcommand; each row is (name, kind, required, help).  The
@@ -234,6 +270,8 @@ def _write_outputs(
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    from .extract import LEMMA_FAILURE, NON_NOUN_HEAD, PENN, LemmaTable, TagSet
+
     opts = _options(args)
     lemmas, tags = LemmaTable(), PENN
     if "lemmas" in opts:
@@ -241,7 +279,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if "tagset" in opts:
         tags, _ = _load(opts["tagset"], TagSet.from_json)
     with _input(opts["corpus"]):
-        records = extract_corpus(read_trees(opts["corpus"]), lemmas, tags)
+        records = _this.extract_corpus(_this.read_trees(opts["corpus"]), lemmas, tags)
     kept, discards = [], []
     reasons = dict.fromkeys((NON_NOUN_HEAD, LEMMA_FAILURE), 0)
     for r in records:
@@ -270,6 +308,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
+    from .learner import LearnerConfig, learn_all
+    from .stats import Scorer
+
     opts = _options(args)
     if ("triples" in opts) == ("counts" in opts):
         raise ExtractionError("exactly one of --triples and --counts is required")
@@ -278,7 +319,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
     lexicon, *digests = load_taxonomy_files(opts["taxonomy"], opts["lexicon"])
     input_path = opts.get("counts") or opts["triples"]
-    parse = read_counts if "counts" in opts else lambda text: accumulate(read_triples(text))
+    if "counts" in opts:
+        parse = _this.read_counts
+    else:
+        parse = lambda text: _this.accumulate(read_triples(text))
     table, input_sha256 = _load(input_path, parse, hashed=True)
 
     restrictions = learn_all(Scorer(table, lexicon), cfg)
@@ -303,6 +347,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluate import read_labels
+
     opts = _options(args)
     lexicon, *digests = load_taxonomy_files(opts["taxonomy"], opts["lexicon"])
     (header, restrictions), _ = _load(
@@ -314,15 +360,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ExtractionError(
                 f"restrictions file {opts['srs']}: {key} does not match --{option} {opts[option]}"
             )
-    gold, _ = _load(opts["gold"], read_gold)
+    gold, _ = _load(opts["gold"], _this.read_gold)
     labels = _load(opts["labels"], read_labels)[0] if "labels" in opts else None
-    report = evaluate_gold(gold, restrictions, lexicon, labels)
+    report = _this.evaluate_gold(gold, restrictions, lexicon, labels)
     json_format = opts.get("format", "text") == "json"
     sys.stdout.write(report.render_json() if json_format else report.render_text())
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .evaluate import aligned, read_labels
+
     opts = _options(args)
     restrictions, _ = _load(opts["srs"], read_restrictions)
     label_of = {}

@@ -29,9 +29,9 @@ from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .extract import ExtractionError, SynRel, TripleRecord, triple_fields
-from .learner import SelectionalRestriction
+from .restrictions import SelectionalRestriction
 from .taxonomy import SenseLexicon
+from .triples import ExtractionError, SynRel, TripleRecord, percentage, triple_fields
 from .tsv import integer, rows
 
 if TYPE_CHECKING:
@@ -77,17 +77,6 @@ class DiagnosticRow(NamedTuple):
 
 # label line: verb, rel, class, label, optional occurrence count
 LabelRow = tuple[str, SynRel, str, DiagnosticLabel, int | None]
-
-
-def percentage(part: int, whole: int) -> Decimal:
-    """part/whole as a percentage with one decimal, ties rounding up."""
-    from decimal import ROUND_HALF_UP, Decimal
-
-    if whole == 0:
-        return Decimal("0.0")
-    return (Decimal(part * 100) / Decimal(whole)).quantize(
-        Decimal("0.1"), rounding=ROUND_HALF_UP
-    )
 
 
 def aligned(rows: Sequence[Sequence[str]], align: str) -> list[str]:

@@ -23,19 +23,30 @@ that order with set lookups on hypernym closures, taken from the
 taxonomy's memo, linear in the candidates times the closure size.
 Taking the full candidate set, not a best-first climb from the sense
 classes, is immune to the non-monotone shape of the association score.
+
+The restriction record and its file readers and writers live in
+``restrictions``, which ``eval`` and ``report`` load without this module
+and the scoring code it imports; they are imported back here, so
+``selrestr.learner`` still names them.
 """
 
 from __future__ import annotations
 
-import math
-from itertools import repeat, starmap
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable
 
-from .extract import ExtractionError, SynRel, relation, triple_fields
-from .stats import EstimatorKind, ScoreKind, Scorer
+from .restrictions import (
+    EstimatorKind,
+    ScoreKind,
+    SelectionalRestriction,
+    format_restriction,
+    read_header,
+    read_restrictions,
+    write_restrictions,
+)
+from .stats import Scorer
 from .taxonomy import Taxonomy
-from .tsv import columns, integer, rows
+from .triples import SynRel
 
 
 class LearnerConfig:
@@ -73,20 +84,6 @@ class LearnerConfig:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"LearnerConfig({fields})"
-
-
-class SelectionalRestriction(NamedTuple):
-    """A scored (verb, relation, class) with its evidence: a ranked
-    candidate while learning, an acquired constraint once selected.  It
-    is an immutable named tuple; ``sr._replace(score=...)`` is a copy
-    with another score."""
-
-    verb: str
-    rel: SynRel
-    class_id: str
-    score: float
-    n_nouns: int
-    support: int
 
 
 # Rank keys of ``select_disjoint``, as fields of SelectionalRestriction.
@@ -183,96 +180,3 @@ def learn_all(model: Scorer, cfg: LearnerConfig) -> list[SelectionalRestriction]
         if model.table.vs_total(v, s) >= cfg.min_verb_support:
             out.extend(learn_group(model, v, s, cfg))
     return out
-
-
-# -- restriction files ---------------------------------------------------
-
-
-def format_restriction(sr: SelectionalRestriction) -> str:
-    return (  # a relation prints as its code; a score of -0.0 as 0.000000
-        f"{sr.verb}\t{sr.rel}\t{sr.class_id}"
-        f"\t{sr.score or 0.0:.6f}\t{sr.n_nouns}\t{sr.support}"
-    )
-
-
-def write_restrictions(
-    restrictions: Iterable[SelectionalRestriction],
-    f,
-    header: Mapping[str, str] | None = None,
-) -> None:
-    if header:
-        for key, value in header.items():
-            f.write(f"# {key}={value}\n")
-    # One write for all the lines: a write per line costs more than the join.
-    f.write("".join([format_restriction(sr) + "\n" for sr in restrictions]))
-
-
-def read_header(text: str) -> dict[str, str]:
-    """The ``# key=value`` lines that open a restrictions file.
-
-    Only the leading block of ``#`` and blank lines is split, with the
-    line breaks of ``str.splitlines``: the head of the text is read four
-    times longer each time until it holds a data line or the whole text.
-    A line cut at the end of a head starts as the whole line does, so it
-    ends the block exactly when the whole line would."""
-    size = 1024
-    while True:
-        head = text[:size]
-        header: dict[str, str] = {}
-        for raw in head.splitlines():
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                return header
-            key, sep, value = line[1:].strip().partition("=")
-            if sep:
-                header[key] = value
-        if len(head) == len(text):
-            return header
-        size *= 4
-
-
-def read_restrictions(text: str) -> list[SelectionalRestriction]:
-    """The restrictions of a restrictions file, in file order."""
-    restrictions: list[SelectionalRestriction] = []
-    for chunk in columns(text, 6):
-        if chunk is None:
-            break
-        verbs, codes, classes, score_texts, nouns, supports = chunk
-        if "" in verbs or "" in classes:
-            break
-        # Each distinct relation code and count once; counts must be plain
-        # ASCII digits, as a negative count is an error.
-        counts = set(nouns)
-        counts.update(supports)
-        digits = "".join(counts)
-        if "" in counts or not (digits.isdigit() and digits.isascii()):
-            break
-        try:
-            rels = {code: relation(code) for code in set(codes)}
-            values = dict(zip(counts, map(int, counts)))
-            scores = list(map(float, score_texts))
-        except ValueError:
-            break
-        if not all(map(math.isfinite, scores)):
-            break
-        fields = zip(
-            verbs, map(rels.__getitem__, codes), classes, scores,
-            map(values.__getitem__, nouns), map(values.__getitem__, supports),
-        )
-        # Checked fields: skip SelectionalRestriction's Python-level __new__.
-        restrictions += starmap(tuple.__new__, zip(repeat(SelectionalRestriction), fields))
-    else:
-        return restrictions
-    return rows(text, "restrictions", (6,), ExtractionError, _restriction_row)
-
-
-def _restriction_row(lineno: int, fields: list[str]) -> SelectionalRestriction:
-    verb, rel, class_id = triple_fields(fields, "class")
-    score = float(fields[3])
-    n_nouns, support = integer(fields[4], "nouns count"), integer(fields[5], "support count")
-    if not math.isfinite(score):
-        raise ValueError(f"score must be finite, got {fields[3]!r}")
-    if n_nouns < 0 or support < 0:
-        raise ValueError("nouns and support must be >= 0")
-    # Checked fields: skip SelectionalRestriction's Python-level __new__.
-    return tuple.__new__(SelectionalRestriction, (verb, rel, class_id, score, n_nouns, support))

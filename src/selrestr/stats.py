@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from enum import Enum
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .extract import ExtractionError, SynRel, TripleRecord, triple_fields
+from .restrictions import EstimatorKind, ScoreKind
 from .taxonomy import SenseLexicon
+from .triples import ExtractionError, SynRel, TripleRecord, triple_fields
 from .tsv import integer, rows
 
 
@@ -54,17 +54,6 @@ class ZeroDenominatorError(ValueError):
 
 class UnsupportedClassError(ValueError):
     """The class has no supporting occurrence for the given verb and position."""
-
-
-class EstimatorKind(Enum):
-    RAW = "raw"
-    SENSE_CORRECTED = "sense"
-
-
-class ScoreKind(Enum):
-    ASSOC = "assoc"
-    ASSOC_PAIR_MI = "pairmi"
-    LOG_LIKELIHOOD_RATIO = "g2"
 
 
 class CountsTable:

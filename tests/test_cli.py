@@ -4,6 +4,7 @@ Every invocation works in tmp_path; goldens for learned restrictions
 were derived by hand from the toy counts before being frozen.
 """
 
+import ast
 import gc
 import hashlib
 import io
@@ -680,7 +681,10 @@ class TestEntryPoint:
         # --tagset file (json); learn hashes its inputs (hashlib).  Each
         # prints what it prints in process, where the tests have already
         # imported those modules.  extract and report keep no digest, so
-        # they end without OpenSSL's _hashlib loaded.
+        # they end without OpenSSL's _hashlib loaded.  Each command, and
+        # the set-up child of perfbench/run.py, loads only the package
+        # modules it runs: with no bytecode cached, each module loaded is
+        # compiled again in every process.
         monkeypatch.chdir(tmp_path)
         labels = str(data_dir / "toy_labels.tsv")
         (tmp_path / "cfg.json").write_text(json.dumps({"format": "json", "labels": labels}))
@@ -706,19 +710,26 @@ class TestEntryPoint:
             assert proc.stdout == out.getvalue()
             return proc.stdout, set(Path("modules.txt").read_text().split()), written
 
-        out, _, _ = fresh(TestEvalCommand().eval_argv(data_dir, "--config", "cfg.json"))
+        def loaded(modules, *names):
+            """Those of the package modules ``names`` that ``modules`` holds."""
+            return {f"selrestr.{name}" for name in names} & modules
+
+        out, modules, _ = fresh(TestEvalCommand().eval_argv(data_dir, "--config", "cfg.json"))
         report = json.loads(out)
         assert report["diagnostics"][0]["class_pct"] == "100.0"
         assert report["precision"]["numerator"] == 1
+        assert not loaded(modules, "trees", "extract", "stats", "learner")
         extract_argv = ["extract", "--corpus", str(data_dir / "demo.mrg"),
                         "--tagset", "tags.json", "--triples", "t.tsv"]
         out, modules, _ = fresh(extract_argv)
         assert out.startswith("raw extractions  ")
         assert "_hashlib" not in modules
+        assert not loaded(modules, "stats", "learner", "evaluate")
         out, modules, _ = fresh(["report", "--srs", str(data_dir / "toy_srs.tsv"),
                                  "--config", "report.json"])
         assert out.startswith("verb")
         assert "_hashlib" not in modules
+        assert not loaded(modules, "trees", "extract", "stats", "learner")
 
         def digest_lines(data):
             return [line for line in data.splitlines() if b"_sha256=" in line]
@@ -727,6 +738,22 @@ class TestEntryPoint:
         assert "_hashlib" in modules
         assert len(digest_lines(written)) == 3
         assert digest_lines(written) == digest_lines(Path("srs.tsv").read_bytes())
+        assert not loaded(modules, "trees", "extract", "evaluate")
+
+        runner = ast.parse((Path(SRC_DIR).parent / "perfbench" / "run.py").read_text())
+        setup_code = next(
+            ast.literal_eval(node.value) for node in runner.body
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SETUP_CODE"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{setup_code}\nprint(*sys.modules)",
+             str(data_dir / "toy_taxonomy.tsv"), str(data_dir / "toy_lexicon.tsv")],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC_DIR},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        modules = set(proc.stdout.split())
+        assert "selrestr.taxonomy" in modules
+        assert not loaded(modules, "trees", "extract", "stats", "learner", "evaluate")
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import flat_counts, nodes, nouns, parents
-from selrestr import extract, learner, taxonomy, tsv
+from selrestr import restrictions, taxonomy, triples, tsv
 from selrestr.cli import run
 from selrestr.evaluate import read_gold, read_labels
 from selrestr.extract import ExtractionError, LemmaTable, read_triples
@@ -273,7 +273,7 @@ def test_one_object_per_distinct_verb_and_noun(kind, line, words, lines):
 # -- the column path ---------------------------------------------------------
 
 # The modules whose readers take tsv.columns first.
-COLUMN_MODULES = (extract, learner, taxonomy)
+COLUMN_MODULES = (triples, restrictions, taxonomy)
 COLUMN_READERS = [r for r in READERS if r[0] in ("triples", "restrictions", "taxonomy", "lexicon")]
 
 
