@@ -29,9 +29,9 @@ inside that command, so ``extract`` also loads ``trees`` and ``extract``,
 ``extract_corpus``, ``accumulate``, ``read_counts``, ``read_gold`` and
 ``evaluate_gold``, are attributes of this module all the same, bound on
 first access by the module ``__getattr__``, and the commands call them
-through the module (``_this.read_trees``).  So a wrapper set on this
-module with ``setattr``, as ``perfbench/tracer.py`` and the tests set
-them, is what runs; an import inside the command would bypass it.
+through the module (``_this.read_trees``), so a wrapper that
+``perfbench/tracer.py`` or a test sets on this module with ``setattr`` is
+what runs; an import inside the command would bypass it.
 
 Outputs carry no timestamps, and learned-restriction files embed the
 SHA-256 of the bytes each input was parsed from, so identical inputs give

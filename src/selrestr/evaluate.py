@@ -17,9 +17,10 @@ into a table of class counts and noun-occurrence counts per label.
 Occurrence totals may exceed the number of triples because a noun can
 belong to several labeled classes at once.
 
-``decimal``, ``fractions`` and ``json`` are imported by the functions
-that use them: every command imports this module at start-up, and most
-need none of them until the end of a run, or at all.
+Of the commands, only ``eval`` and ``report`` load this module.
+``fractions`` and ``json`` are imported by the functions that use them:
+``report`` needs neither, and ``eval`` needs ``json`` only for
+``--format json``.
 """
 
 from __future__ import annotations
