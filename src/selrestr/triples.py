@@ -12,8 +12,10 @@ every reader.  ``read_triples`` reads a plain file a column at a time
 (``tsv.columns``) and anything else through ``tsv.rows``.
 
 Every command loads this module: ``cli`` checks its options with
-``ExtractionError`` and ``key_names``, and the readers of every other
-file build on ``SynRel`` and ``triple_fields``.
+``ExtractionError`` and ``key_names``, the readers of every other file
+build on ``SynRel`` and ``triple_fields``, and ``percentage`` formats
+the shares that ``extract`` and ``eval`` print, so neither command loads
+the other's module for it.
 """
 
 from __future__ import annotations
