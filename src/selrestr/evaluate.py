@@ -30,10 +30,10 @@ from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .restrictions import SelectionalRestriction
+from .restrictions import VERB_OR_CLASS, SelectionalRestriction
 from .taxonomy import SenseLexicon
-from .triples import ExtractionError, SynRel, TripleRecord, percentage, triple_fields
-from .tsv import integer, rows
+from .triples import VERB_OR_NOUN, ExtractionError, SynRel, TripleRecord, percentage, relations
+from .tsv import RecordError, Spec, count, name, read, token
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -41,7 +41,6 @@ if TYPE_CHECKING:
 
 PARSER_ERR = "parser_err"
 LEMMA_ERR = "lemma_err"
-_GOLD_STATUS = ("ok", PARSER_ERR, LEMMA_ERR)
 
 
 class GoldTriple(NamedTuple):
@@ -199,30 +198,45 @@ def diagnostic_summary(
 # -- annotation files ----------------------------------------------------
 
 
+# An extraction status, as the error it names (None for ok).
+_STATUS = {"ok": None, PARSER_ERR: PARSER_ERR, LEMMA_ERR: LEMMA_ERR}
+GOLD = Spec(
+    "gold",
+    ExtractionError,
+    (
+        VERB_OR_NOUN, relations, VERB_OR_NOUN, name("empty sense class (use - for unknown)"),
+        token(_STATUS, f"bad status {{!r}}, expected one of {', '.join(_STATUS)}"),
+    ),
+    (3, 5),
+)
+
+
 def read_gold(text: str) -> list[GoldTriple]:
     """Gold file: verb, rel, noun, then optionally the correct sense
     class ("-" if unknown) and an extraction status token."""
-    return rows(text, "gold", (3, 5), ExtractionError, _gold_row)
+    return read(text, GOLD, _gold_triples)
 
 
-def _gold_row(lineno: int, fields: list[str]) -> GoldTriple:
+def _gold_triples(records: list[tuple], lines) -> list[GoldTriple]:
     # Checked fields: skip the Python-level __new__ of both named tuples.
     new = tuple.__new__
-    record = new(TripleRecord, (*triple_fields(fields), None))
-    if len(fields) == 3:
-        return new(GoldTriple, (record, None, None))
-    sense, status = fields[3], fields[4]
-    if not sense:
-        raise ValueError("empty sense class (use - for unknown)")
-    if status not in _GOLD_STATUS:
-        raise ValueError(f"bad status {status!r}, expected one of {', '.join(_GOLD_STATUS)}")
-    return new(
-        GoldTriple,
-        (record, None if sense == "-" else sense, None if status == "ok" else status),
-    )
+    return [
+        new(GoldTriple, (new(TripleRecord, (v, s, n, None)), sense if sense != "-" else None, err))
+        for v, s, n, sense, err in records
+    ]
 
 
-_LABEL_BY_NAME = {label.value: label for label in DiagnosticLabel}
+_LABELS = {label.value: label for label in DiagnosticLabel}
+LABELS = Spec(
+    "labels",
+    ExtractionError,
+    (
+        VERB_OR_CLASS, relations, VERB_OR_CLASS,
+        token(_LABELS, f"unknown label {{!r}}, expected one of {', '.join(_LABELS)}"),
+        count("occurrence count", 0, "negative occurrence count"),
+    ),
+    (4, 5),
+)
 
 
 def read_labels(text: str) -> list[LabelRow]:
@@ -230,26 +244,17 @@ def read_labels(text: str) -> list[LabelRow]:
 
     Without the count column, occurrences are recounted from the gold
     triples at evaluation time."""
-    seen: set[tuple[str, SynRel, str]] = set()
+    return read(text, LABELS, _unique_labels)
 
-    def label_row(lineno: int, fields: list[str]) -> LabelRow:
-        key = triple_fields(fields, "class")
-        label = _LABEL_BY_NAME.get(fields[3])
-        if label is None:
-            raise ValueError(
-                f"unknown label {fields[3]!r}, expected one of {', '.join(_LABEL_BY_NAME)}"
-            )
-        if key in seen:
-            raise ValueError(f"duplicate label for ({key[0]}, {key[1].code}, {key[2]})")
-        seen.add(key)
-        count: int | None = None
-        if len(fields) == 5:
-            count = integer(fields[4], "occurrence count")
-            if count < 0:
-                raise ValueError("negative occurrence count")
-        return (*key, label, count)
 
-    return rows(text, "labels", (4, 5), ExtractionError, label_row)
+def _unique_labels(records: list[LabelRow], lines) -> list[LabelRow]:
+    if len({record[:3] for record in records}) < len(records):
+        seen = set()
+        for i, (verb, rel, class_id, *_) in enumerate(records):
+            if (verb, rel, class_id) in seen:
+                raise RecordError(i, f"duplicate label for ({verb}, {rel.code}, {class_id})")
+            seen.add((verb, rel, class_id))
+    return records
 
 
 def occurrence_count(

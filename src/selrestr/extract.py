@@ -23,8 +23,7 @@ are memoized per ``LemmaTable``.
 
 The records and relations, and the triples files they are written to
 and read from, live in ``triples``, which ``learn`` and ``eval`` load
-without this module and the tree code it imports; they are imported
-back here, so ``selrestr.extract`` still names them.
+without this module and the tree code it imports.
 """
 
 from __future__ import annotations
@@ -37,18 +36,12 @@ from .triples import (
     OBJECT_CODE,
     SUBJECT,
     SUBJECT_CODE,
-    _RELATIONS,
     ExtractionError,
     SynRel,
     TripleRecord,
     key_names,
-    read_triples,
-    relation,
-    triple_fields,
-    write_discards,
-    write_triples,
 )
-from .tsv import rows
+from .tsv import Spec, read, token
 
 NOUN = "noun"
 VERB = "verb"
@@ -107,14 +100,9 @@ class LemmaTable:
     @classmethod
     def from_text(cls, text: str) -> "LemmaTable":
         """A ``form<TAB>noun|verb<TAB>lemma`` table; a later line wins."""
-        return cls(dict(rows(text, "lemma table", (3,), ExtractionError, _lemma_entry)))
-
-
-def _lemma_entry(lineno: int, fields: list[str]) -> tuple[tuple[str, str], str]:
-    form, pos, lemma = fields
-    if pos not in (NOUN, VERB):
-        raise ValueError(f"bad POS {pos!r}")
-    return (form, pos), _check_lemma(lemma)
+        return read(
+            text, LEMMAS, lambda records, lines: cls({(f, pos): lemma for f, pos, lemma in records})
+        )
 
 
 def _check_lemma(lemma: str) -> str:
@@ -131,6 +119,16 @@ def _check_lemma(lemma: str) -> str:
     if "\t" in lemma or lemma.splitlines() != [lemma]:
         raise ExtractionError(f"bad lemma {lemma!r}: a tab or a line break")
     return lemma
+
+
+# Any form; the POS and the lemma are checked.
+LEMMAS = Spec(
+    "lemma table",
+    ExtractionError,
+    (lambda forms: forms, token({NOUN: NOUN, VERB: VERB}, "bad POS {!r}"),
+     lambda lemmas: [*map(_check_lemma, lemmas)]),
+    (3,),
+)
 
 
 # Fallback inflection stripping, tried longest suffix first.  A rule only
@@ -248,12 +246,14 @@ def extract_corpus(
     read as (label, children, token) tuples, and records are built
     without ``TripleRecord``'s Python-level ``__new__``.  With no table,
     lemmas come from the rules through an empty table of this call's
-    own, so no memo outlives the call.
+    own, so no memo outlives the call; nor does the table of the
+    call's prepositional relations, one per code.
     """
     if lemmas is None:
         lemmas = LemmaTable()
     noun_tags, verb_tags, prep_tags, clause_labels, np_labels, vp_labels, pp_labels = tags
     memo = lemmas._memo
+    relations: dict[str, SynRel] = {}
     new = tuple.__new__
     records: list[TripleRecord] = []
     append = records.append
@@ -318,7 +318,8 @@ def extract_corpus(
                     continue
                 code = prep[2].lower()
                 if code != SUBJECT_CODE and code != OBJECT_CODE:
-                    complements.append((_RELATIONS.get(code) or relation(code), np))
+                    rel = relations.get(code) or relations.setdefault(code, SynRel(code))
+                    complements.append((rel, np))
 
             for rel, np in complements:
                 # The head: the rightmost noun-tagged leaf among the NP's children.

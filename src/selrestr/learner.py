@@ -26,8 +26,7 @@ classes, is immune to the non-monotone shape of the association score.
 
 The restriction record and its file readers and writers live in
 ``restrictions``, which ``eval`` and ``report`` load without this module
-and the scoring code it imports; they are imported back here, so
-``selrestr.learner`` still names them.
+and the scoring code it imports.
 """
 
 from __future__ import annotations
@@ -35,15 +34,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable
 
-from .restrictions import (
-    EstimatorKind,
-    ScoreKind,
-    SelectionalRestriction,
-    format_restriction,
-    read_header,
-    read_restrictions,
-    write_restrictions,
-)
+from .restrictions import EstimatorKind, ScoreKind, SelectionalRestriction
 from .stats import Scorer
 from .taxonomy import Taxonomy
 from .triples import SynRel

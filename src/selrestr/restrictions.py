@@ -4,8 +4,8 @@ A restrictions file opens with ``# key=value`` header lines, among them
 the scorer and estimator that learned it and the SHA-256 of each input,
 followed by one ``verb<TAB>rel<TAB>class<TAB>score<TAB>nouns<TAB>support``
 line per restriction.  ``learn`` writes it; ``eval`` and ``report`` read
-it.  ``read_restrictions`` reads a plain file a column at a time
-(``tsv.columns``) and anything else through ``tsv.rows``.
+it.  ``read_restrictions`` is the restrictions spec read by
+``tsv.read``; ``VERB_OR_CLASS`` is also the labels file's field kind.
 
 ``ScoreKind`` and ``EstimatorKind`` live here, with the header that
 names them, because ``cli`` builds every command's parser from their
@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import repeat, starmap
 from typing import Iterable, Mapping, NamedTuple
 
-from .triples import ExtractionError, SynRel, relation, triple_fields
-from .tsv import columns, integer, rows
+from .triples import ExtractionError, SynRel, relations
+from .tsv import Spec, count, name, read, whole
 
 
 class EstimatorKind(Enum):
@@ -91,48 +90,30 @@ def read_header(text: str) -> dict[str, str]:
         size *= 4
 
 
+@whole
+def _scores(texts: list[str]) -> list[float]:
+    """The field kind of a score: a float, and finite."""
+    scores = [*map(float, texts)]
+    if not all(map(math.isfinite, scores)):
+        bad = next(text for text, score in zip(texts, scores) if not math.isfinite(score))
+        raise ValueError(f"score must be finite, got {bad!r}")
+    return scores
+
+
+VERB_OR_CLASS = whole(name("empty verb or class"))
+_NOT_NEGATIVE = "nouns and support must be >= 0"
+RESTRICTIONS = Spec(
+    "restrictions",
+    ExtractionError,
+    (
+        VERB_OR_CLASS, relations, VERB_OR_CLASS, _scores,
+        count("nouns count", 0, _NOT_NEGATIVE), count("support count", 0, _NOT_NEGATIVE),
+    ),
+    (6,),
+    SelectionalRestriction,
+)
+
+
 def read_restrictions(text: str) -> list[SelectionalRestriction]:
     """The restrictions of a restrictions file, in file order."""
-    restrictions: list[SelectionalRestriction] = []
-    for chunk in columns(text, 6):
-        if chunk is None:
-            break
-        verbs, codes, classes, score_texts, nouns, supports = chunk
-        if "" in verbs or "" in classes:
-            break
-        # Each distinct relation code and count once; counts must be plain
-        # ASCII digits, as a negative count is an error.
-        counts = set(nouns)
-        counts.update(supports)
-        digits = "".join(counts)
-        if "" in counts or not (digits.isdigit() and digits.isascii()):
-            break
-        try:
-            rels = {code: relation(code) for code in set(codes)}
-            values = dict(zip(counts, map(int, counts)))
-            scores = list(map(float, score_texts))
-        except ValueError:
-            break
-        if not all(map(math.isfinite, scores)):
-            break
-        fields = zip(
-            verbs, map(rels.__getitem__, codes), classes, scores,
-            map(values.__getitem__, nouns), map(values.__getitem__, supports),
-        )
-        # Checked fields: skip SelectionalRestriction's Python-level __new__.
-        restrictions += starmap(tuple.__new__, zip(repeat(SelectionalRestriction), fields))
-    else:
-        return restrictions
-    return rows(text, "restrictions", (6,), ExtractionError, _restriction_row)
-
-
-def _restriction_row(lineno: int, fields: list[str]) -> SelectionalRestriction:
-    verb, rel, class_id = triple_fields(fields, "class")
-    score = float(fields[3])
-    n_nouns, support = integer(fields[4], "nouns count"), integer(fields[5], "support count")
-    if not math.isfinite(score):
-        raise ValueError(f"score must be finite, got {fields[3]!r}")
-    if n_nouns < 0 or support < 0:
-        raise ValueError("nouns and support must be >= 0")
-    # Checked fields: skip SelectionalRestriction's Python-level __new__.
-    return tuple.__new__(SelectionalRestriction, (verb, rel, class_id, score, n_nouns, support))
+    return read(text, RESTRICTIONS)

@@ -1,9 +1,9 @@
 """Co-occurrence counts and class association scoring.
 
-Counts are held once, grouped by (verb, position): each group
-maps the nouns seen there to their occurrence counts, and the readers
-add each record or line straight into its group.  The marginals per
-position, per noun and over the table are summed from the groups.
+Counts are held once, grouped by (verb, position): each group maps the
+nouns seen there to their occurrence counts, and ``accumulate`` and
+``read_counts`` add each record straight into its group.  The marginals
+per position, per noun and over the table are summed from the groups.
 Class-level quantities sum over the nouns whose sense classes fall
 under the class, either whole occurrences (raw) or occurrences weighted
 by the fraction of the noun's senses under the class (sense-corrected),
@@ -44,8 +44,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .restrictions import EstimatorKind, ScoreKind
 from .taxonomy import SenseLexicon
-from .triples import ExtractionError, SynRel, TripleRecord, triple_fields
-from .tsv import integer, rows
+from .triples import VERB_OR_NOUN, ExtractionError, SynRel, TripleRecord, relations
+from .tsv import Spec, count, read
 
 
 class ZeroDenominatorError(ValueError):
@@ -121,31 +121,27 @@ def accumulate(triples: Iterable[TripleRecord]) -> CountsTable:
     return CountsTable(groups)
 
 
+COUNTS = Spec(
+    "counts",
+    ExtractionError,
+    (VERB_OR_NOUN, relations, VERB_OR_NOUN, count("count", 1, "count must be >= 1")),
+    (4,),
+)
+
+
 def read_counts(text: str) -> CountsTable:
     """Parse a pre-aggregated ``verb<TAB>rel<TAB>noun<TAB>count`` file;
-    the counts of a repeated key add up.  Each distinct verb and noun
-    string is held once: one ``setdefault`` table holds the first of each.
-    Each distinct count string is checked once, as the rule is pure."""
-    groups: dict[tuple[str, SynRel], dict[str, int]] = {}
-    share = {}.setdefault
-    checked: dict[str, int] = {}
+    the counts of a repeated key add up."""
+    return read(text, COUNTS, _grouped)
 
-    def add(lineno: int, fields: list[str]) -> None:
-        v, s, n = triple_fields(fields)
-        v, n = share(v, v), share(n, n)
-        field = fields[3]
-        count = checked.get(field)
-        if count is None:
-            count = integer(field, "count")
-            if count < 1:
-                raise ValueError("count must be >= 1")
-            checked[field] = count
+
+def _grouped(records: list[tuple[str, SynRel, str, int]], lines) -> CountsTable:
+    groups: dict[tuple[str, SynRel], dict[str, int]] = {}
+    for v, s, n, c in records:
         group = groups.get((v, s))
         if group is None:
             group = groups[v, s] = {}
-        group[n] = group.get(n, 0) + count
-
-    rows(text, "counts", (4,), ExtractionError, add)
+        group[n] = group.get(n, 0) + c
     return CountsTable(groups)
 
 

@@ -15,15 +15,20 @@ File formats (UTF-8, tab-separated, ``#`` starts a comment line):
 Both structures are read-only once loaded.  Hypernym closures are
 memoized on the taxonomy, and each noun's ``sense_hits`` table on the
 lexicon; class membership and every class sum read that one table.
-Lines follow the shared rule of ``selrestr.tsv``, whose ``rows`` adds
-``taxonomy line N`` or ``lexicon line N`` to an error in a line.  A
-parent that no line defines is found only after every line is read, and
-that error names the line of the class that names it.
+Both files are a spec read by ``tsv.read``, which adds ``taxonomy line
+N`` or ``lexicon line N`` to an error.  Their field kinds check each
+class id and noun; their ``build`` functions then find the faults
+between lines, once every field is checked: a duplicate class or noun,
+a noun with no sense or a sense that is no class, and a parent that no
+line defines, named at the line of the class that names it.
 """
 
 from __future__ import annotations
 
-from .tsv import columns, rows
+from itertools import chain
+from typing import Sequence
+
+from .tsv import RecordError, Spec, name, read, whole
 
 
 class TaxonomyError(ValueError):
@@ -39,15 +44,26 @@ def _check_class_id(token: str) -> str:
     return token
 
 
-def _class_ids(text: str) -> list[str]:
-    """The ids of a comma-separated list, tested once as a whole for an
-    empty id or any whitespace; ``_check_class_id`` then names the first
-    bad id."""
-    ids = text.split(",")
-    if "" in ids or text.split() != [text]:
+@whole
+def _class_ids(ids: list[str]) -> list[str]:
+    """The field kind of a class id: tested in bulk for an empty id or any
+    whitespace, and then ``_check_class_id`` names the first bad id."""
+    if "\t".join(ids).split() != ids:
         for token in ids:
             _check_class_id(token)
     return ids
+
+
+def _id_lists(none: str):
+    """The field kind of a comma-separated list of class ids, as a
+    frozenset; the list ``none`` names no id."""
+
+    def check(texts: list[str]) -> list[frozenset[str]]:
+        lists = [() if text == none else text.split(",") for text in texts]
+        _class_ids([*chain.from_iterable(lists)])
+        return [*map(frozenset, lists)]
+
+    return check
 
 
 class Taxonomy:
@@ -154,90 +170,58 @@ class SenseLexicon:
         return hits
 
 
-def _id_lists(text: str, root: str | None) -> tuple[dict[str, frozenset[str]], set[str]] | None:
-    """The column path of both files: each line's first field mapped to
-    the ids of its comma-separated list (none for the list ``root``),
-    and every id named; None where ``rows`` must read the text, which it
-    then refuses or reads to the same value.  Each distinct list is split
-    once, and the lines that name it share its frozenset."""
-    table: dict[str, frozenset[str]] = {}
-    named: set[str] = set()
-    for chunk in columns(text, 2):
-        if chunk is None:
-            return None
-        keys, list_texts = chunk
-        lists = {list_text: frozenset(list_text.split(",")) for list_text in set(list_texts)}
-        if root in lists:
-            lists[root] = frozenset()
-        # No key or list is empty or holds whitespace, no id is empty, and
-        # no key repeats.
-        if "\t".join(keys).split() != keys or "\t".join(lists).split() != list(lists):
-            return None
-        named.update(*lists.values())
-        size = len(table)
-        table.update(zip(keys, map(lists.__getitem__, list_texts)))
-        if len(table) != size + len(keys) or "" in named:
-            return None
-    return table, named
+TAXONOMY = Spec("taxonomy", TaxonomyError, (_class_ids, _id_lists("-")), (2,))
+_NOUN = whole(name("bad noun lemma {!r}", "bad noun lemma {!r}"))
+LEXICON = Spec("lexicon", TaxonomyError, (_NOUN, _id_lists("")), (2,))
 
 
-def parse_taxonomy(text: str) -> Taxonomy:
-    found = _id_lists(text, "-")
-    if found is not None and found[0].keys() >= found[1]:
-        return Taxonomy(found[0])
-
-    parents: dict[str, set[str]] = {}
-    lines: dict[str, int] = {}
-
-    def entry(lineno: int, fields: list[str]) -> None:
-        class_id = _check_class_id(fields[0])
-        if class_id in parents:
-            raise TaxonomyError(
-                f"duplicate class {class_id!r} (first seen on line {lines[class_id]})"
-            )
-        lines[class_id] = lineno
-        parent_text = fields[1]
-        parents[class_id] = set() if parent_text == "-" else set(_class_ids(parent_text))
-
-    rows(text, "taxonomy", (2,), TaxonomyError, entry)
-    # A class may name a parent that a later line defines, so unknown
-    # parents are known only once every line is read.
-    for child, ps in parents.items():
-        for p in ps:
-            if p not in parents:
-                raise TaxonomyError(
-                    f"taxonomy line {lines[child]}: class {child!r} names unknown parent {p!r}"
+def _taxonomy(records: list[tuple[str, frozenset[str]]], lines: Sequence[int]) -> Taxonomy:
+    parents = dict(records)
+    if len(parents) < len(records):
+        first: dict[str, int] = {}
+        for i, (class_id, _) in enumerate(records):
+            j = first.setdefault(class_id, i)
+            if j != i:
+                raise RecordError(
+                    i, f"duplicate class {class_id!r} (first seen on line {lines[j]})"
                 )
+    # A class may name a parent that a later line defines.
+    if not parents.keys() >= set().union(*parents.values()):
+        for i, (child, ps) in enumerate(parents.items()):
+            for p in ps:
+                if p not in parents:
+                    raise RecordError(i, f"class {child!r} names unknown parent {p!r}")
     return Taxonomy(parents)
 
 
+def parse_taxonomy(text: str) -> Taxonomy:
+    return read(text, TAXONOMY, _taxonomy)
+
+
 def parse_lexicon(text: str, taxonomy: Taxonomy) -> SenseLexicon:
-    found = _id_lists(text, None)
-    if found is not None and taxonomy._parents.keys() >= found[1]:
-        return SenseLexicon(taxonomy, found[0])
+    known = taxonomy._parents.keys()
 
-    senses: dict[str, frozenset[str]] = {}
-    lines: dict[str, int] = {}
+    def build(records: list[tuple[str, frozenset[str]]], lines: Sequence[int]) -> SenseLexicon:
+        senses = dict(records)
+        if len(senses) < len(records) or not (
+            all(senses.values()) and known >= set().union(*senses.values())
+        ):
+            # The first record at fault, in file order.
+            first: dict[str, int] = {}
+            for i, (noun, classes) in enumerate(records):
+                j = first.setdefault(noun, i)
+                if j != i:
+                    raise RecordError(
+                        i, f"duplicate lexicon entry for {noun!r} (first seen on line {lines[j]})"
+                    )
+                if not classes:
+                    raise RecordError(i, f"empty sense list for noun {noun!r}")
+                for c in classes:
+                    if c not in known:
+                        raise RecordError(i, f"noun {noun!r} names unknown class {c!r}")
+        return SenseLexicon(taxonomy, senses)
 
-    def entry(lineno: int, fields: list[str]) -> None:
-        noun, sense_text = fields
-        if not noun or noun.split() != [noun]:
-            raise TaxonomyError(f"bad noun lemma {noun!r}")
-        if noun in senses:
-            raise TaxonomyError(
-                f"duplicate lexicon entry for {noun!r} (first seen on line {lines[noun]})"
-            )
-        lines[noun] = lineno
-        if not sense_text:
-            raise TaxonomyError(f"empty sense list for noun {noun!r}")
-        sense_set = frozenset(_class_ids(sense_text))
-        for c in sense_set:
-            if c not in taxonomy:
-                raise TaxonomyError(f"noun {noun!r} names unknown class {c!r}")
-        senses[noun] = sense_set
-
-    rows(text, "lexicon", (2,), TaxonomyError, entry)
-    return SenseLexicon(taxonomy, senses)
+    return read(text, LEXICON, build)
 
 
 def load_taxonomy(taxonomy_text: str, lexicon_text: str) -> tuple[Taxonomy, SenseLexicon]:

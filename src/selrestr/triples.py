@@ -7,23 +7,22 @@ for object, otherwise the preposition itself in lowercase.
 
 Records are named tuples, and a relation is a validated ``str``
 subclass, so the dict lookups keyed by relations downstream hash and
-compare in C; ``relation`` keeps one per code for the extractor and
-every reader.  ``read_triples`` reads a plain file a column at a time
-(``tsv.columns``) and anything else through ``tsv.rows``.
+compare in C.  ``read_triples`` is the triples spec read by
+``tsv.read``: within one read each distinct verb, noun and relation is
+one object, and no table of them outlives the read.
 
 Every command loads this module: ``cli`` checks its options with
-``ExtractionError`` and ``key_names``, the readers of every other file
-build on ``SynRel`` and ``triple_fields``, and ``percentage`` formats
-the shares that ``extract`` and ``eval`` print, so neither command loads
-the other's module for it.
+``ExtractionError`` and ``key_names``, the counts, restrictions, gold and
+labels specs use the field kinds ``VERB_OR_NOUN`` or ``relations``, and
+``percentage`` formats the shares that ``extract`` and ``eval`` print,
+so neither command loads the other's module for it.
 """
 
 from __future__ import annotations
 
-from itertools import repeat, starmap
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .tsv import columns, rows
+from .tsv import Spec, name, read
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -82,26 +81,13 @@ class SynRel(str):
 SUBJECT = SynRel(SUBJECT_CODE)
 OBJECT = SynRel(OBJECT_CODE)
 
-# The one relation of each code seen, shared by every record and reader.
-_RELATIONS: dict[str, SynRel] = {SUBJECT_CODE: SUBJECT, OBJECT_CODE: OBJECT}
+
+def relations(codes: list[str]) -> list[SynRel]:
+    """The field kind of a relation code (``bad relation code 'X'``)."""
+    return [*map(SynRel, codes)]
 
 
-def relation(code: str) -> SynRel:
-    """The shared ``SynRel`` of ``code``; a bad code raises ``ValueError``."""
-    rel = _RELATIONS.get(code)
-    if rel is None:
-        rel = _RELATIONS[code] = SynRel(code)
-    return rel
-
-
-def triple_fields(fields: list[str], name: str = "noun") -> tuple[str, SynRel, str]:
-    """(verb, relation, name) from the first three fields of a TSV line:
-    neither the verb nor the name may be empty, and the second field
-    must be a relation code."""
-    verb, code, value = fields[0], fields[1], fields[2]
-    if not verb or not value:
-        raise ValueError(f"empty verb or {name}")
-    return verb, _RELATIONS.get(code) or relation(code), value
+VERB_OR_NOUN = name("empty verb or noun")
 
 
 class TripleRecord(NamedTuple):
@@ -139,34 +125,11 @@ def write_discards(records: Iterable[TripleRecord], f) -> None:
     f.write("".join(lines))
 
 
+TRIPLES = Spec(
+    "triples", ExtractionError, (VERB_OR_NOUN, relations, VERB_OR_NOUN), (3,), TripleRecord
+)
+
+
 def read_triples(text: str) -> list[TripleRecord]:
-    """Parse a triples file; each line becomes a kept record, in file
-    order.  The records share each distinct verb and noun string: one
-    ``setdefault`` table holds the first of each."""
-    share = {}.setdefault
-    records: list[TripleRecord] = []
-    for chunk in columns(text, 3):
-        if chunk is None:
-            break
-        verbs, codes, nouns = chunk
-        if "" in verbs or "" in nouns:
-            break
-        try:
-            rels = {code: relation(code) for code in set(codes)}
-        except ValueError:
-            break
-        fields = zip(
-            map(share, verbs, verbs), map(rels.__getitem__, codes), map(share, nouns, nouns),
-            repeat(None),
-        )
-        # Checked fields: skip TripleRecord's Python-level __new__.
-        records += starmap(tuple.__new__, zip(repeat(TripleRecord), fields))
-    else:
-        return records
-
-    def record(lineno: int, fields: list[str]) -> TripleRecord:
-        verb, rel, noun = triple_fields(fields)
-        # Checked fields: skip TripleRecord's Python-level __new__.
-        return tuple.__new__(TripleRecord, (share(verb, verb), rel, share(noun, noun), None))
-
-    return rows(text, "triples", (3,), ExtractionError, record)
+    """Parse a triples file; each line becomes a kept record, in file order."""
+    return read(text, TRIPLES)

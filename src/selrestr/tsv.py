@@ -1,4 +1,4 @@
-"""The line rule shared by every tab-separated input.
+"""The one reader of every tab-separated input: a field spec per file.
 
 Lines end where ``str.splitlines`` ends them (LF, CR, CRLF and the other
 Unicode line breaks) and are numbered from 1 over all of them.  Spaces
@@ -6,29 +6,37 @@ are stripped from both ends of a line but tabs are kept, so a leading or
 trailing tab is an empty field.  Blank and whitespace-only lines and
 lines starting with ``#`` are skipped; every other line is split on tabs.
 
-``rows`` defines the rule and is the only place that names a line in an
-error: a reader's ``parse`` raises a plain ``ValueError`` about the
-fields it was given, and ``rows`` adds ``<kind> line N: `` to it once.
-``integer`` is the one rule for a count field: an optional ``-``, then
-ASCII digits.
+A file's ``Spec`` names its kind (``counts``), its error class, one field
+kind per column and the record each line becomes.  A field kind is the
+one rule of a field, with its message: it takes a list of field values
+and returns what each value stands for, or raises ``ValueError`` about
+the first bad one.  ``name``, ``count`` and ``token`` make the kinds that
+several files share; the relation, score and class-id list kinds live
+with the records that hold them.
 
-``columns`` reads plain text, the common case, a chunk of lines at a
-time: it checks the layout of every line in C and splits the chunk into
-columns, which the reader checks in bulk, each distinct value once.
-The triples, restrictions, taxonomy and lexicon readers take it first
-and read the whole text with ``rows`` at the first line or field it or
-they do not accept, so an unusual file gets the same value and every
-error its line number.  The counts reader stays on ``rows`` for now: its
-column version belongs with a triples reader that groups lines as it
-reads them, as both would share that grouping.  Gold, labels and the
-lemma table are small.
+``read`` runs a spec two ways, with the same kinds.  On plain text, the
+common case, ``columns`` splits a chunk of lines at a time into columns
+in C.  Each kind checks each distinct value of its column once per read,
+so equal fields share one value; a kind marked ``whole``, for values
+that seldom repeat, checks each column as it comes.  The records are
+built in C.  On any other text, or at the first column that a kind
+refuses, ``rows`` reads the whole text again line by line, each field a
+one-value column, so it gives the same value or names the line in error.
+
+A reader's ``build`` then makes the file's value from the records, and
+raises ``RecordError`` for a fault between lines, such as a duplicate,
+so a bad field on any line is reported before such a fault.  Only
+``read`` and ``rows`` add ``<kind> line N: `` to a message.  ``integer``
+is the one rule for a count field: an optional ``-``, then ASCII digits.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, TypeVar
+from itertools import repeat, starmap
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
-T = TypeVar("T")
+# A field rule: raw values in, what each stands for out, in order.
+Kind = Callable[[list[str]], list]
 
 # ``columns`` reads about this many characters at a time, cut after a
 # line break, so only one chunk's cells are alive at once.
@@ -38,21 +46,83 @@ CHUNK = 1 << 16
 _FIELD_BYTES = bytes(b for b in range(256) if b not in b"\t\n\r\x0b\x0c\x1c\x1d\x1e")
 
 
-def rows(
-    text: str,
-    kind: str,
-    arities: tuple[int, ...],
-    error: type[ValueError],
-    parse: Callable[[int, list[str]], T],
-) -> list[T]:
-    """``parse(line number, fields)`` of each data line of ``text``, in order.
+class Spec(NamedTuple):
+    """How to read one kind of file.  ``fields`` holds a kind per column,
+    as many as the longest line has; ``arities`` the field counts a line
+    may have.  Each line becomes a ``record`` (a tuple class) of its
+    values, and the fields that a line or the file lacks are None.  A
+    plain line may be whitespace only, so some kind must refuse a field
+    that is empty or whitespace."""
 
-    A line whose field count is not in ``arities``, or whose ``parse``
-    raises ``ValueError``, raises ``error`` with the message
-    ``<kind> line N: <message>``, as in ``expected K fields, got M``."""
+    kind: str
+    error: type[ValueError]
+    fields: tuple[Kind, ...]
+    arities: tuple[int, ...]
+    record: type = tuple
+
+
+class RecordError(ValueError):
+    """A fault that a reader's ``build`` finds in record ``index``; ``read``
+    names the record's line."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def read(text: str, spec: Spec, build: Callable[[list, Sequence[int]], Any] | None = None):
+    """``build(records, lines)`` of the data lines of ``text``: their
+    records in order, and the line number of each; the records themselves
+    without ``build``.  A field or a line that ``spec`` refuses, or a
+    ``RecordError`` from ``build``, raises ``spec.error`` naming the line."""
+    kinds = spec.fields
+    by_kind = {kind: {} for kind in kinds}
+    memos = [by_kind[kind] for kind in kinds]
+    chunk_memos = [None if getattr(kind, "whole", False) else by_kind[kind] for kind in kinds]
+    pad = [repeat(None)] * (len(getattr(spec.record, "_fields", kinds)) - len(kinds))
+    records: list = []
+    try:
+        for chunk in columns(text, len(kinds)):
+            values = [*map(_checked, kinds, chunk_memos, chunk)]
+            # Checked fields: skip a named tuple's Python-level __new__.
+            records += starmap(tuple.__new__, zip(repeat(spec.record), zip(*values, *pad)))
+        # Plain text: every line after the leading # lines is a record.
+        total = text.count("\n") + (not text.endswith("\n"))
+        lines: Sequence[int] = range(total - len(records) + 1, total + 1)
+    except ValueError:  # not plain, or a kind refused a column
+        records, lines = rows(text, spec, memos)
+    if build is None:
+        return records
+    try:
+        return build(records, lines)
+    except RecordError as exc:
+        raise spec.error(f"{spec.kind} line {lines[exc.index]}: {exc}") from None
+
+
+def _checked(kind: Kind, memo: dict | None, column: Sequence[str]) -> Iterator:
+    """What ``kind`` makes of each value of ``column``.  ``memo`` holds the
+    values checked so far in this read, so each distinct value is checked
+    once and equal fields share one result; with no memo, ``kind`` checks
+    the whole column."""
+    if memo is None:
+        return iter(kind(column))
+    new = [*set(column).difference(memo)]
+    if new:
+        memo.update(zip(new, kind(new)))
+    return map(memo.__getitem__, column)
+
+
+def rows(text: str, spec: Spec, memos: list[dict]) -> tuple[list, list[int]]:
+    """The records of ``text`` line by line, and their line numbers.
+
+    A line whose field count is not in ``spec.arities``, or a field that
+    its kind refuses, raises ``spec.error`` with the message ``<kind>
+    line N: <message>``, as in ``expected K fields, got M``."""
+    kind, error, kinds, arities, record = spec
     expected = " or ".join(map(str, arities))
-    out: list[T] = []
-    append = out.append
+    pad = (None,) * len(getattr(record, "_fields", kinds))
+    records: list = []
+    lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip(" ")
         if not line or line.isspace() or line[0] == "#":
@@ -61,10 +131,69 @@ def rows(
         try:
             if len(fields) not in arities:
                 raise ValueError(f"expected {expected} fields, got {len(fields)}")
-            append(parse(lineno, fields))
+            try:
+                values = [*map(dict.__getitem__, memos, fields)]
+            except KeyError:  # a value not yet checked: each field is a column
+                values = [next(_checked(*field)) for field in zip(kinds, memos, zip(fields))]
         except ValueError as exc:
             raise error(f"{kind} line {lineno}: {exc}") from None
-    return out
+        records.append(tuple.__new__(record, (*values, *pad[len(values):])))
+        lines.append(lineno)
+    return records, lines
+
+
+# -- shared field kinds ------------------------------------------------------
+# Each message is a template, formatted with the value it refuses.
+
+
+def whole(kind: Kind) -> Kind:
+    """``kind``, marked to check a plain chunk's column whole: for values
+    that seldom repeat and need no sharing, where a memo costs more than
+    it saves."""
+    kind.whole = True  # type: ignore[attr-defined]
+    return kind
+
+
+def name(empty: str, spaced: str | None = None) -> Kind:
+    """Names, taken as they are: not empty (``empty``) and, with
+    ``spaced``, holding no whitespace (``spaced``)."""
+
+    def check(values: list[str]) -> list[str]:
+        # split() breaks at exactly the characters isspace() accepts, in one C pass.
+        if "" in values or spaced is not None and "\t".join(values).split() != values:
+            for value in values:
+                if not value:
+                    raise ValueError(empty.format(value))
+                if spaced is not None and value.split() != [value]:
+                    raise ValueError(spaced.format(value))
+        return values
+
+    return check
+
+
+def count(what: str, least: int, below: str) -> Kind:
+    """Integers by ``integer`` (``bad <what> ...``), each at least ``least``
+    (``below``)."""
+
+    def check(values: list[str]) -> list[int]:
+        ints = [integer(value, what) for value in values]
+        if min(ints) < least:
+            raise ValueError(below)
+        return ints
+
+    return check
+
+
+def token(table: dict[str, Any], bad: str) -> Kind:
+    """One of the keys of ``table``, as its value; another value is ``bad``."""
+
+    def check(values: list[str]) -> list:
+        for value in values:
+            if value not in table:
+                raise ValueError(bad.format(value))
+        return [*map(table.__getitem__, values)]
+
+    return check
 
 
 def integer(field: str, what: str) -> int:
@@ -83,27 +212,22 @@ def integer(field: str, what: str) -> int:
         raise ValueError(f"bad {what}: too many digits") from None
 
 
-def columns(text: str, arity: int) -> Iterator[list[list[str]] | None]:
+def columns(text: str, arity: int) -> Iterator[list[list[str]]]:
     """The fields of the data lines of ``text``, column by column: one
     list of ``arity`` columns per chunk of lines, in order.
 
     This is ``rows``' rule for plain text only, split in C.  Leading
     ``#`` lines are dropped.  Every other line must be plain: ``arity``
     (at least 2) fields, no space at either end, no leading ``#``, and
-    LF the only line break.  At the first chunk that is not, the iterator
-    yields ``None`` and stops, and its caller reads the whole text with
-    ``rows`` instead, which gives the same value or names the line in
-    error.  A whitespace-only line, which ``rows`` skips, is plain only
-    if each of its fields is empty or whitespace, so a caller may take
-    the fields as they come only if it refuses such a field in some
-    column."""
+    LF the only line break.  The first chunk that is not raises
+    ``ValueError``.  A whitespace-only line, which ``rows`` skips, is
+    plain only if each of its fields is empty or whitespace."""
     start, end = 0, len(text)
     while text.startswith("#", start):
         cut = text.find("\n", start) + 1 or end
         line = text[start:cut].rstrip("\n")
         if line.splitlines() != [line]:
-            yield None
-            return
+            raise ValueError("not plain")
         start = cut
     while start < end:
         cut = text.find("\n", start + CHUNK) + 1 or end
@@ -112,8 +236,7 @@ def columns(text: str, arity: int) -> Iterator[list[list[str]] | None]:
         if not chunk.endswith("\n"):
             chunk += "\n"
         if not _plain(chunk, arity):
-            yield None
-            return
+            raise ValueError("not plain")
         cells = chunk.replace("\n", "\t").split("\t")
         del cells[-1]
         yield [cells[i::arity] for i in range(arity)]

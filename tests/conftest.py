@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from selrestr.extract import SynRel, TripleRecord
+from selrestr.triples import SynRel, TripleRecord
 from selrestr.stats import Scorer, accumulate
 from selrestr.taxonomy import load_taxonomy
 

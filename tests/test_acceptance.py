@@ -21,28 +21,19 @@ from helpers import nodes, score
 from worlds import lexicon_text, make_world, taxonomy_text
 
 from selrestr.evaluate import diagnostic_summary, evaluate_gold, read_gold, read_labels
-from selrestr.extract import (
-    LEMMA_FAILURE,
-    NON_NOUN_HEAD,
-    LemmaTable,
-    SynRel,
-    TripleRecord,
-    extract_corpus,
-    write_discards,
-    write_triples,
-)
+from selrestr.extract import LEMMA_FAILURE, NON_NOUN_HEAD, LemmaTable, extract_corpus
 from selrestr.learner import (
     LearnerConfig,
     candidate_space,
-    format_restriction,
     learn_all,
-    read_restrictions,
     score_candidates,
     select_disjoint,
 )
+from selrestr.restrictions import format_restriction, read_restrictions
 from selrestr.stats import EstimatorKind, ScoreKind, Scorer, accumulate, signed_g2
 from selrestr.taxonomy import load_taxonomy
 from selrestr.trees import read_trees
+from selrestr.triples import SynRel, TripleRecord, write_discards, write_triples
 
 RAW = EstimatorKind.RAW
 SENSE = EstimatorKind.SENSE_CORRECTED

@@ -27,9 +27,10 @@ from selrestr.evaluate import (
     read_labels,
     render_diagnostics,
 )
-from selrestr.extract import PENN, ExtractionError, SynRel, TripleRecord
-from selrestr.learner import SelectionalRestriction, read_restrictions
+from selrestr.extract import PENN
+from selrestr.restrictions import SelectionalRestriction, read_restrictions
 from selrestr.taxonomy import load_taxonomy
+from selrestr.triples import ExtractionError, SynRel, TripleRecord
 
 S0 = SynRel("0")
 S1 = SynRel("1")

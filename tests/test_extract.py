@@ -5,6 +5,7 @@ import gc
 import io
 import itertools
 import re
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -17,25 +18,26 @@ import oracle
 from selrestr.extract import (
     LEMMA_FAILURE,
     NON_NOUN_HEAD,
-    OBJECT,
     PENN,
-    SUBJECT,
-    ExtractionError,
     LemmaTable,
-    SynRel,
     TagSet,
-    TripleRecord,
     extract_corpus,
     extract_triples,
     lemmatize,
-    read_triples,
-    relation,
-    write_discards,
-    write_triples,
 )
 from helpers import leaf, node
 from selrestr.cli import run
 from selrestr.trees import parse_bracketed
+from selrestr.triples import (
+    OBJECT,
+    SUBJECT,
+    ExtractionError,
+    SynRel,
+    TripleRecord,
+    read_triples,
+    write_discards,
+    write_triples,
+)
 
 
 class TestSynRel:
@@ -50,11 +52,35 @@ class TestSynRel:
         assert str(rel) == "with"
 
     def test_prepositions_are_lowercased_and_shared(self):
-        # One SynRel per code serves the extractor and every reader.
-        (tree,) = parse_bracketed("(S (NP (NN dog)) (VP (VBZ sleeps) (PP (IN On) (NP (NN mat)))))")
-        (_, on) = extract_triples(tree)
-        assert on.rel.code == "on" and on.rel is relation("on")
-        assert read_triples("sleep\ton\tmat\n")[0].rel is on.rel
+        # Within one call, one SynRel per code serves every record.
+        (tree,) = parse_bracketed(
+            "(S (NP (NN dog))"
+            " (VP (VBZ sleeps) (PP (IN On) (NP (NN mat))) (PP (IN on) (NP (NN rug)))))"
+        )
+        (_, on, again) = extract_triples(tree)
+        assert on.rel.code == "on" and on.rel == SynRel("on")
+        assert again.rel is on.rel
+        assert read_triples("sleep\ton\tmat\n")[0].rel == on.rel
+
+    def test_no_module_table_grows_with_the_codes_seen(self):
+        # Relations are interned per read or extract_corpus call, so a
+        # library caller that reads many codes leaves nothing behind.
+        def tables():
+            return {
+                (module.__name__, key): len(value)
+                for module in list(sys.modules.values())
+                if module.__name__.startswith("selrestr")
+                for key, value in vars(module).items()
+                if not key.startswith("__") and isinstance(value, (dict, set, list))
+            }
+
+        before = tables()
+        read_triples("".join(f"eat\tp{i}\tdog\n" for i in range(5000)))
+        trees = parse_bracketed("".join(
+            f"(S (NP (NN dog)) (VP (VBZ sleeps) (PP (IN q{i}) (NP (NN mat)))))" for i in range(5000)
+        ))
+        assert len(extract_corpus(trees)) == 10000
+        assert tables() == before
 
     @pytest.mark.parametrize("bad", ["With", "", "o n", "in\t", "IN"])
     def test_bad_codes_rejected(self, bad):

@@ -11,22 +11,24 @@ from hypothesis import given, strategies as st
 
 from conftest import TOY_PARENTS, TOY_SENSES, TOY_TRIPLES, build_world
 from helpers import write_restrictions_jsonl
-from selrestr.extract import ExtractionError, SynRel
 from selrestr.learner import (
     LearnerConfig,
-    SelectionalRestriction,
     candidate_space,
-    format_restriction,
     learn_all,
     learn_group,
-    read_header,
-    read_restrictions,
     score_candidates,
     select_disjoint,
+)
+from selrestr.restrictions import (
+    SelectionalRestriction,
+    format_restriction,
+    read_header,
+    read_restrictions,
     write_restrictions,
 )
 from selrestr.stats import EstimatorKind, ScoreKind, UnsupportedClassError
 from selrestr.taxonomy import load_taxonomy
+from selrestr.triples import ExtractionError, SynRel
 
 S0 = SynRel("0")
 S1 = SynRel("1")

@@ -26,15 +26,14 @@ from selrestr.evaluate import (
     read_gold,
     read_labels,
 )
-from selrestr.extract import SynRel, TripleRecord
 from selrestr.learner import (
     LearnerConfig,
-    SelectionalRestriction,
     candidate_space,
     learn_all,
     score_candidates,
     select_disjoint,
 )
+from selrestr.restrictions import SelectionalRestriction
 from selrestr.stats import (
     CountsTable,
     EstimatorKind,
@@ -43,6 +42,7 @@ from selrestr.stats import (
     accumulate,
 )
 from selrestr.taxonomy import load_taxonomy
+from selrestr.triples import SynRel, TripleRecord
 from worlds import RELS, make_world, paper_world, taxonomy_text
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

@@ -13,7 +13,6 @@ import pytest
 import oracle
 from conftest import TOY_PARENTS, TOY_SENSES, TOY_TRIPLES, build_world
 from helpers import flat_counts, lexicon_misses, score
-from selrestr.extract import SUBJECT, ExtractionError, SynRel, TripleRecord
 from selrestr.stats import (
     CountsTable,
     EstimatorKind,
@@ -25,6 +24,7 @@ from selrestr.stats import (
     read_counts,
     signed_g2,
 )
+from selrestr.triples import SUBJECT, ExtractionError, SynRel, TripleRecord
 
 S0 = SynRel("0")
 S1 = SynRel("1")

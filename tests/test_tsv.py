@@ -3,12 +3,12 @@
 ``selrestr.tsv.rows`` defines the rule: spaces and CR are stripped from
 the ends of a line, tabs are kept, blank and ``#`` lines are skipped,
 and an error in a line names ``<kind> line N``, a prefix that only
-``rows`` adds, so each reader's field errors are pinned here byte for
-byte.  The triples, restrictions, taxonomy and lexicon readers read
+``selrestr.tsv`` adds, so each reader's field errors are pinned here
+byte for byte.  Every reader is a spec read by ``tsv.read``, which reads
 plain text column by column first (``tsv.columns``) and everything else
-through ``rows``: their value or error must equal what ``rows`` alone
-gives, on generated text and on every trigger of the fallback, and a
-clean file must never reach ``rows``.  The fuzz tests feed each reader
+through ``rows``: each reader's value or error must equal what ``rows``
+alone gives, on generated text and on every trigger of the fallback,
+and a clean file must never reach ``rows``.  The fuzz tests feed each reader
 text built from the characters these files are made of and require a
 result or the reader's own ``ValueError`` subclass, never another
 exception; a result may hold no empty name or sense class, no
@@ -19,20 +19,20 @@ import math
 import random
 import re
 import string
-from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import flat_counts, nodes, nouns, parents
-from selrestr import restrictions, taxonomy, triples, tsv
+from selrestr import tsv
 from selrestr.cli import run
 from selrestr.evaluate import read_gold, read_labels
-from selrestr.extract import ExtractionError, LemmaTable, read_triples
-from selrestr.learner import read_restrictions
+from selrestr.extract import LemmaTable
+from selrestr.restrictions import read_restrictions
 from selrestr.stats import read_counts
 from selrestr.taxonomy import TaxonomyError, parse_lexicon, parse_taxonomy
+from selrestr.triples import ExtractionError, read_triples
 from worlds import lexicon_text, paper_world, taxonomy_text, triples_text
 
 TAX = parse_taxonomy("a\t-\nb\ta\nc\ta,b\nanimal\t-\n")
@@ -272,20 +272,6 @@ def test_one_object_per_distinct_verb_and_noun(kind, line, words, lines):
 
 # -- the column path ---------------------------------------------------------
 
-# The modules whose readers take tsv.columns first.
-COLUMN_MODULES = (triples, restrictions, taxonomy)
-COLUMN_READERS = [r for r in READERS if r[0] in ("triples", "restrictions", "taxonomy", "lexicon")]
-
-
-@contextmanager
-def patched(name, value):
-    """``name`` is ``value`` in every module whose readers take columns."""
-    with ExitStack() as stack:
-        for module in COLUMN_MODULES:
-            stack.enter_context(mock.patch.object(module, name, value))
-        yield
-
-
 def _outcome(read, text):
     try:
         return "value", read(text)
@@ -295,18 +281,31 @@ def _outcome(read, text):
 
 # Two valid lines per reader; the lexicon reads against TAX.
 GOOD = {
+    "lemma table": ("geese\tnoun\tgoose", "ran\tverb\trun"),
     "triples": ("eat\t1\tdog", "drink\twith\twater"),
+    "counts": ("eat\t1\tdog\t2", "drink\twith\twater\t1"),
     "restrictions": ("eat\t1\tanimal\t0.5\t2\t3", "drink\t0\tb\t-1.25\t0\t10"),
+    "gold": ("eat\t1\tdog\tanimal\tok", "drink\twith\twater\t-\tparser_err"),
+    "labels": ("eat\t1\tanimal\tOk\t2", "drink\t0\tb\tNoise\t0"),
     "taxonomy": ("a\t-", "b\ta"),
     "lexicon": ("dog\tanimal", "cat\ta,b"),
 }
 # Line i of a clean file several chunks long.
 LONG_LINE = {
+    "lemma table": lambda i: f"f{i}\t{('noun', 'verb')[i % 2]}\tl{i % 50}",
     "triples": lambda i: f"v{i % 7}\t1\tn{i}",
+    "counts": lambda i: f"v{i % 7}\t{i % 3}\tn{i % 500}\t{i % 4 + 1}",
     "restrictions": lambda i: f"v{i % 7}\t0\tc{i}\t0.5\t{i}\t{i}",
+    "gold": lambda i: f"v{i % 7}\twith\tn{i}\t{('-', 'c')[i % 2]}\t{('ok', 'lemma_err')[i % 2]}",
+    "labels": lambda i: f"v{i % 7}\t0\tc{i}\tUpAbs\t{i % 9}",
     "taxonomy": lambda i: f"c{i}\t-" if i == 0 else f"c{i}\tc{i // 2}",
     "lexicon": lambda i: f"n{i}\ta,c",
 }
+
+
+def long_text(kind):
+    """A clean file of ``kind`` several chunks long."""
+    return "".join(LONG_LINE[kind](i) + "\n" for i in range(3 * tsv.CHUNK // 10))
 
 
 def triggers(kind):
@@ -314,7 +313,7 @@ def triggers(kind):
     and clean texts around them."""
     a, b = GOOD[kind]
     arity = a.count("\t") + 1
-    long = "".join(LONG_LINE[kind](i) + "\n" for i in range(3 * tsv.CHUNK // 10))
+    long = long_text(kind)
     cases = [
         f"{a}\n{b}\n",  # clean
         f"# a header\n#\tof tabs\n{a}\n{b}",  # clean, no final line break
@@ -345,6 +344,25 @@ def triggers(kind):
         cases.append(f"{a}\neat\t1\tanimal\t 0.5 \t2\t3\n")
     if kind == "triples":
         cases += [f"{a}\neat\tX\tdog\n", f"{a}\neat\t\tdog\n", f"{a}\neat\t1\t\n"]
+    if kind == "counts":
+        cases += [f"{a}\neat\t1\tdog\t{count}\n" for count in ("0", "-1", "+5")]
+        cases.append(f"{a}\n{b}\n{a}\n")  # a repeated key: its counts add up
+    if kind == "gold":
+        cases += [
+            f"{a}\neat\t1\tdog\n{b}\n",  # 5, 3 and 5 fields
+            "eat\t1\tdog\n" + f"{a}\n",  # 3, then 5 fields
+            f"{a}\neat\t1\tdog\tanimal\tmaybe\n",  # a bad status
+        ]
+    if kind == "labels":
+        cases += [
+            f"{a}\n{b}\neat\t1\tanimal\tNoise\n",  # a duplicate, with no count
+            f"{a}\neat\t1\tc\tOk\t-1\n",  # a negative count
+        ]
+    if kind == "lemma table":
+        cases += [
+            f"{a}\nran\tadj\trun\n",  # a bad POS
+            f"{a}\n{b}\ngeese\tnoun\tgeese\n",  # a later line wins
+        ]
     if kind == "taxonomy":
         cases += [
             "b\ta\na\t-\n",  # a parent defined on a later line
@@ -365,18 +383,19 @@ def triggers(kind):
     return cases
 
 
-@pytest.mark.parametrize("kind, read, error, line", COLUMN_READERS, ids=[r[0] for r in COLUMN_READERS])
+@pytest.mark.parametrize("kind, read, error, line", READERS, ids=IDS)
 def test_column_path_equals_rows(kind, read, error, line):
     # The value, or the exception class and message, that each reader gives
     # equals what rows alone gives with the column recognizer forced off.
     arity = line.count("\t") + 1
     plain = st.lists(st.lists(field, min_size=arity, max_size=arity).map("\t".join), max_size=8)
+    lines = texts(FIELD_COUNTS.get(kind, (arity,)))
 
     @settings(max_examples=150, deadline=None)
-    @given(text=st.one_of(texts((arity,)), plain.map(lambda lines: "".join(x + "\n" for x in lines))))
+    @given(text=st.one_of(lines, plain.map(lambda lines: "".join(x + "\n" for x in lines))))
     def check(text):
         got = _outcome(read, text)
-        with patched("columns", lambda text, arity: iter([None])):
+        with mock.patch.object(tsv, "columns", side_effect=ValueError):
             assert _outcome(read, text) == got
 
     for text in triggers(kind):
@@ -405,10 +424,17 @@ class TestNoFallbackOnCleanFiles:
         srs = (tmp_path / "srs.tsv").read_text()
         assert srs.startswith("# ") and srs.count("\n") > 1000
 
-        calls = []
-        with patched("rows", lambda text, kind, *args: calls.append(kind)):
+        with mock.patch.object(tsv, "rows", wraps=tsv.rows) as rows:
             read_triples(files["triples"])
             tax = parse_taxonomy(files["taxonomy"])
             parse_lexicon(files["lexicon"], tax)
             read_restrictions(srs)
-        assert calls == []
+        assert rows.call_count == 0
+
+    @pytest.mark.parametrize("kind, read, error, line", READERS, ids=IDS)
+    def test_long_file_of_each_kind(self, kind, read, error, line):
+        text = long_text(kind)
+        assert len(text) > tsv.CHUNK
+        with mock.patch.object(tsv, "rows", wraps=tsv.rows) as rows:
+            read(text)
+        assert rows.call_count == 0
