@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .restrictions import VERB_OR_CLASS, SelectionalRestriction
 from .taxonomy import SenseLexicon
-from .triples import VERB_OR_NOUN, ExtractionError, SynRel, TripleRecord, percentage, relations
+from .triples import VERB_OR_NOUN, ExtractionError, SynRel, TripleRecord, percentage
 from .tsv import RecordError, Spec, count, name, read, token
 
 if TYPE_CHECKING:
@@ -204,7 +204,7 @@ GOLD = Spec(
     "gold",
     ExtractionError,
     (
-        VERB_OR_NOUN, relations, VERB_OR_NOUN, name("empty sense class (use - for unknown)"),
+        VERB_OR_NOUN, SynRel, VERB_OR_NOUN, name("empty sense class (use - for unknown)"),
         token(_STATUS, f"bad status {{!r}}, expected one of {', '.join(_STATUS)}"),
     ),
     (3, 5),
@@ -231,7 +231,7 @@ LABELS = Spec(
     "labels",
     ExtractionError,
     (
-        VERB_OR_CLASS, relations, VERB_OR_CLASS,
+        VERB_OR_CLASS, SynRel, VERB_OR_CLASS,
         token(_LABELS, f"unknown label {{!r}}, expected one of {', '.join(_LABELS)}"),
         count("occurrence count", 0, "negative occurrence count"),
     ),
@@ -244,17 +244,16 @@ def read_labels(text: str) -> list[LabelRow]:
 
     Without the count column, occurrences are recounted from the gold
     triples at evaluation time."""
-    return read(text, LABELS, _unique_labels)
+    return read(text, LABELS, check=_unique_labels)
 
 
-def _unique_labels(records: list[LabelRow], lines) -> list[LabelRow]:
+def _unique_labels(records: list[LabelRow], lines) -> None:
     if len({record[:3] for record in records}) < len(records):
         seen = set()
         for i, (verb, rel, class_id, *_) in enumerate(records):
             if (verb, rel, class_id) in seen:
                 raise RecordError(i, f"duplicate label for ({verb}, {rel.code}, {class_id})")
             seen.add((verb, rel, class_id))
-    return records
 
 
 def occurrence_count(

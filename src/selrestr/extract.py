@@ -125,8 +125,7 @@ def _check_lemma(lemma: str) -> str:
 LEMMAS = Spec(
     "lemma table",
     ExtractionError,
-    (lambda forms: forms, token({NOUN: NOUN, VERB: VERB}, "bad POS {!r}"),
-     lambda lemmas: [*map(_check_lemma, lemmas)]),
+    (str, token({NOUN: NOUN, VERB: VERB}, "bad POS {!r}"), _check_lemma),
     (3,),
 )
 

@@ -18,8 +18,8 @@ import math
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple
 
-from .triples import ExtractionError, SynRel, relations
-from .tsv import Spec, count, name, read, whole
+from .triples import ExtractionError, SynRel
+from .tsv import Spec, count, name, read
 
 
 class EstimatorKind(Enum):
@@ -90,23 +90,21 @@ def read_header(text: str) -> dict[str, str]:
         size *= 4
 
 
-@whole
-def _scores(texts: list[str]) -> list[float]:
+def _score(text: str) -> float:
     """The field kind of a score: a float, and finite."""
-    scores = [*map(float, texts)]
-    if not all(map(math.isfinite, scores)):
-        bad = next(text for text, score in zip(texts, scores) if not math.isfinite(score))
-        raise ValueError(f"score must be finite, got {bad!r}")
-    return scores
+    score = float(text)
+    if not math.isfinite(score):
+        raise ValueError(f"score must be finite, got {text!r}")
+    return score
 
 
-VERB_OR_CLASS = whole(name("empty verb or class"))
+VERB_OR_CLASS = name("empty verb or class")
 _NOT_NEGATIVE = "nouns and support must be >= 0"
 RESTRICTIONS = Spec(
     "restrictions",
     ExtractionError,
     (
-        VERB_OR_CLASS, relations, VERB_OR_CLASS, _scores,
+        VERB_OR_CLASS, SynRel, VERB_OR_CLASS, _score,
         count("nouns count", 0, _NOT_NEGATIVE), count("support count", 0, _NOT_NEGATIVE),
     ),
     (6,),

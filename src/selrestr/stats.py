@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .restrictions import EstimatorKind, ScoreKind
 from .taxonomy import SenseLexicon
-from .triples import VERB_OR_NOUN, ExtractionError, SynRel, TripleRecord, relations
+from .triples import VERB_OR_NOUN, ExtractionError, SynRel, TripleRecord
 from .tsv import Spec, count, read
 
 
@@ -124,7 +124,7 @@ def accumulate(triples: Iterable[TripleRecord]) -> CountsTable:
 COUNTS = Spec(
     "counts",
     ExtractionError,
-    (VERB_OR_NOUN, relations, VERB_OR_NOUN, count("count", 1, "count must be >= 1")),
+    (VERB_OR_NOUN, SynRel, VERB_OR_NOUN, count("count", 1, "count must be >= 1")),
     (4,),
 )
 

@@ -17,18 +17,18 @@ memoized on the taxonomy, and each noun's ``sense_hits`` table on the
 lexicon; class membership and every class sum read that one table.
 Both files are a spec read by ``tsv.read``, which adds ``taxonomy line
 N`` or ``lexicon line N`` to an error.  Their field kinds check each
-class id and noun; their ``build`` functions then find the faults
-between lines, once every field is checked: a duplicate class or noun,
-a noun with no sense or a sense that is no class, and a parent that no
-line defines, named at the line of the class that names it.
+class id and noun.  Their ``check`` functions find the faults between
+lines in file order: a duplicate class or noun, a noun with no sense or
+a sense that is no class.  A parent that no line defines is found once
+the whole taxonomy is read, as a later line may define it, and is named
+at the line of the class that names it.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
-from .tsv import RecordError, Spec, name, read, whole
+from .tsv import Kind, RecordError, Spec, name, read
 
 
 class TaxonomyError(ValueError):
@@ -36,6 +36,7 @@ class TaxonomyError(ValueError):
 
 
 def _check_class_id(token: str) -> str:
+    """The field kind of a class id: not empty, and no whitespace."""
     if not token:
         raise TaxonomyError("empty class id")
     # split() breaks at exactly the characters isspace() accepts, in one C pass.
@@ -44,24 +45,12 @@ def _check_class_id(token: str) -> str:
     return token
 
 
-@whole
-def _class_ids(ids: list[str]) -> list[str]:
-    """The field kind of a class id: tested in bulk for an empty id or any
-    whitespace, and then ``_check_class_id`` names the first bad id."""
-    if "\t".join(ids).split() != ids:
-        for token in ids:
-            _check_class_id(token)
-    return ids
-
-
-def _id_lists(none: str):
+def _id_list(none: str) -> Kind:
     """The field kind of a comma-separated list of class ids, as a
     frozenset; the list ``none`` names no id."""
 
-    def check(texts: list[str]) -> list[frozenset[str]]:
-        lists = [() if text == none else text.split(",") for text in texts]
-        _class_ids([*chain.from_iterable(lists)])
-        return [*map(frozenset, lists)]
+    def check(text: str) -> frozenset[str]:
+        return frozenset(() if text == none else map(_check_class_id, text.split(",")))
 
     return check
 
@@ -170,14 +159,13 @@ class SenseLexicon:
         return hits
 
 
-TAXONOMY = Spec("taxonomy", TaxonomyError, (_class_ids, _id_lists("-")), (2,))
-_NOUN = whole(name("bad noun lemma {!r}", "bad noun lemma {!r}"))
-LEXICON = Spec("lexicon", TaxonomyError, (_NOUN, _id_lists("")), (2,))
+TAXONOMY = Spec("taxonomy", TaxonomyError, (_check_class_id, _id_list("-")), (2,))
+_NOUN = name("bad noun lemma {!r}", "bad noun lemma {!r}")
+LEXICON = Spec("lexicon", TaxonomyError, (_NOUN, _id_list("")), (2,))
 
 
-def _taxonomy(records: list[tuple[str, frozenset[str]]], lines: Sequence[int]) -> Taxonomy:
-    parents = dict(records)
-    if len(parents) < len(records):
+def _unique_classes(records: list[tuple[str, frozenset[str]]], lines: Sequence[int]) -> None:
+    if len(dict(records)) < len(records):
         first: dict[str, int] = {}
         for i, (class_id, _) in enumerate(records):
             j = first.setdefault(class_id, i)
@@ -185,6 +173,10 @@ def _taxonomy(records: list[tuple[str, frozenset[str]]], lines: Sequence[int]) -
                 raise RecordError(
                     i, f"duplicate class {class_id!r} (first seen on line {lines[j]})"
                 )
+
+
+def _taxonomy(records: list[tuple[str, frozenset[str]]], lines: Sequence[int]) -> Taxonomy:
+    parents = dict(records)
     # A class may name a parent that a later line defines.
     if not parents.keys() >= set().union(*parents.values()):
         for i, (child, ps) in enumerate(parents.items()):
@@ -195,13 +187,13 @@ def _taxonomy(records: list[tuple[str, frozenset[str]]], lines: Sequence[int]) -
 
 
 def parse_taxonomy(text: str) -> Taxonomy:
-    return read(text, TAXONOMY, _taxonomy)
+    return read(text, TAXONOMY, _taxonomy, check=_unique_classes)
 
 
 def parse_lexicon(text: str, taxonomy: Taxonomy) -> SenseLexicon:
     known = taxonomy._parents.keys()
 
-    def build(records: list[tuple[str, frozenset[str]]], lines: Sequence[int]) -> SenseLexicon:
+    def check(records: list[tuple[str, frozenset[str]]], lines: Sequence[int]) -> None:
         senses = dict(records)
         if len(senses) < len(records) or not (
             all(senses.values()) and known >= set().union(*senses.values())
@@ -219,9 +211,10 @@ def parse_lexicon(text: str, taxonomy: Taxonomy) -> SenseLexicon:
                 for c in classes:
                     if c not in known:
                         raise RecordError(i, f"noun {noun!r} names unknown class {c!r}")
-        return SenseLexicon(taxonomy, senses)
 
-    return read(text, LEXICON, build)
+    return read(
+        text, LEXICON, lambda records, _: SenseLexicon(taxonomy, dict(records)), check=check
+    )
 
 
 def load_taxonomy(taxonomy_text: str, lexicon_text: str) -> tuple[Taxonomy, SenseLexicon]:

@@ -13,7 +13,7 @@ one object, and no table of them outlives the read.
 
 Every command loads this module: ``cli`` checks its options with
 ``ExtractionError`` and ``key_names``, the counts, restrictions, gold and
-labels specs use the field kinds ``VERB_OR_NOUN`` or ``relations``, and
+labels specs use ``SynRel`` or ``VERB_OR_NOUN`` as field kinds, and
 ``percentage`` formats the shares that ``extract`` and ``eval`` print,
 so neither command loads the other's module for it.
 """
@@ -58,7 +58,8 @@ class SynRel(str):
 
     ``code`` is "0" (subject), "1" (object) or a lowercase preposition.
     A relation is its code as a ``str`` subclass, so hashing, equality
-    and ordering run in C and equal a comparison of the codes.
+    and ordering run in C and equal a comparison of the codes.  The class
+    is also the field kind of a relation code (``bad relation code 'X'``).
     """
 
     __slots__ = ()
@@ -80,11 +81,6 @@ class SynRel(str):
 
 SUBJECT = SynRel(SUBJECT_CODE)
 OBJECT = SynRel(OBJECT_CODE)
-
-
-def relations(codes: list[str]) -> list[SynRel]:
-    """The field kind of a relation code (``bad relation code 'X'``)."""
-    return [*map(SynRel, codes)]
 
 
 VERB_OR_NOUN = name("empty verb or noun")
@@ -126,7 +122,7 @@ def write_discards(records: Iterable[TripleRecord], f) -> None:
 
 
 TRIPLES = Spec(
-    "triples", ExtractionError, (VERB_OR_NOUN, relations, VERB_OR_NOUN), (3,), TripleRecord
+    "triples", ExtractionError, (VERB_OR_NOUN, SynRel, VERB_OR_NOUN), (3,), TripleRecord
 )
 
 

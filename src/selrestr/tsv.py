@@ -8,35 +8,41 @@ lines starting with ``#`` are skipped; every other line is split on tabs.
 
 A file's ``Spec`` names its kind (``counts``), its error class, one field
 kind per column and the record each line becomes.  A field kind is the
-one rule of a field, with its message: it takes a list of field values
-and returns what each value stands for, or raises ``ValueError`` about
-the first bad one.  ``name``, ``count`` and ``token`` make the kinds that
-several files share; the relation, score and class-id list kinds live
-with the records that hold them.
+one rule of a field, with its message: it takes one field value and
+returns what the value stands for, or raises ``ValueError``.  ``name``,
+``count`` and ``token`` make the kinds that several files share; the
+relation, score and class-id list kinds live with the records that hold
+them.
 
 ``read`` runs a spec two ways, with the same kinds.  On plain text, the
 common case, ``columns`` splits a chunk of lines at a time into columns
-in C.  Each kind checks each distinct value of its column once per read,
-so equal fields share one value; a kind marked ``whole``, for values
-that seldom repeat, checks each column as it comes.  The records are
-built in C.  On any other text, or at the first column that a kind
-refuses, ``rows`` reads the whole text again line by line, each field a
-one-value column, so it gives the same value or names the line in error.
+in C, and each kind checks each distinct value of its columns once per
+read, so equal fields share one value; the records are built in C.  On
+any other text, or at the first value that a kind refuses, ``rows``
+reads the text again line by line, each field a one-value column, so it
+gives the same value or names the first line in error.
 
-A reader's ``build`` then makes the file's value from the records, and
-raises ``RecordError`` for a fault between lines, such as a duplicate,
-so a bad field on any line is reported before such a fault.  Only
+A reader may give two functions of the records and their line numbers.
+``check`` looks for a fault between lines that the lines before it
+show, such as a duplicate, and raises ``RecordError`` at the first in
+file order; it is given the records before a bad field, so the first
+fault in the file is the one named.  ``build`` makes the file's value
+from every record, and may raise ``RecordError`` for a fault that only
+the whole file shows, such as a parent that no line defines.  Only
 ``read`` and ``rows`` add ``<kind> line N: `` to a message.  ``integer``
 is the one rule for a count field: an optional ``-``, then ASCII digits.
 """
 
 from __future__ import annotations
 
-from itertools import repeat, starmap
+from itertools import islice, repeat, starmap
+from operator import is_not
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
-# A field rule: raw values in, what each stands for out, in order.
-Kind = Callable[[list[str]], list]
+# A field rule: a raw value in, what it stands for out.
+Kind = Callable[[str], Any]
+# A reader's check or build: the records and their line numbers in.
+Stage = Callable[[list, Sequence[int]], Any]
 
 # ``columns`` reads about this many characters at a time, cut after a
 # line break, so only one chunk's cells are alive at once.
@@ -62,64 +68,78 @@ class Spec(NamedTuple):
 
 
 class RecordError(ValueError):
-    """A fault that a reader's ``build`` finds in record ``index``; ``read``
-    names the record's line."""
+    """A fault that a reader's ``check`` or ``build`` finds in record
+    ``index``; ``read`` names the record's line."""
 
     def __init__(self, index: int, message: str):
         super().__init__(message)
         self.index = index
 
 
-def read(text: str, spec: Spec, build: Callable[[list, Sequence[int]], Any] | None = None):
+def read(text: str, spec: Spec, build: Stage | None = None, check: Stage | None = None):
     """``build(records, lines)`` of the data lines of ``text``: their
     records in order, and the line number of each; the records themselves
-    without ``build``.  A field or a line that ``spec`` refuses, or a
-    ``RecordError`` from ``build``, raises ``spec.error`` naming the line."""
+    without ``build``.  ``check(records, lines)`` runs first.  A field or
+    a line that ``spec`` refuses, or a ``RecordError`` from ``check`` or
+    ``build``, raises ``spec.error`` naming the first line at fault."""
     kinds = spec.fields
-    by_kind = {kind: {} for kind in kinds}
-    memos = [by_kind[kind] for kind in kinds]
-    chunk_memos = [None if getattr(kind, "whole", False) else by_kind[kind] for kind in kinds]
+    memos = _memos(kinds)
     pad = [repeat(None)] * (len(getattr(spec.record, "_fields", kinds)) - len(kinds))
     records: list = []
+    fault = None
     try:
         for chunk in columns(text, len(kinds)):
-            values = [*map(_checked, kinds, chunk_memos, chunk)]
+            values = [*map(_checked, kinds, memos, chunk)]
             # Checked fields: skip a named tuple's Python-level __new__.
             records += starmap(tuple.__new__, zip(repeat(spec.record), zip(*values, *pad)))
         # Plain text: every line after the leading # lines is a record.
         total = text.count("\n") + (not text.endswith("\n"))
         lines: Sequence[int] = range(total - len(records) + 1, total + 1)
-    except ValueError:  # not plain, or a kind refused a column
-        records, lines = rows(text, spec, memos)
-    if build is None:
-        return records
+    except ValueError:  # not plain, or a kind refused a value
+        records, lines, fault = rows(text, spec)
     try:
-        return build(records, lines)
+        if check is not None:
+            check(records, lines)
+        if fault is not None:
+            raise fault
+        return records if build is None else build(records, lines)
     except RecordError as exc:
         raise spec.error(f"{spec.kind} line {lines[exc.index]}: {exc}") from None
 
 
-def _checked(kind: Kind, memo: dict | None, column: Sequence[str]) -> Iterator:
-    """What ``kind`` makes of each value of ``column``.  ``memo`` holds the
-    values checked so far in this read, so each distinct value is checked
-    once and equal fields share one result; with no memo, ``kind`` checks
-    the whole column."""
-    if memo is None:
-        return iter(kind(column))
-    new = [*set(column).difference(memo)]
-    if new:
-        memo.update(zip(new, kind(new)))
-    return map(memo.__getitem__, column)
+def _memos(kinds: Sequence[Kind]) -> list[dict]:
+    """An empty memo per column, one for all the columns of one kind."""
+    by_kind: dict[Kind, dict] = {kind: {} for kind in kinds}
+    return [by_kind[kind] for kind in kinds]
 
 
-def rows(text: str, spec: Spec, memos: list[dict]) -> tuple[list, list[int]]:
-    """The records of ``text`` line by line, and their line numbers.
+def _checked(kind: Kind, memo: dict, column: Sequence[str]) -> list:
+    """What ``kind`` makes of each value of ``column``.  ``memo`` maps the
+    values checked so far in this read to their results, so each distinct
+    value is checked once and equal fields share one result.  A value
+    that ``kind`` refuses leaves the memo unfit for another call."""
+    seen = len(memo)
+    values = [*map(memo.setdefault, column, column)]
+    if len(memo) > seen:
+        new = [*islice(reversed(memo), len(memo) - seen)]  # the keys just added
+        made = [*map(kind, new)]
+        memo.update(zip(new, made))
+        if any(map(is_not, made, new)):  # the kind converts: look the new values up
+            values = [*map(memo.__getitem__, column)]
+    return values
+
+
+def rows(text: str, spec: Spec) -> tuple[list, list[int], ValueError | None]:
+    """The records of ``text`` line by line, their line numbers, and the
+    error of the first line in error, if any: only the lines before it
+    are read.
 
     A line whose field count is not in ``spec.arities``, or a field that
-    its kind refuses, raises ``spec.error`` with the message ``<kind>
-    line N: <message>``, as in ``expected K fields, got M``."""
+    its kind refuses, makes ``spec.error`` with the message ``<kind> line
+    N: <message>``, as in ``expected K fields, got M``."""
     kind, error, kinds, arities, record = spec
     expected = " or ".join(map(str, arities))
+    memos = _memos(kinds)
     pad = (None,) * len(getattr(record, "_fields", kinds))
     records: list = []
     lines: list[int] = []
@@ -131,55 +151,42 @@ def rows(text: str, spec: Spec, memos: list[dict]) -> tuple[list, list[int]]:
         try:
             if len(fields) not in arities:
                 raise ValueError(f"expected {expected} fields, got {len(fields)}")
-            try:
-                values = [*map(dict.__getitem__, memos, fields)]
-            except KeyError:  # a value not yet checked: each field is a column
-                values = [next(_checked(*field)) for field in zip(kinds, memos, zip(fields))]
+            values = [_checked(*field)[0] for field in zip(kinds, memos, zip(fields))]
         except ValueError as exc:
-            raise error(f"{kind} line {lineno}: {exc}") from None
+            return records, lines, error(f"{kind} line {lineno}: {exc}")
         records.append(tuple.__new__(record, (*values, *pad[len(values):])))
         lines.append(lineno)
-    return records, lines
+    return records, lines, None
 
 
 # -- shared field kinds ------------------------------------------------------
 # Each message is a template, formatted with the value it refuses.
 
 
-def whole(kind: Kind) -> Kind:
-    """``kind``, marked to check a plain chunk's column whole: for values
-    that seldom repeat and need no sharing, where a memo costs more than
-    it saves."""
-    kind.whole = True  # type: ignore[attr-defined]
-    return kind
-
-
 def name(empty: str, spaced: str | None = None) -> Kind:
-    """Names, taken as they are: not empty (``empty``) and, with
-    ``spaced``, holding no whitespace (``spaced``)."""
+    """A name, taken as it is: not empty (``empty``) and, with ``spaced``,
+    holding no whitespace (``spaced``)."""
 
-    def check(values: list[str]) -> list[str]:
-        # split() breaks at exactly the characters isspace() accepts, in one C pass.
-        if "" in values or spaced is not None and "\t".join(values).split() != values:
-            for value in values:
-                if not value:
-                    raise ValueError(empty.format(value))
-                if spaced is not None and value.split() != [value]:
-                    raise ValueError(spaced.format(value))
-        return values
+    def check(value: str) -> str:
+        if not value:
+            raise ValueError(empty.format(value))
+        # split() breaks at exactly the characters isspace() accepts, in C.
+        if spaced is not None and value.split() != [value]:
+            raise ValueError(spaced.format(value))
+        return value
 
     return check
 
 
 def count(what: str, least: int, below: str) -> Kind:
-    """Integers by ``integer`` (``bad <what> ...``), each at least ``least``
+    """An integer by ``integer`` (``bad <what> ...``), at least ``least``
     (``below``)."""
 
-    def check(values: list[str]) -> list[int]:
-        ints = [integer(value, what) for value in values]
-        if min(ints) < least:
+    def check(value: str) -> int:
+        n = integer(value, what)
+        if n < least:
             raise ValueError(below)
-        return ints
+        return n
 
     return check
 
@@ -187,11 +194,10 @@ def count(what: str, least: int, below: str) -> Kind:
 def token(table: dict[str, Any], bad: str) -> Kind:
     """One of the keys of ``table``, as its value; another value is ``bad``."""
 
-    def check(values: list[str]) -> list:
-        for value in values:
-            if value not in table:
-                raise ValueError(bad.format(value))
-        return [*map(table.__getitem__, values)]
+    def check(value: str) -> Any:
+        if value not in table:
+            raise ValueError(bad.format(value))
+        return table[value]
 
     return check
 

@@ -262,12 +262,14 @@ WORDS = ["eat", "drink", "dog", "water"]
 @example(lines=[("eat", "0", "dog", 1), ("eat", "1", "dog", 2), ("dog", "with", "eat", 1)])
 def test_one_object_per_distinct_verb_and_noun(kind, line, words, lines):
     # Within one call each distinct verb or noun is one string, whichever
-    # field it came from; a second call shares none of them.
-    text = "\n".join(line(*fields) for fields in lines)
-    got = words(text)
-    assert len({id(w) for w in got}) == len(set(got))
-    again = words(text)
-    assert {id(w) for w in got}.isdisjoint(id(w) for w in again)
+    # field it came from; a second call shares none of them.  CRLF line
+    # breaks send the text to ``rows``, which must share the same way.
+    for brk in ("\n", "\r\n"):
+        text = brk.join(line(*fields) for fields in lines)
+        got = words(text)
+        assert len({id(w) for w in got}) == len(set(got))
+        again = words(text)
+        assert {id(w) for w in got}.isdisjoint(id(w) for w in again)
 
 
 # -- the column path ---------------------------------------------------------
@@ -401,6 +403,33 @@ def test_column_path_equals_rows(kind, read, error, line):
     for text in triggers(kind):
         check = example(text=text)(check)
     check()
+
+
+FIRST_FAULT = [
+    ("taxonomy", "a\t-\na\t-\n\tb\n",
+     "taxonomy line 2: duplicate class 'a' (first seen on line 1)"),
+    ("lexicon", "dog\tzebra\ncat\ta,\n", "lexicon line 1: noun 'dog' names unknown class 'zebra'"),
+    ("lexicon", "dog\t\ncat\tb c\n", "lexicon line 1: empty sense list for noun 'dog'"),
+    ("labels", "v\t1\tc\tOk\nv\t1\tc\tNoise\nv\t1\td\tOk\tx\n",
+     "labels line 2: duplicate label for (v, 1, c)"),
+    # An unknown parent may be defined by a later line, so it waits for the
+    # whole file: a bad field on a later line is named first.
+    ("taxonomy", "a\tz\n\tb\n", "taxonomy line 2: empty class id"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, text, message", FIRST_FAULT,
+    ids=["duplicate class", "unknown class", "empty senses", "duplicate label", "unknown parent"],
+)
+def test_the_first_fault_in_file_order_is_named(kind, text, message):
+    # A fault between lines, such as a duplicate, is named before a bad
+    # field on a later line, on both paths.
+    read = dict((k, r) for k, r, *_ in READERS)[kind]
+    for path in (text, text.replace("\n", "\r\n")):
+        with pytest.raises(ValueError) as err:
+            read(path)
+        assert str(err.value) == message
 
 
 class TestNoFallbackOnCleanFiles:
