@@ -24,7 +24,7 @@ _EXPORTS = {
     "restrictions": ("EstimatorKind", "ScoreKind", "SelectionalRestriction"),
     "stats": ("CountsTable", "Scorer", "accumulate"),
     "taxonomy": ("SenseLexicon", "Taxonomy", "load_taxonomy"),
-    "trees": ("ParseTree", "parse_bracketed"),
+    "trees": ("ParseTree", "parse_bracketed", "read_trees"),
     "triples": ("SynRel", "TripleRecord"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

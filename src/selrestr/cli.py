@@ -8,7 +8,9 @@ against its option's kind: a path must be a non-empty JSON string, an
 integer a JSON integer, a switch true or false, and a choice one of its
 values.  Every input but the corpus is read by ``_load``, which decodes
 it and names the file in any error in decoding or parsing it (UTF-8, JSON,
-TSV lines); the corpus's tree errors name it too.  ``_load`` hashes the
+TSV lines); the corpus's tree errors name it too.  Every input, the corpus
+included, is decoded by ``tsv.decode``, which drops a leading byte order
+mark.  ``_load`` hashes the
 bytes only of the inputs whose digest a run keeps: ``learn``'s
 ``--triples``/``--counts`` and, in ``load_taxonomy_files``, the taxonomy
 and lexicon.  It imports ``hashlib`` only then, not at the top: that loads
@@ -23,15 +25,26 @@ every module a process imports is compiled again.  The top of this module
 imports what every command uses: ``triples``, ``restrictions`` and
 ``taxonomy``, with the errors, the scorer and estimator choices and the
 file readers and writers.  A name that one command uses is imported
-inside that command, so ``extract`` also loads ``trees`` and ``extract``,
-``learn`` ``stats`` and ``learner``, and ``eval`` and ``report``
-``evaluate``.  Six stages of those modules, ``read_trees``,
+inside that command, so ``extract`` also loads ``trees``, ``extract`` and
+``shares``, ``learn`` ``stats`` and ``learner``, and ``eval`` and
+``report`` ``evaluate``.  Six stages of those modules, ``read_trees``,
 ``extract_corpus``, ``accumulate``, ``read_counts``, ``read_gold`` and
 ``evaluate_gold``, are attributes of this module all the same, bound on
 first access by the module ``__getattr__``, and the commands call them
-through the module (``_this.read_trees``), so a wrapper that
+through the module (``_this.extract_corpus``), so a wrapper that
 ``perfbench/tracer.py`` or a test sets on this module with ``setattr`` is
-what runs; an import inside the command would bypass it.
+what runs; an import inside the command would bypass it.  No command
+calls ``read_trees`` since ``extract`` reads its corpus in shares; it
+stays bound for the tracer, which looks it up here.
+
+``extract`` parses and extracts its corpus in shares: runs of whole
+lines, cut where as many "(" as ")" come before the cut (``trees.cut``),
+one share per CPU the process may run on, so ``taskset`` and cpusets
+bound their number, but none under ``shares.MIN_SHARE`` characters.  It
+works on the first share itself, through ``_this.extract_corpus``, and
+on each other one in a forked child (``shares.run``), and joins the
+records in share order.  No option sets the number of shares, and
+neither the outputs nor any message depend on it.
 
 Outputs carry no timestamps, and learned-restriction files embed the
 SHA-256 of the bytes each input was parsed from, so identical inputs give
@@ -55,9 +68,11 @@ import argparse
 import errno
 import gc
 import importlib
+import marshal
 import os
 import sys
 from contextlib import contextmanager
+from itertools import repeat, starmap
 from pathlib import Path
 from typing import Callable, Iterator, TextIO, TypeVar
 
@@ -69,8 +84,11 @@ from .restrictions import (
     write_restrictions,
 )
 from .taxonomy import SenseLexicon, parse_lexicon, parse_taxonomy
+from .tsv import decode
 from .triples import (
     ExtractionError,
+    SynRel,
+    TripleRecord,
     key_names,
     percentage,
     read_triples,
@@ -206,7 +224,7 @@ def _load(path: str, parse: Callable[[str], T], hashed: bool = False) -> tuple[T
     ends need no newline translation."""
     data = Path(path).read_bytes()
     with _input(path):
-        text, sha256 = data.decode("utf-8"), None
+        text, sha256 = decode(data), None
         if hashed:
             import hashlib  # here, not at the top: see the module docstring
 
@@ -279,7 +297,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if "tagset" in opts:
         tags, _ = _load(opts["tagset"], TagSet.from_json)
     with _input(opts["corpus"]):
-        records = _this.extract_corpus(_this.read_trees(opts["corpus"]), lemmas, tags)
+        records = _extract_in_shares(opts["corpus"], lemmas, tags)
     kept, discards = [], []
     reasons = dict.fromkeys((NON_NOUN_HEAD, LEMMA_FAILURE), 0)
     for r in records:
@@ -305,6 +323,56 @@ def cmd_extract(args: argparse.Namespace) -> int:
     print(f"lemma failures   {lemma_fail} ({percentage(lemma_fail, raw)}%)")
     print(f"kept             {len(kept)} ({percentage(len(kept), raw)}%)")
     return 0
+
+
+def _extract_in_shares(path: str, lemmas, tags) -> list[TripleRecord]:
+    """``extract_corpus(read_trees(path), lemmas, tags)``, worked out in
+    ``shares.count`` shares of the text, cut between trees: the first
+    here, through ``_this.extract_corpus``, and each other one in a
+    forked child, which sends its records back as columns.
+
+    A syntax error in the first share, a prefix of the text that ends
+    outside any tree, is the whole parse's first error, at the same
+    offset.  If a child fails, as it does on a syntax error in its share,
+    the whole text is parsed and extracted here, so every error is that
+    of one process.  ``extract_corpus`` raises nothing on trees that
+    ``parse_bracketed`` made."""
+    from . import shares
+    from .trees import cut, parse_bracketed, read_text
+
+    text = read_text(path)
+
+    def extract(share: slice) -> list[TripleRecord]:
+        return _this.extract_corpus(parse_bracketed(text[share]), lemmas, tags)
+
+    done = shares.run(
+        cut(text, shares.count(len(text), shares.cpus())),
+        extract,
+        lambda share: _columns(extract(share)),
+    )
+    if done is None:
+        return extract(slice(None))
+    records, sent = done
+    for data in sent:
+        records += _records(data)
+    return records
+
+
+def _columns(records: list[TripleRecord]) -> bytes:
+    """``records`` as ``marshal`` bytes of four columns.  ``marshal``
+    takes neither a named tuple nor ``SynRel``, a ``str`` subclass, so a
+    relation goes as its code."""
+    verbs, rels, nouns, reasons = zip(*records) if records else ((),) * 4
+    codes = {rel: rel.code for rel in set(rels)}
+    return marshal.dumps((verbs, [*map(codes.__getitem__, rels)], nouns, reasons))
+
+
+def _records(data: bytes) -> list[TripleRecord]:
+    """The records of ``_columns`` bytes, one ``SynRel`` per code."""
+    verbs, codes, nouns, reasons = marshal.loads(data)
+    rels = {code: SynRel(code) for code in set(codes)}
+    rows = zip(verbs, map(rels.__getitem__, codes), nouns, reasons)
+    return [*starmap(tuple.__new__, zip(repeat(TripleRecord), rows))]
 
 
 def cmd_learn(args: argparse.Namespace) -> int:

@@ -25,12 +25,19 @@ holds each leaf by label and token.  Within one parse, each distinct
 label and token is one string and each distinct leaf one node, which
 may stand at many places in the trees.  Nothing is cached between
 parses.
+
+``read_text`` is a corpus file's text as the reader reads it, and
+``cut`` cuts a text between trees, by counting brackets, into shares
+that a caller may parse apart: ``extract`` parses each in a process of
+its own.
 """
 
 from __future__ import annotations
 
 import re
 from typing import NamedTuple
+
+from .tsv import decode
 
 
 class TreeSyntaxError(ValueError):
@@ -203,9 +210,48 @@ def parse_bracketed(text: str) -> list[ParseTree]:
     return trees
 
 
+def read_text(path) -> str:
+    """The text of a corpus file as the reader reads it: decoded by
+    ``tsv.decode``, so one leading byte order mark is dropped and a bad
+    byte is reported at its position in the file, and with CR and CRLF
+    line ends read as one "\\n"."""
+    with open(path, "rb") as f:
+        text = decode(f.read())
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def read_trees(path) -> list[ParseTree]:
-    """The trees of a UTF-8 file.  It is decoded whole, so a bad byte is
-    reported at its position in the file; CR and CRLF line ends read as
-    one "\\n", and offsets count them so."""
-    with open(path, encoding="utf-8") as f:
-        return parse_bracketed(f.read())
+    """The trees of a UTF-8 file, ``parse_bracketed(read_text(path))``.
+    Offsets count the characters of that text: from after a leading byte
+    order mark, which is dropped, and with a CRLF line end as one."""
+    return parse_bracketed(read_text(path))
+
+
+def cut(text: str, n: int) -> list[slice]:
+    """``text`` cut into at most ``n`` shares of about equal length, in
+    order: each cut is just after a line end before which ``text`` holds
+    as many "(" as ")".
+
+    Tokens hold no bracket, so that count is the reader's bracket depth
+    wherever its reading has not failed: a share ends outside any tree,
+    and the trees of the shares, in order, are those of ``text``.  The
+    cuts are found with ``str.count``, without parsing.  A text with no
+    such line end, such as one tree on one line, is one share."""
+    size = len(text)
+    starts = [0]
+    at = depth = 0  # depth: the "(" less the ")" before at
+    for k in range(1, n):
+        end = text.find("\n", max(at, size * k // n))
+        while end >= 0:
+            stop = end + 1
+            depth += text.count("(", at, stop) - text.count(")", at, stop)
+            at = stop
+            if depth == 0:
+                break
+            end = text.find("\n", at)
+        if end < 0 or at == size:
+            break
+        starts.append(at)
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], size])]

@@ -31,6 +31,9 @@ from every record, and may raise ``RecordError`` for a fault that only
 the whole file shows, such as a parent that no line defines.  Only
 ``read`` and ``rows`` add ``<kind> line N: `` to a message.  ``integer``
 is the one rule for a count field: an optional ``-``, then ASCII digits.
+
+``decode`` is the one decoding step of every input file, the corpus
+included: UTF-8, less one leading byte order mark.
 """
 
 from __future__ import annotations
@@ -157,6 +160,14 @@ def rows(text: str, spec: Spec) -> tuple[list, list[int], ValueError | None]:
         records.append(tuple.__new__(record, (*values, *pad[len(values):])))
         lines.append(lineno)
     return records, lines, None
+
+
+def decode(data: bytes) -> str:
+    """The UTF-8 text of ``data``, without one leading byte order mark
+    (U+FEFF), which an editor may put there and which would otherwise
+    read as part of the first field or token.  It is decoded whole, so a
+    bad byte is reported at its position in ``data``."""
+    return data.decode("utf-8").removeprefix("\ufeff")
 
 
 # -- shared field kinds ------------------------------------------------------

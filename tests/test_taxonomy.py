@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import selrestr
 from selrestr.taxonomy import (
     SenseLexicon,
     Taxonomy,
@@ -17,6 +21,7 @@ from helpers import check_partial_order, nodes, parents
 from worlds import make_world, taxonomy_text
 
 
+SRC_DIR = str(Path(selrestr.__file__).resolve().parent.parent)
 MINIMAL = "entity\t-\nanimal\tentity\n"
 
 WHITESPACE = [chr(i) for i in range(sys.maxunicode + 1) if chr(i).isspace()]
@@ -217,3 +222,26 @@ class TestSenseLexicon:
     def test_class_weights_sum_over_leaf_senses(self, lex):
         hits = lex.sense_hits("bank")
         assert hits["animal"] + hits["liquid"] == len(lex.senses("bank"))
+
+
+@pytest.mark.parametrize("code, want", [
+    ("parse_taxonomy('x\\ta,b,c\\n')", "taxonomy line 1: class 'x' names unknown parent 'a'"),
+    ("parse_taxonomy('a\\t-\\nx\\ta,q,p\\n')", "taxonomy line 2: class 'x' names unknown parent 'q'"),
+    ("parse_lexicon('dog\\tp,q,r\\n', parse_taxonomy('a\\t-\\n'))",
+     "lexicon line 1: noun 'dog' names unknown class 'p'"),
+    ("parse_lexicon('dog\\ta,r,q\\n', parse_taxonomy('a\\t-\\n'))",
+     "lexicon line 1: noun 'dog' names unknown class 'r'"),
+])
+def test_the_first_unknown_id_written_is_named_under_any_hash_seed(code, want):
+    # The ids of a line used to be checked in frozenset order, which
+    # string hashing randomizes per process.
+    script = (
+        "from selrestr.taxonomy import parse_lexicon, parse_taxonomy\n"
+        f"try:\n    {code}\nexcept ValueError as exc:\n    print(exc)\n"
+    )
+    for seed in range(6):
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC_DIR, "PYTHONHASHSEED": str(seed)},
+        )
+        assert (proc.stdout, proc.stderr) == (want + "\n", "")

@@ -290,6 +290,15 @@ class TestReadTrees:
         got = _outcome(read_trees, TreeSyntaxError, path)
         assert got == _outcome(oracle.parse_bracketed, oracle.OracleSyntaxError, text)
 
+    def test_a_byte_order_mark_is_dropped_and_not_counted(self, tmp_path):
+        path = tmp_path / "corpus.mrg"
+        path.write_bytes("\ufeff(S (NN dog))\r\n x".encode("utf-8"))
+        with pytest.raises(TreeSyntaxError) as err:
+            read_trees(path)
+        assert str(err.value) == "offset 14: token 'x' outside any tree"
+        path.write_bytes("\ufeff(S (NN dog))\n".encode("utf-8"))
+        assert read_trees(path) == parse_bracketed("(S (NN dog))")
+
     def test_bad_byte_is_reported_at_its_file_position(self, tmp_path):
         head = "(S (NN dog))\n" * 1000  # past the first 8 KiB
         path = tmp_path / "corpus.mrg"
