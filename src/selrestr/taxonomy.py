@@ -22,7 +22,7 @@ lines in file order: a duplicate class or noun, a noun with no sense or
 a sense that is no class.  A parent that no line defines is found once
 the whole taxonomy is read, as a later line may define it, and is named
 at the line of the class that names it.  Of several unknown parents or
-senses on one line, the one written first is named.
+senses on one line, the one written first is named (``_first_written``).
 """
 
 from __future__ import annotations
@@ -47,12 +47,11 @@ def _check_class_id(token: str) -> str:
 
 
 def _id_list(none: str) -> Kind:
-    """The field kind of a comma-separated list of class ids, as a tuple
-    of the distinct ids in written order, so an unknown id is named in
-    that order; the list ``none`` names no id."""
+    """The field kind of a comma-separated list of class ids, as a
+    frozenset; the list ``none`` names no id."""
 
-    def check(text: str) -> tuple[str, ...]:
-        return () if text == none else tuple(dict.fromkeys(map(_check_class_id, text.split(","))))
+    def check(text: str) -> frozenset[str]:
+        return frozenset(() if text == none else map(_check_class_id, text.split(",")))
 
     return check
 
@@ -166,7 +165,7 @@ _NOUN = name("bad noun lemma {!r}", "bad noun lemma {!r}")
 LEXICON = Spec("lexicon", TaxonomyError, (_NOUN, _id_list("")), (2,))
 
 
-def _unique_classes(records: list[tuple[str, tuple[str, ...]]], lines: Sequence[int]) -> None:
+def _unique_classes(records: list[tuple[str, frozenset[str]]], lines: Sequence[int]) -> None:
     if len(dict(records)) < len(records):
         first: dict[str, int] = {}
         for i, (class_id, _) in enumerate(records):
@@ -177,25 +176,33 @@ def _unique_classes(records: list[tuple[str, tuple[str, ...]]], lines: Sequence[
                 )
 
 
-def _taxonomy(records: list[tuple[str, tuple[str, ...]]], lines: Sequence[int]) -> Taxonomy:
-    parents = dict(records)
-    # A class may name a parent that a later line defines.
-    if not parents.keys() >= set().union(*parents.values()):
-        for i, (child, ps) in enumerate(parents.items()):
-            for p in ps:
-                if p not in parents:
-                    raise RecordError(i, f"class {child!r} names unknown parent {p!r}")
-    return Taxonomy(parents)
+def _first_written(ids: frozenset[str], text: str, lineno: int) -> str:
+    """The one of ``ids`` that line ``lineno`` of ``text`` writes first in
+    its id list, the second field: a frozenset's order changes with the
+    string hash seed of the process, so an error would name any one."""
+    written = text.splitlines()[lineno - 1].strip(" ").split("\t")[1].split(",")
+    return min(ids, key=written.index)
 
 
 def parse_taxonomy(text: str) -> Taxonomy:
-    return read(text, TAXONOMY, _taxonomy, check=_unique_classes)
+    def build(records: list[tuple[str, frozenset[str]]], lines: Sequence[int]) -> Taxonomy:
+        parents = dict(records)
+        # A class may name a parent that a later line defines.
+        if not parents.keys() >= set().union(*parents.values()):
+            for i, (child, ps) in enumerate(parents.items()):
+                unknown = ps - parents.keys()
+                if unknown:
+                    p = _first_written(unknown, text, lines[i])
+                    raise RecordError(i, f"class {child!r} names unknown parent {p!r}")
+        return Taxonomy(parents)
+
+    return read(text, TAXONOMY, build, check=_unique_classes)
 
 
 def parse_lexicon(text: str, taxonomy: Taxonomy) -> SenseLexicon:
     known = taxonomy._parents.keys()
 
-    def check(records: list[tuple[str, tuple[str, ...]]], lines: Sequence[int]) -> None:
+    def check(records: list[tuple[str, frozenset[str]]], lines: Sequence[int]) -> None:
         senses = dict(records)
         if len(senses) < len(records) or not (
             all(senses.values()) and known >= set().union(*senses.values())
@@ -210,14 +217,14 @@ def parse_lexicon(text: str, taxonomy: Taxonomy) -> SenseLexicon:
                     )
                 if not classes:
                     raise RecordError(i, f"empty sense list for noun {noun!r}")
-                for c in classes:
-                    if c not in known:
-                        raise RecordError(i, f"noun {noun!r} names unknown class {c!r}")
+                unknown = classes - known
+                if unknown:
+                    c = _first_written(unknown, text, lines[i])
+                    raise RecordError(i, f"noun {noun!r} names unknown class {c!r}")
 
-    def build(records: list[tuple[str, tuple[str, ...]]], _) -> SenseLexicon:
-        return SenseLexicon(taxonomy, {noun: frozenset(ids) for noun, ids in records})
-
-    return read(text, LEXICON, build, check=check)
+    return read(
+        text, LEXICON, lambda records, _: SenseLexicon(taxonomy, dict(records)), check=check
+    )
 
 
 def load_taxonomy(taxonomy_text: str, lexicon_text: str) -> tuple[Taxonomy, SenseLexicon]:
