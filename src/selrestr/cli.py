@@ -334,24 +334,28 @@ def _extract_in_shares(path: str, lemmas, tags) -> list[TripleRecord]:
     A syntax error in the first share, a prefix of the text that ends
     outside any tree, is the whole parse's first error, at the same
     offset.  If a child fails, as it does on a syntax error in its share,
-    the whole text is parsed and extracted here, so every error is that
-    of one process.  ``extract_corpus`` raises nothing on trees that
+    the whole file is read, parsed and extracted here, so every error is
+    that of one process.  ``extract_corpus`` raises nothing on trees that
     ``parse_bracketed`` made."""
     from . import shares
     from .trees import cut, parse_bracketed, read_text
 
     text = read_text(path)
 
-    def extract(share: slice) -> list[TripleRecord]:
-        return _this.extract_corpus(parse_bracketed(text[share]), lemmas, tags)
+    def here(share: slice) -> list[TripleRecord]:
+        # The children are forked by now, so once its share is parsed this
+        # process needs no more of the text: it is freed before extracting.
+        nonlocal text
+        trees, text = parse_bracketed(text[share]), None
+        return _this.extract_corpus(trees, lemmas, tags)
 
-    done = shares.run(
-        cut(text, shares.count(len(text), shares.cpus())),
-        extract,
-        lambda share: _columns(extract(share)),
-    )
+    def there(share: slice) -> bytes:
+        return _columns(_this.extract_corpus(parse_bracketed(text[share]), lemmas, tags))
+
+    done = shares.run(cut(text, shares.count(len(text), shares.cpus())), here, there)
     if done is None:
-        return extract(slice(None))
+        text = read_text(path)
+        return here(slice(None))
     records, sent = done
     for data in sent:
         records += _records(data)

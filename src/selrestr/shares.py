@@ -61,8 +61,9 @@ def count(size: int, cpus: int) -> int:
 def run(
     shares: Sequence[S], here: Callable[[S], T], there: Callable[[S], bytes]
 ) -> tuple[T, list[bytes]] | None:
-    """``here`` of the first share, made in this process, and ``there`` of
-    each other share, made in a child, in share order.
+    """``here`` of the first share, made in this process once every child
+    is forked, and ``there`` of each other share, made in a child, in
+    share order.
 
     None if a pipe or a fork cannot be made, or a child fails: it raises,
     dies or exits before it has sent all it made.  The caller then does
