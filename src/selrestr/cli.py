@@ -22,29 +22,23 @@ before anything is written.
 
 Each command loads only the modules it runs, since with no bytecode cached
 every module a process imports is compiled again.  The top of this module
-imports what every command uses: ``triples``, ``restrictions`` and
-``taxonomy``, with the errors, the scorer and estimator choices and the
-file readers and writers.  A name that one command uses is imported
-inside that command, so ``extract`` also loads ``trees``, ``extract`` and
-``shares``, ``learn`` ``stats`` and ``learner``, and ``eval`` and
-``report`` ``evaluate``.  Six stages of those modules, ``read_trees``,
-``extract_corpus``, ``accumulate``, ``read_counts``, ``read_gold`` and
-``evaluate_gold``, are attributes of this module all the same, bound on
-first access by the module ``__getattr__``, and the commands call them
-through the module (``_this.extract_corpus``), so a wrapper that
-``perfbench/tracer.py`` or a test sets on this module with ``setattr`` is
-what runs; an import inside the command would bypass it.  No command
-calls ``read_trees`` since ``extract`` reads its corpus in shares; it
-stays bound for the tracer, which looks it up here.
-
-``extract`` parses and extracts its corpus in shares: runs of whole
-lines, cut where as many "(" as ")" come before the cut (``trees.cut``),
-one share per CPU the process may run on, so ``taskset`` and cpusets
-bound their number, but none under ``shares.MIN_SHARE`` characters.  It
-works on the first share itself, through ``_this.extract_corpus``, and
-on each other one in a forked child (``shares.run``), and joins the
-records in share order.  No option sets the number of shares, and
-neither the outputs nor any message depend on it.
+imports what every command uses: ``triples`` and ``restrictions``, with
+the errors, the scorer and estimator choices and the file readers and
+writers.  A name that one command uses is imported inside that command,
+so ``extract`` also loads ``extract``, with the ``trees`` and ``shares``
+it imports, ``learn`` ``taxonomy``, ``stats`` and ``learner``, ``eval``
+``taxonomy`` and ``evaluate``, and ``report`` ``evaluate``.  Six stages
+of those modules, ``read_trees``, ``extract_corpus``, ``accumulate``,
+``read_counts``, ``read_gold`` and ``evaluate_gold``, are attributes of
+this module all the same, bound on first access by the module
+``__getattr__``, and the commands call them through the module
+(``_this.extract_corpus``), so a wrapper that ``perfbench/tracer.py`` or a
+test sets on this module with ``setattr`` is what runs; an import inside
+the command would bypass it.  ``extract`` hands ``_this.extract_corpus``
+to ``extract.extract_file``, which reads, parses and extracts the corpus
+in shares, one forked process per CPU, and runs it on the first share.
+No command calls ``read_trees``; it stays bound for the tracer, which
+looks it up here.
 
 Outputs carry no timestamps, and learned-restriction files embed the
 SHA-256 of the bytes each input was parsed from, so identical inputs give
@@ -68,13 +62,11 @@ import argparse
 import errno
 import gc
 import importlib
-import marshal
 import os
 import sys
 from contextlib import contextmanager
-from itertools import repeat, starmap
 from pathlib import Path
-from typing import Callable, Iterator, TextIO, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, TextIO, TypeVar
 
 from .restrictions import (
     EstimatorKind,
@@ -83,18 +75,18 @@ from .restrictions import (
     read_restrictions,
     write_restrictions,
 )
-from .taxonomy import SenseLexicon, parse_lexicon, parse_taxonomy
 from .tsv import decode
 from .triples import (
     ExtractionError,
-    SynRel,
-    TripleRecord,
     key_names,
     percentage,
     read_triples,
     write_discards,
     write_triples,
 )
+
+if TYPE_CHECKING:
+    from .taxonomy import SenseLexicon
 
 TOOL_VERSION = "0.1.0"
 T = TypeVar("T")
@@ -236,6 +228,8 @@ def _load(path: str, parse: Callable[[str], T], hashed: bool = False) -> tuple[T
 def load_taxonomy_files(taxonomy_path: str, lexicon_path: str) -> tuple[SenseLexicon, str, str]:
     """The lexicon over its taxonomy, with the SHA-256 of each file's bytes
     as parsed."""
+    from .taxonomy import parse_lexicon, parse_taxonomy
+
     taxonomy, taxonomy_sha256 = _load(taxonomy_path, parse_taxonomy, hashed=True)
     lexicon, lexicon_sha256 = _load(
         lexicon_path, lambda text: parse_lexicon(text, taxonomy), hashed=True
@@ -288,7 +282,7 @@ def _write_outputs(
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    from .extract import LEMMA_FAILURE, NON_NOUN_HEAD, PENN, LemmaTable, TagSet
+    from .extract import LEMMA_FAILURE, NON_NOUN_HEAD, PENN, LemmaTable, TagSet, extract_file
 
     opts = _options(args)
     lemmas, tags = LemmaTable(), PENN
@@ -297,7 +291,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if "tagset" in opts:
         tags, _ = _load(opts["tagset"], TagSet.from_json)
     with _input(opts["corpus"]):
-        records = _extract_in_shares(opts["corpus"], lemmas, tags)
+        records = extract_file(opts["corpus"], lemmas, tags, _this.extract_corpus)
     kept, discards = [], []
     reasons = dict.fromkeys((NON_NOUN_HEAD, LEMMA_FAILURE), 0)
     for r in records:
@@ -323,60 +317,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
     print(f"lemma failures   {lemma_fail} ({percentage(lemma_fail, raw)}%)")
     print(f"kept             {len(kept)} ({percentage(len(kept), raw)}%)")
     return 0
-
-
-def _extract_in_shares(path: str, lemmas, tags) -> list[TripleRecord]:
-    """``extract_corpus(read_trees(path), lemmas, tags)``, worked out in
-    ``shares.count`` shares of the text, cut between trees: the first
-    here, through ``_this.extract_corpus``, and each other one in a
-    forked child, which sends its records back as columns.
-
-    A syntax error in the first share, a prefix of the text that ends
-    outside any tree, is the whole parse's first error, at the same
-    offset.  If a child fails, as it does on a syntax error in its share,
-    the whole file is read, parsed and extracted here, so every error is
-    that of one process.  ``extract_corpus`` raises nothing on trees that
-    ``parse_bracketed`` made."""
-    from . import shares
-    from .trees import cut, parse_bracketed, read_text
-
-    text = read_text(path)
-
-    def here(share: slice) -> list[TripleRecord]:
-        # The children are forked by now, so once its share is parsed this
-        # process needs no more of the text: it is freed before extracting.
-        nonlocal text
-        trees, text = parse_bracketed(text[share]), None
-        return _this.extract_corpus(trees, lemmas, tags)
-
-    def there(share: slice) -> bytes:
-        return _columns(_this.extract_corpus(parse_bracketed(text[share]), lemmas, tags))
-
-    done = shares.run(cut(text, shares.count(len(text), shares.cpus())), here, there)
-    if done is None:
-        text = read_text(path)
-        return here(slice(None))
-    records, sent = done
-    for data in sent:
-        records += _records(data)
-    return records
-
-
-def _columns(records: list[TripleRecord]) -> bytes:
-    """``records`` as ``marshal`` bytes of four columns.  ``marshal``
-    takes neither a named tuple nor ``SynRel``, a ``str`` subclass, so a
-    relation goes as its code."""
-    verbs, rels, nouns, reasons = zip(*records) if records else ((),) * 4
-    codes = {rel: rel.code for rel in set(rels)}
-    return marshal.dumps((verbs, [*map(codes.__getitem__, rels)], nouns, reasons))
-
-
-def _records(data: bytes) -> list[TripleRecord]:
-    """The records of ``_columns`` bytes, one ``SynRel`` per code."""
-    verbs, codes, nouns, reasons = marshal.loads(data)
-    rels = {code: SynRel(code) for code in set(codes)}
-    rows = zip(verbs, map(rels.__getitem__, codes), nouns, reasons)
-    return [*starmap(tuple.__new__, zip(repeat(TripleRecord), rows))]
 
 
 def cmd_learn(args: argparse.Namespace) -> int:

@@ -31,13 +31,14 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .restrictions import VERB_OR_CLASS, SelectionalRestriction
-from .taxonomy import SenseLexicon
 from .triples import VERB_OR_NOUN, ExtractionError, SynRel, TripleRecord, percentage
 from .tsv import RecordError, Spec, count, name, read, token
 
 if TYPE_CHECKING:
     from decimal import Decimal
     from fractions import Fraction
+
+    from .taxonomy import SenseLexicon
 
 PARSER_ERR = "parser_err"
 LEMMA_ERR = "lemma_err"
@@ -132,11 +133,7 @@ def _ratios(
     # A restrictions file holds each position's restrictions in one run, as
     # learn writes them; each run joins its group in one step.
     for position, run in groupby(srs, itemgetter(0, 1)):
-        group = by_position.get(position)
-        if group is None:
-            by_position[position] = list(run)
-        else:
-            group.extend(run)
+        by_position.setdefault(position, []).extend(run)
     hits = restricted = 0
     for t in triples:
         group = by_position.get(t[:2])

@@ -21,16 +21,30 @@ constituents, reading nodes as (label, children, token) tuples with the
 tag sets bound to locals, and appends every record to one list; lemmas
 are memoized per ``LemmaTable``.
 
+``extract_file`` is the ``extract`` command's whole path from corpus file
+to records.  It reads the text once and cuts it between trees
+(``trees.cut``) into ``shares.count`` shares: one per CPU the process may
+run on, so ``taskset`` and cpusets bound their number, but none under
+``shares.MIN_SHARE`` characters.  It parses and extracts the first share
+itself, and each other one in a child forked by ``shares.run``, which
+sends its records back as ``marshal`` columns; the records are joined in
+share order.  No option sets the number of shares, and neither the
+records nor any error depend on it.  ``parse_bracketed`` and
+``extract_corpus`` themselves run in one process.
+
 The records and relations, and the triples files they are written to
 and read from, live in ``triples``, which ``learn`` and ``eval`` load
-without this module and the tree code it imports.
+without this module and the tree and share code it imports.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+import marshal
+from itertools import repeat, starmap
+from typing import Callable, Iterable, NamedTuple
 
-from .trees import ParseTree
+from . import shares
+from .trees import ParseTree, cut, parse_bracketed, read_text
 from .triples import (
     OBJECT,
     OBJECT_CODE,
@@ -146,9 +160,9 @@ def _strip_suffix(form: str, rules, ends: frozenset[str]) -> str:
 
     ``ends`` holds the last letter of each suffix.  The first rule that
     matches decides at once when its stem ends in another letter.  Every
-    other stem is a prefix of ``form``; prefixes are decided by length
-    from an explicit stack, so a long form cannot exhaust the recursion
-    limit."""
+    other stem is a prefix of ``form``; prefixes are decided in one pass
+    by ascending length, each from shorter ones, so a long form needs no
+    recursion."""
     for suffix, replacement in rules:
         if form.endswith(suffix):
             stem = form[: len(form) - len(suffix)] + replacement
@@ -158,27 +172,17 @@ def _strip_suffix(form: str, rules, ends: frozenset[str]) -> str:
                 break
     else:
         return form
-    # By prefix length: the (cut, replacement) of the rule that fires on
-    # that prefix, or None if none does.
-    fired: dict[int, tuple[int, str] | None] = {}
-    todo = [len(form)]
-    while todo:
-        k = todo[-1]
+    # By prefix length: the (stem length, replacement) of the rule that
+    # fires on that prefix, or None if none does.  A "y" stem is
+    # irreducible; an empty-replacement stem is if no rule fires on it.
+    fired: list[tuple[int, str] | None] = [None] * (len(form) + 1)
+    for k in range(1, len(form) + 1):
         for suffix, replacement in rules:
-            cut = k - len(suffix)
-            if not form.endswith(suffix, 0, k) or not (cut or replacement):
-                continue
-            if not replacement and cut not in fired:
-                todo.append(cut)  # decide the stem first, then this prefix again
+            at = k - len(suffix)
+            if form.endswith(suffix, 0, k) and (replacement or at and fired[at] is None):
+                fired[k] = at, replacement
                 break
-            if replacement or fired[cut] is None:
-                fired[k] = cut, replacement
-                break
-        else:
-            fired[k] = None
-        if k in fired:
-            todo.pop()
-    rule = fired[len(form)]
+    rule = fired[-1]
     return form if rule is None else form[: rule[0]] + rule[1]
 
 
@@ -336,3 +340,57 @@ def extract_corpus(
                         node = node[1][-1]
                     append(new(TripleRecord, (verb_lemma, rel, node[2], NON_NOUN_HEAD)))
     return records
+
+
+def extract_file(
+    path: str, lemmas: LemmaTable, tags: TagSet, extract_corpus: Callable[..., list[TripleRecord]]
+) -> list[TripleRecord]:
+    """``extract_corpus(read_trees(path), lemmas, tags)``, worked out in
+    shares of the text, cut between trees: the first here, and each other
+    one in a forked child, which sends its records back as columns.  The
+    caller passes ``extract_corpus``, so a wrapper it holds runs on the
+    first share.
+
+    A syntax error in the first share, a prefix of the text that ends
+    outside any tree, is the whole parse's first error, at the same
+    offset.  If a child fails, as it does on a syntax error in its share,
+    the whole file is read, parsed and extracted here, so every error is
+    that of one process.  ``extract_corpus`` raises nothing on trees that
+    ``parse_bracketed`` made."""
+    text = read_text(path)
+
+    def here(share: slice) -> list[TripleRecord]:
+        # The children are forked by now, so once its share is parsed this
+        # process needs no more of the text: it is freed before extracting.
+        nonlocal text
+        trees, text = parse_bracketed(text[share]), None
+        return extract_corpus(trees, lemmas, tags)
+
+    def there(share: slice) -> bytes:
+        return _columns(extract_corpus(parse_bracketed(text[share]), lemmas, tags))
+
+    done = shares.run(cut(text, shares.count(len(text), shares.cpus())), here, there)
+    if done is None:
+        text = read_text(path)
+        return here(slice(None))
+    records, sent = done
+    for data in sent:
+        records += _records(data)
+    return records
+
+
+def _columns(records: list[TripleRecord]) -> bytes:
+    """``records`` as ``marshal`` bytes of four columns.  ``marshal``
+    takes neither a named tuple nor ``SynRel``, a ``str`` subclass, so a
+    relation goes as its code."""
+    verbs, rels, nouns, reasons = zip(*records) if records else ((),) * 4
+    codes = {rel: rel.code for rel in set(rels)}
+    return marshal.dumps((verbs, [*map(codes.__getitem__, rels)], nouns, reasons))
+
+
+def _records(data: bytes) -> list[TripleRecord]:
+    """The records of ``_columns`` bytes, one ``SynRel`` per code."""
+    verbs, codes, nouns, reasons = marshal.loads(data)
+    rels = {code: SynRel(code) for code in set(codes)}
+    rows = zip(verbs, map(rels.__getitem__, codes), nouns, reasons)
+    return [*starmap(tuple.__new__, zip(repeat(TripleRecord), rows))]

@@ -5,8 +5,9 @@ shares and hands them to ``run``, which works on the first in this
 process and on each other one in a child made with ``os.fork``.  A child
 sends what it made back over a pipe as bytes, and ``run`` returns the
 results in share order, so what the command writes does not depend on
-the number of shares.  Only the command decides to do this: the library
-functions it calls run in one process.
+the number of shares.  Only a command's own path decides to do this, as
+``extract.extract_file`` does for ``extract``: the library functions it
+calls run in one process.
 
 The number of shares is the number of CPUs this process may run on, so
 ``taskset`` and cpusets bound it; no option sets it.

@@ -719,17 +719,20 @@ class TestEntryPoint:
         assert report["diagnostics"][0]["class_pct"] == "100.0"
         assert report["precision"]["numerator"] == 1
         assert not loaded(modules, "trees", "extract", "stats", "learner")
+        assert not loaded(modules, "shares")
         extract_argv = ["extract", "--corpus", str(data_dir / "demo.mrg"),
                         "--tagset", "tags.json", "--triples", "t.tsv"]
         out, modules, _ = fresh(extract_argv)
         assert out.startswith("raw extractions  ")
         assert "_hashlib" not in modules
         assert not loaded(modules, "stats", "learner", "evaluate")
+        assert not loaded(modules, "taxonomy")
         out, modules, _ = fresh(["report", "--srs", str(data_dir / "toy_srs.tsv"),
                                  "--config", "report.json"])
         assert out.startswith("verb")
         assert "_hashlib" not in modules
         assert not loaded(modules, "trees", "extract", "stats", "learner")
+        assert not loaded(modules, "taxonomy", "shares")
 
         def digest_lines(data):
             return [line for line in data.splitlines() if b"_sha256=" in line]
@@ -739,6 +742,7 @@ class TestEntryPoint:
         assert len(digest_lines(written)) == 3
         assert digest_lines(written) == digest_lines(Path("srs.tsv").read_bytes())
         assert not loaded(modules, "trees", "extract", "evaluate")
+        assert not loaded(modules, "shares")
 
         runner = ast.parse((Path(SRC_DIR).parent / "perfbench" / "run.py").read_text())
         setup_code = next(

@@ -81,6 +81,23 @@ def test_traced_toy_learn_and_eval(data_dir, tmp_path):
     assert {"cli", "taxonomy.load", "evaluate.read", "evaluate.eval"} <= spans
 
 
+def test_traced_toy_extract(data_dir, tmp_path):
+    # mini.mrg is one share, so the extract_corpus that cli passes to
+    # extract.extract_file runs in this process and its span is recorded.
+    from selrestr.extract import LemmaTable, extract_corpus
+    from selrestr.trees import read_trees
+
+    lemmas = data_dir / "mini_lemmas.tsv"
+    traced = _traced(tmp_path, "extract", "--corpus", str(data_dir / "mini.mrg"),
+                     "--lemmas", str(lemmas), "--triples", str(tmp_path / "triples.tsv"))
+    assert traced["missing"] == []
+    assert "extract.extract" in {name for name, *_ in traced["spans"]}
+    records = extract_corpus(
+        read_trees(data_dir / "mini.mrg"), LemmaTable.from_text(lemmas.read_text(encoding="utf-8"))
+    )
+    assert traced["counts"]["extract.records"] == len(records) > 0
+
+
 def test_traced_toy_learn_from_triples(data_dir, tmp_path):
     # learn --triples goes through read_triples and accumulate by name, so
     # the extract.read_triples and stats.count spans keep measuring them.
