@@ -47,7 +47,13 @@ refuses a restrictions file whose taxonomy or lexicon digest is not that
 of the files it is given.
 
 Exit status: 0 on success, 1 on validation or format errors, 2 on I/O
-errors.
+errors.  ``run`` flushes stdout before it returns, so a report that cannot
+be written (a full disk, a closed pipe) is an I/O error too.  As a process
+(``python -m selrestr`` or the ``selrestr`` script) a command ends through
+``main``: once ``run`` has moved every output into place and flushed stdout,
+``main`` flushes stderr and ends with ``os._exit``, skipping interpreter
+finalization, which only frees memory the process is about to give back.
+``run`` called in process returns its status and tears nothing down.
 
 ``run`` pauses the cyclic garbage collector for the whole command and then
 restores the state it found.  Everything the pipeline builds (trees, records
@@ -66,7 +72,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, TextIO, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, TextIO, TypeVar
 
 from .restrictions import (
     EstimatorKind,
@@ -445,7 +451,10 @@ def run(argv=None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        status = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a failed write of the report is an I/O error
+        return status
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -457,5 +466,17 @@ def run(argv=None) -> int:
             gc.enable()
 
 
+def main() -> NoReturn:
+    """Run the command that ``sys.argv`` names and end the process with its
+    exit status, skipping interpreter finalization (module teardown and
+    the final collection).  By then ``run`` has moved every output into
+    place and flushed stdout; stderr is flushed here.  A usage error or
+    ``--help`` leaves through argparse's ``SystemExit`` as usual."""
+    status = run()
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(run())
+    main()

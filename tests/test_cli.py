@@ -5,6 +5,7 @@ were derived by hand from the toy counts before being frozen.
 """
 
 import ast
+import errno
 import gc
 import hashlib
 import io
@@ -758,6 +759,119 @@ class TestEntryPoint:
         modules = set(proc.stdout.split())
         assert "selrestr.taxonomy" in modules
         assert not loaded(modules, "trees", "extract", "stats", "learner", "evaluate")
+
+
+def _buffered_env():
+    """The environment of a ``python -m selrestr`` child with Python's
+    default buffered stdout, so a report is written when it is flushed."""
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _process_argvs(data_dir, bad_counts):
+    """One argv per command and exit status, with relative output paths."""
+    return {
+        "extract": ["extract", "--corpus", str(data_dir / "mini.mrg"),
+                    "--lemmas", str(data_dir / "mini_lemmas.tsv"), "--triples", "t.tsv"],
+        "learn": toy_learn_argv(data_dir, "srs.tsv"),
+        "eval": TestEvalCommand().eval_argv(data_dir, "--labels", str(data_dir / "toy_labels.tsv")),
+        "eval-json": TestEvalCommand().eval_argv(data_dir, "--format", "json"),
+        "report": ["report", "--srs", str(data_dir / "toy_srs.tsv"),
+                   "--labels", str(data_dir / "toy_labels.tsv")],
+        "bad-counts": [a if a != str(data_dir / "toy_counts.tsv") else str(bad_counts)
+                       for a in toy_learn_argv(data_dir, "srs.tsv")],
+        "missing-gold": TestEvalCommand().eval_argv(data_dir, "--gold", "missing.tsv"),
+    }
+
+
+class TestProcessExit:
+    """``python -m selrestr`` ends through ``cli.main``: outputs in place,
+    stdout and stderr flushed, then ``os._exit``."""
+
+    @pytest.mark.parametrize(
+        "case, status",
+        [("extract", 0), ("learn", 0), ("eval", 0), ("eval-json", 0), ("report", 0),
+         ("bad-counts", 1), ("missing-gold", 2)],
+    )
+    def test_process_and_in_process_run_agree(
+        self, data_dir, tmp_path, monkeypatch, capsys, case, status
+    ):
+        bad_counts = tmp_path / "bad_counts.tsv"
+        bad_counts.write_text("drink\t0\tdog\t2\ndrink\t0\tcat\n", encoding="utf-8")
+        argv = _process_argvs(data_dir, bad_counts)[case]
+        child, here = tmp_path / "child", tmp_path / "here"
+        child.mkdir()
+        here.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "selrestr", *argv], cwd=child, stdin=subprocess.DEVNULL,
+            capture_output=True, timeout=60, env=_buffered_env(),
+        )
+        monkeypatch.chdir(here)
+        assert run(argv) == proc.returncode == status
+        out, err = capsys.readouterr()
+        assert proc.stdout == out.encode("utf-8")
+        assert proc.stderr == err.encode("utf-8")
+        assert _snapshot(child) == _snapshot(here)
+        assert bool(_snapshot(here)) == (case in ("extract", "learn"))
+
+    @pytest.mark.parametrize("command", ["extract", "learn", "eval", "report"])
+    @pytest.mark.parametrize("sink", ["full", "closed pipe"])
+    def test_failed_stdout_write_exits_2_with_one_error_line(
+        self, data_dir, tmp_path, command, sink
+    ):
+        argv = _process_argvs(data_dir, None)[command]
+        if sink == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            stdout, code = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+            code = errno.EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "selrestr", *argv], cwd=tmp_path,
+                stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE,
+                text=True, timeout=60, env=_buffered_env(),
+            )
+        finally:
+            os.close(stdout)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: [Errno {code}] {os.strerror(code)}\n"
+
+    def test_main_skips_interpreter_finalization(self, data_dir, tmp_path):
+        # An atexit hook stands for the teardown that main skips; the
+        # report and the output are in place all the same.
+        script = (
+            "import atexit, sys; from selrestr.cli import main; "
+            "atexit.register(print, 'finalized', file=sys.stderr); "
+            "sys.argv[0] = 'selrestr'; main()"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *toy_learn_argv(data_dir, "srs.tsv")], cwd=tmp_path,
+            capture_output=True, text=True, timeout=60, env=_buffered_env(),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "3 restrictions across 3 verb positions\n", ""
+        )
+        assert (tmp_path / "srs.tsv").read_text(encoding="utf-8").endswith(TOY_BODY)
+
+    def test_run_returns_2_when_stdout_cannot_be_flushed(self, data_dir, tmp_path, monkeypatch):
+        class Full(io.StringIO):
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        with redirect_stderr(io.StringIO()) as err:
+            assert run(toy_learn_argv(data_dir, tmp_path / "srs.tsv")) == 2
+        assert err.getvalue() == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+    def test_run_without_stdout(self, data_dir, tmp_path, monkeypatch):
+        # pythonw and some embedding hosts set sys.stdout to None.
+        monkeypatch.setattr(sys, "stdout", None)
+        assert run(toy_learn_argv(data_dir, tmp_path / "srs.tsv")) == 0
+        assert (tmp_path / "srs.tsv").read_text(encoding="utf-8").endswith(TOY_BODY)
 
 
 @pytest.fixture
