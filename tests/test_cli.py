@@ -779,8 +779,7 @@ def _process_argvs(data_dir, bad_counts):
         "eval-json": TestEvalCommand().eval_argv(data_dir, "--format", "json"),
         "report": ["report", "--srs", str(data_dir / "toy_srs.tsv"),
                    "--labels", str(data_dir / "toy_labels.tsv")],
-        "bad-counts": [a if a != str(data_dir / "toy_counts.tsv") else str(bad_counts)
-                       for a in toy_learn_argv(data_dir, "srs.tsv")],
+        "bad-counts": [*toy_learn_argv(data_dir, "srs.tsv"), "--counts", str(bad_counts)],
         "missing-gold": TestEvalCommand().eval_argv(data_dir, "--gold", "missing.tsv"),
     }
 
