@@ -13,12 +13,25 @@ included, is decoded by ``tsv.decode``, which drops a leading byte order
 mark.  ``_load`` hashes the
 bytes only of the inputs whose digest a run keeps: ``learn``'s
 ``--triples``/``--counts`` and, in ``load_taxonomy_files``, the taxonomy
-and lexicon.  It imports ``hashlib`` only then, not at the top: that loads
-OpenSSL, about 3.4 MB of RSS and 3-4 ms per process (Python 3.11, Linux
-x86-64), which ``extract``, ``report`` and any ``--config`` read would
-pay for a digest they drop.
+and lexicon.  It hashes with the interpreter's builtin SHA-256 module
+(``_sha256``, ``_sha2`` from Python 3.12), and with ``hashlib`` only where
+neither exists: ``hashlib`` loads OpenSSL, about 3.5 MB of RSS and 4 ms
+per process (Python 3.11, Linux x86-64), for the same digest.
 An output that names an input of the run, or another output, is refused
 before anything is written.
+
+``run`` reads the command line in one of two ways.  ``_table_args`` reads
+the shape that callers and scripts give, over ``OPTIONS``: a command name,
+then exact long flags, each ``--flag VALUE`` or ``--flag=VALUE``, or
+``--switch`` / ``--no-switch``, the last use of a flag winning, and each
+value checked as argparse checks it (``int()`` or the choices).  Any other
+argv (no command, ``-h``/``--help``, ``--``, an abbreviated or unknown
+flag, a missing value or one that starts with ``-``, ``--switch=x``, a bad
+integer or choice) goes to the parser of ``build_parser``, so every usage
+message, ``--help`` text and exit status 2 comes from argparse.  Only
+``build_parser`` imports ``argparse``: with the ``gettext`` and ``locale``
+that its first parser loads, it costs about 7 ms per process (Python
+3.11, Linux x86-64).
 
 Each command loads only the modules it runs, since with no bytecode cached
 every module a process imports is compiled again.  The top of this module
@@ -59,12 +72,12 @@ finalization, which only frees memory the process is about to give back.
 restores the state it found.  Everything the pipeline builds (trees, records
 and restrictions as tuples, and the dicts and lists that hold them) is
 acyclic and freed by reference counting; the only cyclic garbage is a
-handful of ``argparse`` objects, the same number whatever the input.
+handful of ``argparse`` objects when argparse read the command line, the
+same number whatever the input.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import gc
 import importlib
@@ -72,6 +85,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, TextIO, TypeVar
 
 from .restrictions import (
@@ -92,6 +106,8 @@ from .triples import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .taxonomy import SenseLexicon
 
 TOOL_VERSION = "0.1.0"
@@ -211,6 +227,19 @@ def _input(path: str) -> Iterator[None]:
         raise ExtractionError(f"{path}: {exc}") from None
 
 
+def _digest(data: bytes) -> str:
+    """The SHA-256 of ``data`` in hex, from the builtin module where the
+    interpreter has one (see the module docstring)."""
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 def _load(path: str, parse: Callable[[str], T], hashed: bool = False) -> tuple[T, str | None]:
     """``parse`` applied to the file's UTF-8 text, and, if ``hashed``, the
     SHA-256 of the very bytes decoded (else None).  An error in decoding
@@ -222,11 +251,7 @@ def _load(path: str, parse: Callable[[str], T], hashed: bool = False) -> tuple[T
     ends need no newline translation."""
     data = Path(path).read_bytes()
     with _input(path):
-        text, sha256 = decode(data), None
-        if hashed:
-            import hashlib  # here, not at the top: see the module docstring
-
-            sha256 = hashlib.sha256(data).hexdigest()
+        text, sha256 = decode(data), _digest(data) if hashed else None
         del data  # not needed while parsing
         return parse(text), sha256
 
@@ -424,7 +449,53 @@ COMMANDS = (
 )
 
 
+def _table_args(argv: list[str]) -> SimpleNamespace | None:
+    """``argv`` read over ``OPTIONS``, with the attributes that argparse
+    would set, if it has the one shape read here: a command name, then
+    exact long flags (see the module docstring).  None for any other argv,
+    which argparse reads."""
+    if not argv or argv[0] not in OPTIONS:
+        return None
+    command = argv[0]
+    values = dict.fromkeys([row[0] for row in OPTIONS[command]] + ["config"])
+    # flag -> (option name, its kind, or the value a switch flag sets)
+    flags = {"--config": ("config", PATH)}
+    for name, kind, _, _ in OPTIONS[command]:
+        flag = "--" + name.replace("_", "-")
+        if kind == BOOL:
+            flags[flag], flags["--no-" + flag[2:]] = (name, True), (name, False)
+        else:
+            flags[flag] = (name, kind)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if flag not in flags:
+            return None
+        name, kind = flags[flag]
+        if type(kind) is bool:
+            if equals:
+                return None
+            values[name] = kind
+            continue
+        if not equals:
+            value = next(tokens, "-")  # a missing value defers like a flag
+        if value.startswith("-"):
+            return None
+        if kind == INT:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif isinstance(kind, tuple) and value not in kind:
+            return None
+        values[name] = value
+    func = next(func for name, func, _ in COMMANDS if name == command)
+    return SimpleNamespace(command=command, **values, func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, not at the top: see the module docstring
+
     parser = argparse.ArgumentParser(
         prog="selrestr",
         description="Learn class-based selectional restrictions for verbs"
@@ -447,7 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _table_args(argv) or build_parser().parse_args(argv)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -471,7 +544,8 @@ def main() -> NoReturn:
     exit status, skipping interpreter finalization (module teardown and
     the final collection).  By then ``run`` has moved every output into
     place and flushed stdout; stderr is flushed here.  A usage error or
-    ``--help`` leaves through argparse's ``SystemExit`` as usual."""
+    ``--help`` goes to argparse, which ``run`` hands any argv the table
+    does not read, and still leaves through its ``SystemExit``."""
     status = run()
     if sys.stderr is not None:
         sys.stderr.flush()

@@ -51,7 +51,14 @@ def _id_list(none: str) -> Kind:
     frozenset; the list ``none`` names no id."""
 
     def check(text: str) -> frozenset[str]:
-        return frozenset(() if text == none else map(_check_class_id, text.split(",")))
+        if text == none:
+            return frozenset()
+        ids = text.split(",")
+        # One C pass over the whole list; the ids are checked one by one,
+        # so the first bad one is named, only when it finds a fault.
+        if "" in ids or text.split() != [text]:
+            ids = map(_check_class_id, ids)
+        return frozenset(ids)
 
     return check
 
@@ -66,26 +73,27 @@ class Taxonomy:
 
     def _check_acyclic(self) -> None:
         """Refuse a parent that names no class, then a cycle."""
-        # Kahn's algorithm; whatever cannot be peeled off lies on a cycle.
-        remaining = {c: set(ps) for c, ps in self._parents.items()}
-        children: dict[str, set[str]] = {c: set() for c in remaining}
+        # Kahn's algorithm over each class's count of parents not yet
+        # peeled off; whatever cannot be peeled off lies on a cycle.
+        remaining = {c: len(ps) for c, ps in self._parents.items()}
+        children: dict[str, list[str]] = {c: [] for c in remaining}
         for child, ps in self._parents.items():
             for p in ps:
                 siblings = children.get(p)
                 if siblings is None:
                     raise TaxonomyError(f"class {child!r} names unknown parent {p!r}")
-                siblings.add(child)
-        queue = [c for c, ps in remaining.items() if not ps]
+                siblings.append(child)
+        queue = [c for c, n in remaining.items() if not n]
         seen = 0
         while queue:
             node = queue.pop()
             seen += 1
             for ch in children[node]:
-                remaining[ch].discard(node)
+                remaining[ch] -= 1
                 if not remaining[ch]:
                     queue.append(ch)
         if seen != len(remaining):
-            cyclic = sorted(c for c, ps in remaining.items() if ps)
+            cyclic = sorted(c for c, n in remaining.items() if n)
             raise TaxonomyError(f"cycle detected among classes: {', '.join(cyclic)}")
 
     # -- queries ---------------------------------------------------------

@@ -4,12 +4,14 @@ workloads, spawned from a small process.
 For each workload (``corpus``, ``learn_raw``, ``learn_sense``), a child
 writes the seed-N ``perfbench/gen.py`` inputs, one copy per source, and
 the workload's command sequence as ``perfbench/run.py`` runs it.  This
-process then spawns each command (``extract``, ``learn``, ``eval``) as
-``python -m selrestr`` and prints each run's wall time, the child's own
-peak RSS (``ru_maxrss`` from ``os.wait4``) and the SHA-256 of each of its
-outputs and of its standard output.  This process stays small, so a
-child's peak is its own and not the RSS it started from, which
-``run.py``'s ``peak_rss_mb`` reads for ``learn`` and ``eval``.
+process then spawns ``run.py``'s set-up child (``python -c SETUP_CODE
+taxonomy.tsv lexicon.tsv``, the ``setup`` rows) and each command
+(``extract``, ``learn``, ``eval``) as ``python -m selrestr``, and prints
+each run's wall time, the child's own peak RSS (``ru_maxrss`` from
+``os.wait4``) and the SHA-256 of each of its outputs and of its standard
+output.  This process stays small, so a child's peak is its own and not
+the RSS it started from, which ``run.py``'s ``peak_rss_mb`` reads for
+``learn`` and ``eval``.
 
     python3 tests/command_cost.py [--seed 7] [--runs 7] [--workloads W ...] [--src DIR ...]
 
@@ -40,7 +42,8 @@ WORKLOADS = ("corpus", "learn_raw", "learn_sense")
 
 def write_inputs(work: Path, seed: int, workloads: list[str], sources: int) -> None:
     """Write each workload's inputs under ``work/<workload>-<i>`` for each
-    source i, and the command sequences to ``work/plan.json``."""
+    source i, and to ``work/plan.json`` each workload's children: the
+    set-up child, then the commands, each as the interpreter's argv."""
     sys.path.insert(0, str(HERE.parent / "perfbench"))
     import gen
     import run
@@ -48,20 +51,21 @@ def write_inputs(work: Path, seed: int, workloads: list[str], sources: int) -> N
     for workload in workloads:
         for i in range(sources):
             gen.generate(workload, seed, work / f"{workload}-{i}")
-    plan = {w: [(name, argv, files) for name, argv, files in run.WORKLOADS[w][0]]
+    setup = ("setup", ["-c", run.SETUP_CODE, "taxonomy.tsv", "lexicon.tsv"], [])
+    plan = {w: [setup] + [(name, ["-m", "selrestr", *argv], files)
+                          for name, argv, files in run.WORKLOADS[w][0]]
             for w in workloads}
     (work / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
 
 
 def command(src: Path, cwd: Path, name: str, argv: list[str], files: list[str]):
-    """Spawn one command: its wall time in s, peak RSS in MB and the
-    digests of its outputs and standard output."""
+    """Spawn one child, ``python`` with ``argv``: its wall time in s, peak
+    RSS in MB and the digests of its outputs and standard output."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     stdout = cwd / f"{name}.stdout"
     with open(stdout, "wb") as out:
         start = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-m", "selrestr", *argv], cwd=cwd, env=env,
-                                 stdout=out)
+        child = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env, stdout=out)
         _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
     if os.waitstatus_to_exitcode(status) != 0:

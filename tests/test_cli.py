@@ -659,9 +659,10 @@ class TestEntryPoint:
         assert "usage" in proc.stderr.lower()
 
     def test_import_leaves_out_what_only_some_paths_use(self):
-        # dataclasses (with inspect), json, decimal, fractions and hashlib
-        # (with OpenSSL's _hashlib) would cost every command start-up time,
-        # and hashlib memory too; the functions that use them import them.
+        # dataclasses (with inspect), json, decimal, fractions, argparse
+        # (with gettext) and hashlib (with OpenSSL's _hashlib) would cost
+        # every command start-up time, and hashlib memory too; the
+        # functions that use them import them.
         def modules(code):
             proc = subprocess.run(
                 [sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
@@ -673,19 +674,21 @@ class TestEntryPoint:
         added = modules("import selrestr.cli") - modules("pass")
         assert "selrestr.cli" in added
         assert not added & {
-            "dataclasses", "inspect", "json", "decimal", "fractions", "hashlib", "_hashlib"
+            "dataclasses", "inspect", "json", "decimal", "fractions", "argparse", "gettext",
+            "hashlib", "_hashlib",
         }
 
     def test_fresh_interpreter_loads_what_a_path_uses(self, data_dir, tmp_path, monkeypatch):
         # eval reads --config and writes --format json (json), the label
         # percentages (decimal) and the ratios (fractions); extract reads a
-        # --tagset file (json); learn hashes its inputs (hashlib).  Each
-        # prints what it prints in process, where the tests have already
-        # imported those modules.  extract and report keep no digest, so
-        # they end without OpenSSL's _hashlib loaded.  Each command, and
-        # the set-up child of perfbench/run.py, loads only the package
-        # modules it runs: with no bytecode cached, each module loaded is
-        # compiled again in every process.
+        # --tagset file (json); learn hashes its inputs.  Each prints what
+        # it prints in process, where the tests have already imported
+        # those modules.  A well-formed argv is read without argparse (nor
+        # the gettext and locale its parser loads), and learn and eval hash
+        # with the builtin SHA-256, so no command loads OpenSSL's _hashlib.
+        # Each command, and the set-up child of perfbench/run.py, loads
+        # only the package modules it runs: with no bytecode cached, each
+        # module loaded is compiled again in every process.
         monkeypatch.chdir(tmp_path)
         labels = str(data_dir / "toy_labels.tsv")
         (tmp_path / "cfg.json").write_text(json.dumps({"format": "json", "labels": labels}))
@@ -715,23 +718,26 @@ class TestEntryPoint:
             """Those of the package modules ``names`` that ``modules`` holds."""
             return {f"selrestr.{name}" for name in names} & modules
 
+        # What a well-formed command never loads.
+        start_up = {"argparse", "gettext", "locale", "_hashlib"}
         out, modules, _ = fresh(TestEvalCommand().eval_argv(data_dir, "--config", "cfg.json"))
         report = json.loads(out)
         assert report["diagnostics"][0]["class_pct"] == "100.0"
         assert report["precision"]["numerator"] == 1
+        assert not modules & start_up
         assert not loaded(modules, "trees", "extract", "stats", "learner")
         assert not loaded(modules, "shares")
         extract_argv = ["extract", "--corpus", str(data_dir / "demo.mrg"),
                         "--tagset", "tags.json", "--triples", "t.tsv"]
         out, modules, _ = fresh(extract_argv)
         assert out.startswith("raw extractions  ")
-        assert "_hashlib" not in modules
+        assert not modules & start_up
         assert not loaded(modules, "stats", "learner", "evaluate")
         assert not loaded(modules, "taxonomy")
         out, modules, _ = fresh(["report", "--srs", str(data_dir / "toy_srs.tsv"),
                                  "--config", "report.json"])
         assert out.startswith("verb")
-        assert "_hashlib" not in modules
+        assert not modules & start_up
         assert not loaded(modules, "trees", "extract", "stats", "learner")
         assert not loaded(modules, "taxonomy", "shares")
 
@@ -739,7 +745,8 @@ class TestEntryPoint:
             return [line for line in data.splitlines() if b"_sha256=" in line]
 
         _, modules, written = fresh(toy_learn_argv(data_dir, "srs.tsv"), "srs.tsv")
-        assert "_hashlib" in modules
+        assert "_hashlib" not in modules
+        assert not modules & start_up
         assert len(digest_lines(written)) == 3
         assert digest_lines(written) == digest_lines(Path("srs.tsv").read_bytes())
         assert not loaded(modules, "trees", "extract", "evaluate")
@@ -758,6 +765,7 @@ class TestEntryPoint:
         assert (proc.returncode, proc.stderr) == (0, "")
         modules = set(proc.stdout.split())
         assert "selrestr.taxonomy" in modules
+        assert not modules & start_up
         assert not loaded(modules, "trees", "extract", "stats", "learner", "evaluate")
 
 
@@ -1415,6 +1423,103 @@ def test_fuzz_argv_gives_a_status_never_a_traceback(data_dir, tmp_path, command)
         check = example(argv=["learn", *(t for pair in FUZZ_FLAGS["learn"][:3] for t in pair),
                               "--out", "counts.tsv"])(check)
     check()
+
+
+# -- the table path of argv --------------------------------------------------
+
+
+def _argparse_vars(argv):
+    return vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command", list(cli.OPTIONS))
+def test_table_args_match_argparse(command):
+    # Wherever the table path reads an argv, argparse reads it the same;
+    # some flag-value pairs are written as one --flag=value token.
+    @settings(max_examples=200, deadline=None)
+    @given(argv=fuzz_argv(command), data=st.data())
+    def check(argv, data):
+        joined = argv[:2]
+        for token in argv[2:]:
+            flag = joined[-1]
+            if flag.startswith("--") and "=" not in flag and data.draw(st.booleans()):
+                joined[-1] = f"{flag}={token}"
+            else:
+                joined.append(token)
+        for argv in (argv, joined):
+            args = cli._table_args(argv)
+            if args is not None:
+                assert vars(args) == _argparse_vars(argv), argv
+
+    check()
+
+
+TABLE_READ = [
+    ["learn", "--threshold=5"],
+    ["learn", "--no-keep-nonpositive"],
+    ["learn", "--threshold", "1", "--out", "a.tsv", "--threshold", "2", "--keep-nonpositive"],
+    ["learn", "--threshold", "1_0"],
+    ["eval", "--format=json", "--config", "cfg.json"],
+    ["report"],
+]
+ARGPARSE_READ = [
+    ["learn", "--thresh", "3"],
+    ["learn", "--out", "-"],
+    ["learn", "--threshold", "-1"],
+]
+ARGPARSE_REFUSES = [
+    [],
+    ["learn", "--keep-nonpositive=1"],
+    ["learn", "-h"],
+    ["learn", "--", "--out", "a.tsv"],
+    ["learn", "--out"],
+    ["eval", "--format", "yaml"],
+    ["learn", "--threshold", "x"],
+    ["learn", "a.tsv"],
+    ["nope"],
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_READ)
+def test_table_args_read_the_common_shape(argv):
+    args = cli._table_args(argv)
+    assert args is not None and vars(args) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_READ)
+def test_table_args_leave_other_shapes_to_argparse(argv):
+    assert cli._table_args(argv) is None
+    assert _argparse_vars(argv)["command"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_REFUSES)
+def test_table_args_leave_usage_errors_to_argparse(argv, capsys):
+    assert cli._table_args(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == (0 if "-h" in argv else 2)
+    out, err = capsys.readouterr()
+    assert "usage: selrestr" in (out if "-h" in argv else err)
+
+
+def test_table_args_read_every_benchmark_command():
+    # perfbench/run.py's commands take the table path, so the benchmark
+    # measures it, not a fall back to argparse.  Its assignments from
+    # SETUP_CODE to WORKLOADS are plain data, evaluated here with no
+    # builtins.
+    runner = ast.parse((Path(SRC_DIR).parent / "perfbench" / "run.py").read_text())
+    names = [getattr(node.targets[0], "id", None) if isinstance(node, ast.Assign) else None
+             for node in runner.body]
+    namespace = {}
+    for node in runner.body[names.index("SETUP_CODE"):names.index("WORKLOADS") + 1]:
+        if isinstance(node, ast.Assign):
+            code = compile(ast.Expression(node.value), "run.py", "eval")
+            namespace[node.targets[0].id] = eval(code, {"__builtins__": {}}, namespace)
+    argvs = [argv for commands, _ in namespace["WORKLOADS"].values() for _, argv, _ in commands]
+    assert {argv[0] for argv in argvs} == {"extract", "learn", "eval"}
+    for argv in argvs:
+        args = cli._table_args(argv)
+        assert args is not None and vars(args) == _argparse_vars(argv), argv
 
 
 # -- fuzzing file contents ---------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 
 import selrestr
 from selrestr.taxonomy import (
+    LEXICON,
+    TAXONOMY,
     SenseLexicon,
     Taxonomy,
     TaxonomyError,
@@ -127,6 +129,37 @@ class TestParsing:
             with pytest.raises(TaxonomyError) as err:
                 parse(text)
             assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, bad",
+        [
+            ("a,b\tc", "class id 'b\\tc' contains whitespace"),
+            ("a,b\u3000c,d e", "class id 'b\\u3000c' contains whitespace"),
+            ("a,b c,", "class id 'b c' contains whitespace"),
+            ("a,,b c", "empty class id"),
+            ("a,b,\xa0", "class id '\\xa0' contains whitespace"),
+        ],
+    )
+    def test_an_id_list_names_its_first_bad_id(self, text, bad):
+        # The kind checks the whole list at once and, on a fault, each id
+        # in turn; a tab cannot reach it from a file, which splits on tabs.
+        for spec in (TAXONOMY, LEXICON):
+            with pytest.raises(TaxonomyError) as err:
+                spec.fields[1](text)
+            assert str(err.value) == bad
+
+    @pytest.mark.parametrize("ch", ["\u2003", "\xa0"], ids=code_point)
+    def test_a_bad_second_sense_is_named_with_its_line(self, ch):
+        bad = f"a{ch}b"
+        tax = parse_taxonomy(MINIMAL)
+        with pytest.raises(TaxonomyError) as err:
+            parse_lexicon(f"dog\tanimal\ncat\tanimal,{bad},c d\n", tax)
+        assert str(err.value) == f"lexicon line 2: class id {bad!r} contains whitespace"
+
+    def test_every_class_below_a_cycle_is_named(self):
+        with pytest.raises(TaxonomyError) as err:
+            parse_taxonomy("r\t-\na\tr,c\nb\ta\nc\tb\nd\tc\ne\tr\n")
+        assert str(err.value) == "cycle detected among classes: a, b, c, d"
 
     @pytest.mark.parametrize("text", ["entity\t-\n\tentity\n", "entity\t-\nanimal\tentity,\n"])
     def test_empty_class_id(self, text):
