@@ -54,8 +54,8 @@ def _id_list(none: str) -> Kind:
         if text == none:
             return frozenset()
         ids = text.split(",")
-        # One C pass over the whole list; the ids are checked one by one,
-        # so the first bad one is named, only when it finds a fault.
+        # One C pass checks the whole list; only when it finds a fault are
+        # the ids checked one by one, so that the first bad one is named.
         if "" in ids or text.split() != [text]:
             ids = map(_check_class_id, ids)
         return frozenset(ids)

@@ -9,9 +9,10 @@ taxonomy.tsv lexicon.tsv``, the ``setup`` rows) and each command
 (``extract``, ``learn``, ``eval``) as ``python -m selrestr``, and prints
 each run's wall time, the child's own peak RSS (``ru_maxrss`` from
 ``os.wait4``) and the SHA-256 of each of its outputs and of its standard
-output.  This process stays small, so a child's peak is its own and not
-the RSS it started from, which ``run.py``'s ``peak_rss_mb`` reads for
-``learn`` and ``eval``.
+output.  A child's ``ru_maxrss`` starts at the RSS of this process, about
+19 MB (Python 3.11, Linux x86-64), so a child whose own peak is lower
+reads that floor.  It lies below ``run.py``'s floor, which ``run.py``'s
+``peak_rss_mb`` reads for ``learn`` and ``eval``.
 
     python3 tests/command_cost.py [--seed 7] [--runs 7] [--workloads W ...] [--src DIR ...]
 
